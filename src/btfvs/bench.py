@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .graph import BipartiteTournament
 from .pipeline import ConstantsProfile, pipeline_solve
-from .solvers import (Constraints, SolveStatus, approx4, branch_solve,
+from .solvers import (Constraints, SolveStatus, _ms, approx4, branch_solve,
                       exact_min_fvs, oracle_min_fvs)
 
 KNOWN_SOLVERS = ("oracle", "branch", "approx4", "exact", "pipeline")
@@ -60,10 +60,6 @@ def _run_one(args) -> BenchRecord:
                            len(res.solution) if res.found else None,
                            res.stats.nodes, _ms(t0))
     raise ValueError(f"unknown solver {solver!r}")
-
-
-def _ms(t0: float) -> float:
-    return (time.perf_counter() - t0) * 1000.0
 
 
 def bench(corpus: list[tuple[str, BipartiteTournament, int | None]],

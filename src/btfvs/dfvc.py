@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .errors import NotAMatching
 from .graph import BipartiteTournament, MixedMultigraph
 from .solvers import (Constraints, SolveResult, SolveStats, SolveStatus,
-                      approx4, branch_solve, oracle_min_fvs)
+                      _ms, approx4, branch_solve, oracle_min_fvs)
 
 GlobalVertex = tuple  # (part_index, Vertex)
 
@@ -141,10 +141,6 @@ def dfvc_solve(inst: DfvcInstance) -> SolveResult:
     if best["size"] is None or best["size"] > inst.budget:
         return SolveResult(SolveStatus.NO_SOLUTION, None, stats)
     return SolveResult(SolveStatus.SOLUTION, best["solution"], stats)
-
-
-def _ms(t0: float) -> float:
-    return (time.perf_counter() - t0) * 1000.0
 
 
 def verify_dfvc(inst: DfvcInstance, solution: frozenset) -> bool:

@@ -52,7 +52,7 @@ class BipartiteTournament:
     acyclic and serve as recursion base cases.
     """
 
-    __slots__ = ("m", "n", "orient", "labels", "_out_mask", "_in_mask", "_squares")
+    __slots__ = ("m", "n", "orient", "labels", "_out_mask", "_in_mask")
 
     def __init__(self, m: int, n: int, orient: Sequence[Sequence[object]],
                  labels: Sequence[str] | None = None):
@@ -79,7 +79,6 @@ class BipartiteTournament:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_out_mask", None)
         object.__setattr__(self, "_in_mask", None)
-        object.__setattr__(self, "_squares", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BipartiteTournament is immutable")
@@ -279,12 +278,6 @@ class BipartiteTournament:
             groups.setdefault((v.side, out[g], inc[g]), []).append(v)
         classes = [frozenset(vs) for vs in groups.values()]
         return sorted(classes, key=lambda c: min(c))
-
-
-def new_tournament(m: int, n: int, orient: Sequence[Sequence[object]],
-                   labels: Sequence[str] | None = None) -> BipartiteTournament:
-    """Validated construction; rejects ragged or mis-sized matrices."""
-    return BipartiteTournament(m, n, orient, labels)
 
 
 class MixedMultigraph:

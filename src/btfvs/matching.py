@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from .errors import FamilyCapExceeded
 from .graph import SIDE_A, Vertex
 
 
@@ -52,10 +53,6 @@ def max_bipartite_matching(edges: Iterable[tuple]) -> list[tuple]:
     return sorted((l, r) for r, l in match_right.items())
 
 
-def max_matching_size(edges: Iterable[tuple]) -> int:
-    return len(max_bipartite_matching(edges))
-
-
 def enumerate_min_vertex_covers(edges: Iterable[tuple], cap: int | None = None) -> list[frozenset]:
     """All minimum vertex covers of a bipartite edge set.
 
@@ -63,7 +60,8 @@ def enumerate_min_vertex_covers(edges: Iterable[tuple], cap: int | None = None) 
     edge and nothing else, so two-way branching over matching edges visits
     at most 2^(matching size) candidates; candidates that leave some edge
     uncovered are dropped.  ``cap`` bounds the number of candidate leaves
-    visited (a guard for callers enumerating many covers).
+    visited (a guard for callers enumerating many covers); going past it
+    raises FamilyCapExceeded.
     """
     edges = sorted(set(tuple(e) for e in edges))
     if not edges:
@@ -77,7 +75,7 @@ def enumerate_min_vertex_covers(edges: Iterable[tuple], cap: int | None = None) 
     def rec(i: int, chosen: tuple):
         nonlocal leaves
         if cap is not None and leaves > cap:
-            raise RuntimeError(f"vertex cover enumeration exceeded cap {cap}")
+            raise FamilyCapExceeded("vertex cover enumeration", leaves, cap)
         if i == mu:
             leaves += 1
             cset = frozenset(chosen)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations, permutations
 from math import comb
 from typing import Iterable, NamedTuple
@@ -35,9 +36,9 @@ from .graph import BipartiteTournament, MixedMultigraph, Vertex
 from .matching import (consistent_with_mixed, enumerate_min_vertex_covers,
                        max_bipartite_matching, min_vertex_cover,
                        x_preferred_cover)
-from .msequence import MSequence, back_edges, is_conflict_back_edge, m_sequence
+from .msequence import BackEdge, back_edges, is_conflict_back_edge, m_sequence
 from .samplespace import prime_power_decompose, twise_space, twise_space_size
-from .solvers import (Constraints, SolveStats, SolveStatus, approx4,
+from .solvers import (Constraints, SolveStats, SolveStatus, _ms, approx4,
                       branch_solve, reduce_instance, verify_fvs)
 from .structure import is_acyclic, canonical_sequence
 
@@ -98,7 +99,13 @@ class ConstantsProfile:
 @dataclass(frozen=True)
 class CfvsInstance:
     """One constrained question: an FVS of T of size <= k that avoids M,
-    contains P, and covers F."""
+    contains P, and covers F.
+
+    The block structure of T - P relative to M, which every stage predicate
+    reads, is derived once on first use and cached as :attr:`view`, in host
+    coordinates.  ``dataclasses.replace`` builds a child with an empty cache;
+    a child that differs only in F may be handed its parent's view.
+    """
 
     T: BipartiteTournament
     M: frozenset
@@ -131,31 +138,55 @@ class CfvsInstance:
         from .solvers import satisfies
         return satisfies(self.T, frozenset(H), self.constraints())
 
-
-class LiveView(NamedTuple):
-    """T - P with its block structure, plus both identity mappings."""
-
-    tournament: BipartiteTournament
-    to_host: dict
-    from_host: dict
-    seq: MSequence  # in live coordinates
-
-    def host_blocks(self) -> list[tuple[frozenset, frozenset]]:
-        return [(frozenset(self.to_host[v] for v in x),
-                 frozenset(self.to_host[v] for v in y))
-                for (x, y) in self.seq.blocks]
-
-    def host_back_edges(self) -> list:
-        return [(self.to_host[e.tail], self.to_host[e.head],
-                 e.tail_block, e.head_block)
-                for e in back_edges(self.tournament, self.seq)]
+    @cached_property
+    def view(self) -> BlockView:
+        return live_structure(self)
 
 
-def live_structure(inst: CfvsInstance) -> LiveView:
+class BlockView(NamedTuple):
+    """Block structure of T - P relative to M, in host coordinates."""
+
+    blocks: tuple[tuple[frozenset, frozenset], ...]  # (X_i, Y_i)
+    block_of: dict  # host vertex -> block index
+    back: tuple[BackEdge, ...]  # row-major arc scan order
+
+
+def live_structure(inst: CfvsInstance) -> BlockView:
+    """Build the block view of T - P; the live sub-tournament is dropped."""
     sub = inst.T.remove(inst.P)
-    m_live = frozenset(sub.from_host[v] for v in inst.M)
-    seq = m_sequence(sub.tournament, m_live)
-    return LiveView(sub.tournament, sub.to_host, sub.from_host, seq)
+    seq = m_sequence(sub.tournament, (sub.from_host[v] for v in inst.M))
+    to_host = sub.to_host
+    blocks = tuple((frozenset(to_host[v] for v in x),
+                    frozenset(to_host[v] for v in y)) for (x, y) in seq.blocks)
+    back = tuple(BackEdge(to_host[e.tail], to_host[e.head], e.tail_block, e.head_block)
+                 for e in back_edges(sub.tournament, seq))
+    return BlockView(blocks, _index_of(x | y for (x, y) in blocks), back)
+
+
+def _index_of(groups: Iterable[frozenset]) -> dict:
+    """Map each member of a sequence of disjoint sets to its set's index."""
+    return {v: i for i, group in enumerate(groups) for v in group}
+
+
+def _short_by_pair(inst: CfvsInstance, exclude: frozenset = frozenset()) -> list[list]:
+    """Short back edges outside ``exclude`` as host arcs, one list per
+    consecutive block pair."""
+    by_pair: dict = {}
+    for (u, w, bi, bj) in inst.view.back:
+        if bi - bj == 1 and (u, w) not in exclude:
+            by_pair.setdefault(bj, []).append((u, w))
+    return list(by_pair.values())
+
+
+def _block_incidence(inst: CfvsInstance, edges: Iterable[tuple]) -> dict:
+    """Block index -> number of edge endpoints inside that block."""
+    block_of = inst.view.block_of
+    counts: dict = {}
+    for e in edges:
+        for v in e:
+            if v in block_of:
+                counts[block_of[v]] = counts.get(block_of[v], 0) + 1
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -276,28 +307,26 @@ def seed_instances(T: BipartiteTournament, k: int,
 def large_sets(inst: CfvsInstance, profile: ConstantsProfile) -> frozenset:
     """Union of oversized sub-blocks: X_i whose size reaches ``large_ratio``
     times its M-count, and Y_i of size at least ``large_ratio``."""
-    live = live_structure(inst)
     ratio = profile.large_ratio
     picked: set = set()
-    for (x, y) in live.seq.blocks:
-        m_i = sum(1 for v in x if v in live.seq.m_set)
+    for (x, y) in inst.view.blocks:
+        m_i = len(x & inst.M)
         if (m_i == 0 and len(x) >= ratio) or (m_i > 0 and len(x) >= ratio * m_i):
             picked |= x
         if len(y) >= ratio:
             picked |= y
-    return frozenset(live.to_host[v] for v in picked)
+    return frozenset(picked)
 
 
 def is_regular(inst: CfvsInstance, profile: ConstantsProfile) -> bool:
     """Every big X_i keeps an M share of at least 1/large_ratio, and every
     Y_i stays below large_ratio."""
-    live = live_structure(inst)
     ratio = profile.large_ratio
-    for (x, y) in live.seq.blocks:
+    for (x, y) in inst.view.blocks:
         if len(y) > ratio:
             return False
         if len(x) >= ratio:
-            m_i = sum(1 for v in x if v in live.seq.m_set)
+            m_i = len(x & inst.M)
             if m_i * ratio < len(x):
                 return False
     return True
@@ -341,21 +370,14 @@ def stage_regular(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsIns
 
 def long_back(inst: CfvsInstance) -> frozenset:
     """All back edges jumping at least two blocks, as host arcs."""
-    live = live_structure(inst)
-    return frozenset((u, w) for (u, w, bi, bj) in live.host_back_edges()
-                     if bi - bj >= 2)
+    return frozenset((u, w) for (u, w, bi, bj) in inst.view.back if bi - bj >= 2)
 
 
 def short_back_large(inst: CfvsInstance, profile: ConstantsProfile) -> frozenset:
     """Union of the consecutive-block back-edge sets whose matching size
     reaches ``weak_matching``, as host arcs."""
-    live = live_structure(inst)
-    by_pair: dict = {}
-    for (u, w, bi, bj) in live.host_back_edges():
-        if bi - bj == 1:
-            by_pair.setdefault(bj, []).append((u, w))
     picked: set = set()
-    for bj, edges in by_pair.items():
+    for edges in _short_by_pair(inst):
         if len(max_bipartite_matching(edges)) >= profile.weak_matching:
             picked.update(edges)
     return frozenset(picked)
@@ -368,32 +390,15 @@ def is_weakly_coupled(inst: CfvsInstance, profile: ConstantsProfile) -> bool:
     Edges of F already covered by P are vacuous and exempt from the back-edge
     requirement.
     """
-    live = live_structure(inst)
-    hbe = live.host_back_edges()
-    back_map = {(u, w): (bi, bj) for (u, w, bi, bj) in hbe}
-    live_f = inst.live_f()
-    m_host = inst.M
-    for (u, w) in live_f:
-        if (u, w) not in back_map:
+    back = {(e.tail, e.head): e for e in inst.view.back}
+    for arc in inst.live_f():
+        e = back.get(arc)
+        if e is None or not is_conflict_back_edge(inst.T, inst.M, e):
             return False
-        bi, bj = back_map[(u, w)]
-        e = _host_back_edge(live, u, w, bi, bj)
-        if not is_conflict_back_edge(inst.T, m_host, e):
-            return False
-    for (u, w, bi, bj) in hbe:
-        if bi - bj >= 2 and (u, w) not in inst.F:
-            return False
-    by_pair: dict = {}
-    for (u, w, bi, bj) in hbe:
-        if bi - bj == 1 and (u, w) not in inst.F:
-            by_pair.setdefault(bj, []).append((u, w))
+    if not long_back(inst) <= inst.F:
+        return False
     return all(len(max_bipartite_matching(edges)) <= profile.weak_matching
-               for edges in by_pair.values())
-
-
-def _host_back_edge(live: LiveView, u, w, bi, bj):
-    from .msequence import BackEdge
-    return BackEdge(u, w, bi, bj)
+               for edges in _short_by_pair(inst, inst.F))
 
 
 def stage_weak(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsInstance]:
@@ -412,6 +417,8 @@ def stage_weak(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsInstan
         for combo in combinations(pool, r):
             f_new = (big - frozenset(combo)) | longs | inst.F
             child = replace(inst, F=f_new)
+            # only F changed, so T - P and M, hence the view, are the parent's
+            child.__dict__["view"] = inst.view
             if is_weakly_coupled(child, profile):
                 out.append(child)
     return out
@@ -509,23 +516,11 @@ def is_low_block_degree(inst: CfvsInstance, profile: ConstantsProfile) -> bool:
     """Every long back edge is required by F, and each block sees at most
     ``block_degree`` constraint edges whose other endpoint was already
     forced into P."""
-    live = live_structure(inst)
-    hbe = live.host_back_edges()
-    for (u, w, bi, bj) in hbe:
-        if bi - bj >= 2 and (u, w) not in inst.F:
-            return False
-    block_of = {}
-    for i, (x, y) in enumerate(live.host_blocks()):
-        for v in x | y:
-            block_of[v] = i
-    ghost = [(u, w) for (u, w) in inst.F
-             if u in inst.P or w in inst.P]
-    counts: dict = {}
-    for (u, w) in ghost:
-        for v in (u, w):
-            if v in block_of:
-                counts[block_of[v]] = counts.get(block_of[v], 0) + 1
-    return all(c <= profile.block_degree for c in counts.values())
+    if not long_back(inst) <= inst.F:
+        return False
+    ghost = [(u, w) for (u, w) in inst.F if u in inst.P or w in inst.P]
+    return all(c <= profile.block_degree
+               for c in _block_incidence(inst, ghost).values())
 
 
 def stage_lowblockdegree(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsInstance]:
@@ -542,21 +537,12 @@ def stage_lowblockdegree(inst: CfvsInstance, profile: ConstantsProfile) -> list[
         raise PreconditionViolated("weakly-coupled")
     if not is_matched(inst):
         raise PreconditionViolated("matched")
-    live = live_structure(inst)
-    host_blocks = live.host_blocks()
-    block_of: dict = {}
-    for i, (x, y) in enumerate(host_blocks):
-        for v in x | y:
-            block_of[v] = i
+    host_blocks = inst.view.blocks
+    hbe = inst.view.back
     live_f = sorted(inst.live_f())
-    incid: dict = {}
-    for (u, w) in live_f:
-        for v in (u, w):
-            if v in block_of:
-                incid[block_of[v]] = incid.get(block_of[v], 0) + 1
-    candidates = sorted(i for i, c in incid.items() if c >= profile.block_degree)
+    candidates = sorted(i for i, c in _block_incidence(inst, live_f).items()
+                        if c >= profile.block_degree)
     t_cap = max(0, (2 * inst.k) // profile.block_degree)
-    hbe = live.host_back_edges()
 
     out = []
     work = 0
@@ -644,13 +630,11 @@ def partition_parts(inst: CfvsInstance, profile: ConstantsProfile) -> list[froze
         raise PreconditionViolated("matched")
     if not is_low_block_degree(inst, profile):
         raise PreconditionViolated("low-block-degree")
-    live = live_structure(inst)
-    blocks = [x | y for (x, y) in live.host_blocks()]
     live_f = inst.live_f()
     parts: list[frozenset] = []
     current: set = set()
-    for blk in blocks:
-        current |= blk
+    for (x, y) in inst.view.blocks:
+        current |= x | y
         approx = approx4(inst.T.induced(current).tournament, profile.part_fvs_f)
         fvs_hit = approx is None or len(approx) >= profile.part_fvs_f
         deg = sum(1 for (u, w) in live_f if u in current or w in current)
@@ -663,7 +647,7 @@ def partition_parts(inst: CfvsInstance, profile: ConstantsProfile) -> list[froze
 
 
 def _split_ok(inst: CfvsInstance, profile: ConstantsProfile,
-              parts: list[frozenset], live: LiveView) -> bool:
+              parts: list[frozenset]) -> bool:
     """Does this particular consecutive-block split witness decoupling?"""
     t_limit = max(1, inst.k // profile.part_fvs_f)
     if len(parts) > t_limit:
@@ -680,16 +664,12 @@ def _split_ok(inst: CfvsInstance, profile: ConstantsProfile,
         window_deg = deg_lo <= deg <= d
         if not (window_fvs or window_deg):
             return False
-    part_of: dict = {}
-    for i, part in enumerate(parts):
-        for v in part:
-            part_of[v] = i
-    for (u, w, bi, bj) in live.host_back_edges():
-        if bi - bj != 1 or (u, w) in inst.F:
+    part_of = _index_of(parts)
+    for e in inst.view.back:
+        if e.tail_block - e.head_block != 1 or (e.tail, e.head) in inst.F:
             continue
-        if part_of.get(u) == part_of.get(w):
+        if part_of.get(e.tail) == part_of.get(e.head):
             continue
-        e = _host_back_edge(live, u, w, bi, bj)
         if is_conflict_back_edge(inst.T, inst.M, e):
             return False
     return True
@@ -704,15 +684,14 @@ def find_decoupling(inst: CfvsInstance, profile: ConstantsProfile) -> list[froze
     The exhaustive search is skipped when 2^(blocks-1) exceeds the family
     cap; the greedy split then decides alone.
     """
-    live = live_structure(inst)
     greedy: list[frozenset] | None = None
     try:
         greedy = partition_parts(inst, profile)
     except PreconditionViolated:
         pass
-    if greedy is not None and _split_ok(inst, profile, greedy, live):
+    if greedy is not None and _split_ok(inst, profile, greedy):
         return greedy
-    blocks = [x | y for (x, y) in live.host_blocks()]
+    blocks = [x | y for (x, y) in inst.view.blocks]
     l = len(blocks)
     if l == 0 or 2 ** (l - 1) > profile.family_cap:
         return None
@@ -727,18 +706,15 @@ def find_decoupling(inst: CfvsInstance, profile: ConstantsProfile) -> list[froze
         parts.append(frozenset(current))
         if parts == greedy:
             continue
-        if _split_ok(inst, profile, parts, live):
+        if _split_ok(inst, profile, parts):
             return parts
     return None
 
 
-def is_decoupled(inst: CfvsInstance, profile: ConstantsProfile,
-                 parts: list[frozenset] | None = None) -> bool:
+def is_decoupled(inst: CfvsInstance, profile: ConstantsProfile) -> bool:
     """Is there a consecutive-block partition within the part-count bound
     whose parts each hit a window, with F carrying the cross-part short
-    conflict back edges?  With ``parts`` given, checks that split alone."""
-    if parts is not None:
-        return _split_ok(inst, profile, parts, live_structure(inst))
+    conflict back edges?"""
     return find_decoupling(inst, profile) is not None
 
 
@@ -748,12 +724,8 @@ def stage_decoupled(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsI
     (each subset C of D joins the solution together with the uncovered
     neighbors of D - C)."""
     parts = partition_parts(inst, profile)
-    part_of: dict = {}
-    for i, part in enumerate(parts):
-        for v in part:
-            part_of[v] = i
-    live = live_structure(inst)
-    cross = sorted({(u, w) for (u, w, _, _) in live.host_back_edges()
+    part_of = _index_of(parts)
+    cross = sorted({(u, w) for (u, w, _, _) in inst.view.back
                     if part_of.get(u) != part_of.get(w)})
     cap_b = 2 * len(parts) * (2 * profile.hom_window ** 2)
     would_be = sum(comb(len(cross), r) for r in range(min(cap_b, len(cross)) + 1))
@@ -812,10 +784,7 @@ def to_dfvc(inst: CfvsInstance, profile: ConstantsProfile) -> DfvcReduction:
     parts = find_decoupling(inst, profile)
     if parts is None:
         raise PreconditionViolated("decoupled")
-    part_of: dict = {}
-    for i, part in enumerate(parts):
-        for v in part:
-            part_of[v] = i
+    part_of = _index_of(parts)
     tournaments = []
     from_host_maps = []
     to_host: dict = {}
@@ -976,7 +945,3 @@ def pipeline_solve(T: BipartiteTournament, k: int,
     return PipelineResult(fb.status, fb.solution,
                           SolveStats(fb.stats.nodes, _ms(t0)),
                           tuple(trace), tuple(diagnostics), True)
-
-
-def _ms(t0: float) -> float:
-    return (time.perf_counter() - t0) * 1000.0

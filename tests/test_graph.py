@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btfvs.errors import DimensionMismatch
-from btfvs.graph import Arc, BipartiteTournament, MixedMultigraph, new_tournament
+from btfvs.graph import Arc, BipartiteTournament, MixedMultigraph
 
 from conftest import a, b, tournament
 
@@ -20,11 +20,11 @@ def orient_matrices(max_side=5):
 
 class TestConstruction:
     def test_single_arc(self):
-        T = new_tournament(1, 1, [[True]])
+        T = BipartiteTournament(1, 1, [[True]])
         assert T.arc(a(0), b(0)) is Arc.U_TO_V
 
     def test_square(self):
-        T = new_tournament(2, 2, [[True, False], [False, True]])
+        T = BipartiteTournament(2, 2, [[True, False], [False, True]])
         assert T.has_arc(a(0), b(0))
         assert T.has_arc(b(0), a(1))
         assert T.has_arc(a(1), b(1))
@@ -32,16 +32,16 @@ class TestConstruction:
 
     def test_ragged_rejected(self):
         with pytest.raises(DimensionMismatch):
-            new_tournament(2, 2, [[True], [False, True]])
+            BipartiteTournament(2, 2, [[True], [False, True]])
 
     def test_row_count_rejected(self):
         with pytest.raises(DimensionMismatch):
-            new_tournament(3, 2, [[True, False], [False, True]])
+            BipartiteTournament(3, 2, [[True, False], [False, True]])
 
     def test_empty_sides_legal(self):
-        T = new_tournament(0, 3, [])
+        T = BipartiteTournament(0, 3, [])
         assert T.num_vertices == 3
-        T2 = new_tournament(2, 0, [[], []])
+        T2 = BipartiteTournament(2, 0, [[], []])
         assert T2.num_vertices == 2
 
     def test_immutable(self, square_2x2):
@@ -50,9 +50,9 @@ class TestConstruction:
 
     def test_bad_labels(self):
         with pytest.raises(DimensionMismatch):
-            new_tournament(1, 1, [[True]], labels=["x"])
+            BipartiteTournament(1, 1, [[True]], labels=["x"])
         with pytest.raises(DimensionMismatch):
-            new_tournament(1, 1, [[True]], labels=["x", "x"])
+            BipartiteTournament(1, 1, [[True]], labels=["x", "x"])
 
 
 class TestArcs:
@@ -93,7 +93,7 @@ class TestInduced:
         assert sub.tournament.has_arc(a(0), b(0))
 
     def test_labels_follow(self):
-        T = new_tournament(2, 1, [[True], [False]], labels=["x", "y", "z"])
+        T = BipartiteTournament(2, 1, [[True], [False]], labels=["x", "y", "z"])
         sub = T.remove({a(0)})
         assert sub.tournament.labels == ("y", "z")
 

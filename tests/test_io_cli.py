@@ -7,7 +7,7 @@ import pytest
 from btfvs.dfvc import DfvcInstance
 from btfvs.errors import ParseError
 from btfvs.generators import GenKind, GenSpec, generate
-from btfvs.graph import MixedMultigraph, new_tournament
+from btfvs.graph import BipartiteTournament, MixedMultigraph
 from btfvs.io import (parse_dfvc, parse_instance, resolve_edge_list,
                       serialize_dfvc, serialize_instance)
 from btfvs.cli import main
@@ -25,7 +25,7 @@ class TestInstanceFormat:
             assert parsed.k == 3
 
     def test_labels_round_trip(self):
-        T = new_tournament(1, 2, [[True, False]], labels=["x", "y", "z"])
+        T = BipartiteTournament(1, 2, [[True, False]], labels=["x", "y", "z"])
         parsed = parse_instance(serialize_instance(T))
         assert parsed.tournament == T
         assert parsed.tournament.labels == ("x", "y", "z")
@@ -66,9 +66,9 @@ class TestInstanceFormat:
 
 class TestDfvcFormat:
     def test_round_trip(self):
-        p0 = new_tournament(2, 2, [[True, False], [False, True]],
-                            labels=["u0", "u1", "v0", "v1"])
-        p1 = new_tournament(1, 1, [[True]], labels=["w0", "w1"])
+        p0 = BipartiteTournament(2, 2, [[True, False], [False, True]],
+                                 labels=["u0", "u1", "v0", "v1"])
+        p1 = BipartiteTournament(1, 1, [[True]], labels=["w0", "w1"])
         g = MixedMultigraph([p0, p1], [((0, a(0)), (1, b(0)))])
         inst = DfvcInstance(g, frozenset({(1, a(0))}), 2)
         parsed = parse_dfvc(serialize_dfvc(inst))
@@ -77,8 +77,8 @@ class TestDfvcFormat:
         assert parsed.forbidden == inst.forbidden
 
     def test_duplicate_labels_rejected(self):
-        p0 = new_tournament(1, 1, [[True]], labels=["x", "y"])
-        p1 = new_tournament(1, 1, [[True]], labels=["x", "z"])
+        p0 = BipartiteTournament(1, 1, [[True]], labels=["x", "y"])
+        p1 = BipartiteTournament(1, 1, [[True]], labels=["x", "z"])
         g = MixedMultigraph([p0, p1], [])
         with pytest.raises(ParseError):
             parse_dfvc(serialize_dfvc(DfvcInstance(g, frozenset(), 1)))
@@ -210,10 +210,10 @@ class TestCli:
     def test_dfvc_subcommand(self, tmp_path, capsys):
         # a square part plus an undirected edge between two acyclic parts:
         # the optimum needs one deletion for each
-        p0 = new_tournament(2, 2, [[True, False], [False, True]],
-                            labels=["u0", "u1", "v0", "v1"])
-        p1 = new_tournament(1, 1, [[True]], labels=["w0", "w1"])
-        p2 = new_tournament(1, 1, [[True]], labels=["x0", "x1"])
+        p0 = BipartiteTournament(2, 2, [[True, False], [False, True]],
+                                 labels=["u0", "u1", "v0", "v1"])
+        p1 = BipartiteTournament(1, 1, [[True]], labels=["w0", "w1"])
+        p2 = BipartiteTournament(1, 1, [[True]], labels=["x0", "x1"])
         g = MixedMultigraph([p0, p1, p2], [((1, a(0)), (2, b(0)))])
         inst = DfvcInstance(g, frozenset(), 2)
         path = tmp_path / "mixed.json"

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btfvs.errors import FamilyCapExceeded
 from btfvs.generators import GenKind, GenSpec, generate
 from btfvs.matching import (consistent_with_mixed, enumerate_min_vertex_covers,
                             inconsistent_vertices, max_bipartite_matching,
-                            max_matching_size, min_vertex_cover,
-                            x_preferred_cover)
+                            min_vertex_cover, x_preferred_cover)
 from btfvs.reference import max_matching_size_brute, min_vertex_covers_brute
 
 from conftest import a, b, tournament
@@ -61,7 +61,7 @@ class TestMinVertexCovers:
     @settings(max_examples=60, deadline=None)
     def test_counts_and_konig(self, edges):
         covers = enumerate_min_vertex_covers(edges)
-        mu = max_matching_size(edges)
+        mu = len(max_bipartite_matching(edges))
         assert len(covers) <= 2 ** mu
         for c in covers:
             assert len(c) == mu  # König: min cover = max matching
@@ -69,8 +69,15 @@ class TestMinVertexCovers:
     def test_min_cover_is_minimum(self):
         edges = [(a(0), b(0)), (a(1), b(0)), (a(1), b(1))]
         c = min_vertex_cover(edges)
-        assert len(c) == max_matching_size(edges)
+        assert len(c) == len(max_bipartite_matching(edges))
         assert all(u in c or w in c for (u, w) in edges)
+
+    def test_cap_overflow_raises_family_cap_exceeded(self):
+        edges = [(a(0), b(0)), (a(1), b(1)), (a(2), b(2))]
+        with pytest.raises(FamilyCapExceeded) as exc:
+            enumerate_min_vertex_covers(edges, cap=2)
+        assert exc.value.where == "vertex cover enumeration"
+        assert exc.value.cap == 2
 
 
 class TestPreferredCover:

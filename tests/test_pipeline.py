@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from btfvs import pipeline
 from btfvs.errors import FamilyCapExceeded, PreconditionViolated
 from btfvs.generators import GenKind, GenSpec, SplitMix64, generate
 from btfvs.msequence import m_sequence
@@ -354,6 +357,71 @@ class TestCascade:
                 sol = cfvs_solution(inst)
                 if sol is not None:
                     assert verify_fvs(T, sol) and len(sol) <= k
+
+
+def _family_digests(T, k):
+    """Per stage of run_cascade: (child count, digest of the sorted
+    (P, F) label pairs of all children)."""
+    stages: dict = {}
+
+    def collect(stage, parent, children):
+        stages.setdefault(stage, []).extend(
+            (tuple(sorted(T.label(v) for v in c.P)),
+             tuple(sorted((T.label(u), T.label(w)) for (u, w) in c.F)))
+            for c in children)
+
+    run_cascade(T, k, TOY, collect=collect)
+    return {stage: (len(labels),
+                    hashlib.sha256(repr(sorted(labels)).encode()).hexdigest()[:16])
+            for stage, labels in stages.items()}
+
+
+class TestFamiliesPinned:
+    """The cascade's families, pinned to values recorded before the block
+    structure was cached on the instance; any change to a stage's output
+    shows here."""
+
+    @pytest.mark.parametrize("spec, k, want", [
+        (GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2), 2, {
+            "seed": (121, "90678a20d98db436"), "regular": (107, "fde854506ebe4615"),
+            "weak": (107, "802afc5093c78303"), "matched": (98, "3f545e0990148f71"),
+            "lowblockdegree": (96, "2039a61871afd808"),
+            "decoupled": (93, "55f3909de6627e60")}),
+        (GenSpec(5, 5, GenKind.UNIFORM_RANDOM, seed=1), 2, {
+            "seed": (155, "021577d2438027d0"), "regular": (73, "2705bac067b4eae7"),
+            "weak": (78, "70a156abbd16b0da"), "matched": (62, "8ec78e8e9f3e4fa9"),
+            "lowblockdegree": (62, "8ec78e8e9f3e4fa9"),
+            "decoupled": (66, "c074c70b090860c0")}),
+        (GenSpec(4, 5, GenKind.PLANTED_FVS, seed=2, k_plant=2), 2, {
+            "seed": (143, "39aa2e2b227080b2"), "regular": (130, "860d48e75031eb39"),
+            "weak": (142, "1fcc53f1ec0dedef"), "matched": (143, "1ad06966418cb747"),
+            "lowblockdegree": (140, "b8d50695cf893a70"),
+            "decoupled": (95, "63e424e5ddc67fce")}),
+        (GenSpec(5, 5, GenKind.PLANTED_FVS, seed=5, k_plant=2), 1, {
+            "seed": (160, "1131c69a7ab603b6"), "regular": (38, "ef9d2f6354d657a4"),
+            "weak": (38, "456fd37b49715b08"), "matched": (19, "6bdfe600576f4204"),
+            "lowblockdegree": (19, "6bdfe600576f4204"),
+            "decoupled": (19, "7876eb22e68cecad")}),
+    ])
+    def test_stage_families_unchanged(self, spec, k, want):
+        assert _family_digests(generate(spec), k) == want
+
+
+class TestBlockView:
+    def test_view_built_at_most_once_per_instance(self, monkeypatch):
+        builds = []
+        original = pipeline.live_structure
+
+        def counting(inst):
+            builds.append(inst)
+            return original(inst)
+
+        monkeypatch.setattr(pipeline, "live_structure", counting)
+        T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2))
+        res = pipeline_solve(T, 2, TOY)
+        sizes = dict(res.trace)
+        assert sizes.get("decoupled", 0) > 0
+        assert 0 < len(builds) <= sum(sizes.values())
 
 
 class TestDecoupling:
