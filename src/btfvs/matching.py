@@ -90,7 +90,8 @@ def enumerate_min_vertex_covers(edges: Iterable[tuple], cap: int | None = None) 
         rec(i + 1, chosen + (r,))
 
     rec(0, ())
-    assert covers, "a bipartite edge set always has a minimum cover"
+    if not covers:
+        raise AssertionError("a bipartite edge set always has a minimum cover")
     return sorted(covers, key=sorted)
 
 

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BlockIndexOutOfRange, EmptyM, GroundSetMismatch, NotMConsistent
 from .graph import BipartiteTournament, Vertex
-from .structure import CanonicalSequence, canonical_sequence, is_acyclic
+from .structure import _peel_layers_mask
 
 
 class ClassKind(Enum):
@@ -82,15 +82,6 @@ class MSequence:
     def y(self, i: int) -> frozenset:
         return self.blocks[i][1]
 
-    def block_vertices(self, i: int) -> frozenset:
-        return self.blocks[i][0] | self.blocks[i][1]
-
-    def block_index(self, v: Vertex) -> int:
-        for i, (x, y) in enumerate(self.blocks):
-            if v in x or v in y:
-                return i
-        raise KeyError(f"{v!r} not in any block")
-
     def block_index_map(self) -> dict:
         out = {}
         for i, (x, y) in enumerate(self.blocks):
@@ -111,52 +102,62 @@ class MSequence:
         return out
 
 
-def is_m_consistent(T: BipartiteTournament, M: Iterable[Vertex]) -> tuple[bool, Vertex | None]:
-    """Does every single added vertex keep T[M] acyclic?
+def cycle_closers(T: BipartiteTournament, m_mask: int, candidates: int) -> list[Vertex]:
+    """Candidates v outside M with T[M + v] cyclic, by ascending gid; M and
+    the candidates are bitmasks over global ids."""
+    return [v for v in T.vertices_of_mask(candidates & ~m_mask)
+            if _peel_layers_mask(T, m_mask | 1 << T.gid(v)) is None]
 
-    Returns ``(True, None)``, or ``(False, witness)`` where the witness is a
-    vertex v with T[M + v] cyclic (v in M itself when T[M] is already
-    cyclic).
-    """
-    M = set(M)
+
+def _consistency(T: BipartiteTournament, M: frozenset,
+                 within: Iterable[Vertex] | None) -> tuple[int, int, Vertex | None]:
+    """Masks of M and ``within`` (ValueError unless M lies inside it), and
+    the M-consistency witness (lowest-gid cycle closer) for T[within], or None."""
     for v in M:
         T.check_vertex(v)
     m_mask = T.mask_of(M)
-    if not is_acyclic(T, M):
-        # report some M-vertex as the witness of the degenerate failure
-        return False, min(M)
-    for v in T.vertices():
-        if v in M:
-            continue
-        if not _acyclic_with(T, m_mask, v):
-            return False, v
-    return True, None
+    alive = T.full_mask if within is None else T.mask_of(within)
+    if m_mask & ~alive:
+        raise ValueError("M is not contained in the vertex set `within`")
+    if _peel_layers_mask(T, m_mask) is None:
+        return m_mask, alive, T.vertices_of_mask(m_mask)[0]
+    closers = cycle_closers(T, m_mask, alive)
+    return m_mask, alive, (closers[0] if closers else None)
 
 
-def _acyclic_with(T: BipartiteTournament, m_mask: int, v: Vertex) -> bool:
-    from .structure import _peel_layers_mask
-    return _peel_layers_mask(T, m_mask | (1 << T.gid(v))) is not None
+def is_m_consistent(T: BipartiteTournament, M: Iterable[Vertex]) -> tuple[bool, Vertex | None]:
+    """Does every single added vertex keep T[M] acyclic?
 
-
-def _layer_profiles(T: BipartiteTournament, M: frozenset,
-                    canon: CanonicalSequence) -> list[tuple[frozenset, frozenset]]:
-    """(out-neighborhood in M, in-neighborhood in M) for each layer of T[M].
-
-    All members of one layer share their M-neighborhoods, so one
-    representative suffices.
+    Returns ``(True, None)``, or ``(False, witness)`` where the witness is
+    the lowest-gid vertex v with T[M + v] cyclic (the lowest M-vertex when
+    T[M] is already cyclic).
     """
-    profiles = []
-    for layer in canon:
-        rep = min(layer)
-        profiles.append((T.out_neighbors(rep, M), T.in_neighbors(rep, M)))
-    return profiles
+    witness = _consistency(T, frozenset(M), None)[2]
+    return witness is None, witness
 
 
-def _classify_against(T: BipartiteTournament, M: frozenset, canon: CanonicalSequence,
-                      profiles: list[tuple[frozenset, frozenset]], v: Vertex) -> Classification:
-    out_m = T.out_neighbors(v, M)
-    in_m = T.in_neighbors(v, M)
-    for i, (p_out, p_in) in enumerate(profiles):
+def _layers(T: BipartiteTournament, M: frozenset, within: Iterable[Vertex] | None,
+            what: str) -> tuple[int, int, list[tuple[int, int, int]]]:
+    """Masks of M and ``within``, and (layer, out- and in-neighborhood in M)
+    per layer of T[M]; members of a layer share their M-neighborhoods."""
+    if not M:
+        raise EmptyM(f"{what} needs a nonempty M")
+    m_mask, alive, witness = _consistency(T, M, within)
+    if witness is not None:
+        raise NotMConsistent(f"witness vertex {witness!r}")
+    out, inc = T.out_mask, T.in_mask
+    layers = []
+    for layer in _peel_layers_mask(T, m_mask):
+        g = (layer & -layer).bit_length() - 1
+        layers.append((layer, out[g] & m_mask, inc[g] & m_mask))
+    return m_mask, alive, layers
+
+
+def _classify_gid(T: BipartiteTournament, m_mask: int,
+                  layers: list[tuple[int, int, int]], g: int) -> Classification:
+    out_m = T.out_mask[g] & m_mask
+    in_m = T.in_mask[g] & m_mask
+    for i, (_, p_out, p_in) in enumerate(layers):
         if out_m == p_out and in_m == p_in:
             return Classification(ClassKind.EQUIVALENT, i)
     # Not equivalent to any layer.  A vertex with no in-neighbors in M can
@@ -167,13 +168,13 @@ def _classify_against(T: BipartiteTournament, M: frozenset, canon: CanonicalSequ
         return Classification(ClassKind.UNIVERSAL_MINUS)
     if not out_m:
         return Classification(ClassKind.UNIVERSAL_PLUS)
-    for i, layer in enumerate(canon):
+    for i, (layer, _, _) in enumerate(layers):
         if out_m & layer:
             if not (in_m & layer):
                 raise NotMConsistent(
-                    f"{v!r} has its first out-neighbor layer {i} free of "
-                    "in-neighbors yet is not equivalent; tournament is not "
-                    "M-consistent")
+                    f"{T.vertex_of_gid(g)!r} has its first out-neighbor layer {i} "
+                    "free of in-neighbors yet is not equivalent; tournament is "
+                    "not M-consistent")
             return Classification(ClassKind.CONFLICTING, i)
     raise AssertionError("unreachable: nonempty out_m must meet some layer")
 
@@ -185,52 +186,39 @@ def classify(T: BipartiteTournament, M: Iterable[Vertex], v: Vertex) -> Classifi
     constructive neighborhood case analysis (first layer holding an
     out-neighbor, etc.), not by enumerating topological sorts.
     """
-    M = frozenset(M)
-    if not M:
-        raise EmptyM("classification needs a nonempty M")
-    ok, witness = is_m_consistent(T, M)
-    if not ok:
-        raise NotMConsistent(f"witness vertex {witness!r}")
+    m_mask, _, layers = _layers(T, frozenset(M), None, "classification")
     T.check_vertex(v)
-    sub = T.induced(M)
-    canon_sub = canonical_sequence(sub.tournament)
-    canon = CanonicalSequence(tuple(
-        frozenset(sub.to_host[u] for u in layer) for layer in canon_sub))
-    profiles = _layer_profiles(T, M, canon)
-    return _classify_against(T, M, canon, profiles, v)
+    return _classify_gid(T, m_mask, layers, T.gid(v))
 
 
-def m_sequence(T: BipartiteTournament, M: Iterable[Vertex]) -> MSequence:
-    """The unique alternating block partition of V(T) relative to M.
+def m_sequence(T: BipartiteTournament, M: Iterable[Vertex],
+               within: Iterable[Vertex] | None = None) -> MSequence:
+    """The unique alternating block partition of T[within] relative to M
+    (of all of V(T) when ``within`` is None), in T's coordinates.
 
-    Requires M nonempty and T M-consistent.
+    Requires M nonempty, M inside ``within`` (else ValueError) and
+    T[within] M-consistent.
     """
     M = frozenset(M)
-    if not M:
-        raise EmptyM("the block partition needs a nonempty M")
-    ok, witness = is_m_consistent(T, M)
-    if not ok:
-        raise NotMConsistent(f"witness vertex {witness!r}")
-    sub = T.induced(M)
-    canon_sub = canonical_sequence(sub.tournament)
-    canon = CanonicalSequence(tuple(
-        frozenset(sub.to_host[u] for u in layer) for layer in canon_sub))
-    profiles = _layer_profiles(T, M, canon)
-    l = len(canon)
-    xs: list[set] = [set() for _ in range(l)]
-    ys: list[set] = [set() for _ in range(l)]
-    for v in T.vertices():
-        c = _classify_against(T, M, canon, profiles, v)
+    m_mask, rest, layers = _layers(T, M, within, "the block partition")
+    l = len(layers)
+    xs = [0] * l
+    ys = [0] * l
+    while rest:
+        low = rest & -rest
+        c = _classify_gid(T, m_mask, layers, low.bit_length() - 1)
         if c.kind is ClassKind.EQUIVALENT:
-            xs[c.block].add(v)
+            xs[c.block] |= low
         elif c.kind is ClassKind.CONFLICTING:
-            ys[c.block].add(v)
+            ys[c.block] |= low
         elif c.kind is ClassKind.UNIVERSAL_MINUS:
-            ys[0].add(v)
+            ys[0] |= low
         else:
-            ys[l - 1].add(v)
+            ys[l - 1] |= low
+        rest ^= low
     return MSequence(tuple(
-        (frozenset(xs[i]), frozenset(ys[i])) for i in range(l)), M)
+        (frozenset(T.vertices_of_mask(x)), frozenset(T.vertices_of_mask(y)))
+        for x, y in zip(xs, ys)), M)
 
 
 def back_edges(T: BipartiteTournament, seq: MSequence) -> list[BackEdge]:
@@ -253,13 +241,17 @@ def is_conflict_back_edge(T: BipartiteTournament, M: Iterable[Vertex], e: BackEd
     For e = u -> w this asks for m1 in N^+(w) & M and m2 in N^-(u) & M with
     the arc m1 -> m2; long back edges always qualify.
     """
-    M = frozenset(M)
-    heads = T.out_neighbors(e.head, M)
-    tails = T.in_neighbors(e.tail, M)
-    for m1 in sorted(heads):
-        for m2 in sorted(tails):
-            if T.has_arc(m1, m2):
-                return True
+    T.check_vertex(e.tail)
+    T.check_vertex(e.head)
+    m = T.mask_of(M)
+    out = T.out_mask
+    heads = out[T.gid(e.head)] & m
+    tails = T.in_mask[T.gid(e.tail)] & m
+    while heads:
+        low = heads & -heads
+        if out[low.bit_length() - 1] & tails:
+            return True
+        heads ^= low
     return False
 
 

@@ -36,7 +36,8 @@ from .graph import BipartiteTournament, MixedMultigraph, Vertex
 from .matching import (consistent_with_mixed, enumerate_min_vertex_covers,
                        max_bipartite_matching, min_vertex_cover,
                        x_preferred_cover)
-from .msequence import BackEdge, back_edges, is_conflict_back_edge, m_sequence
+from .msequence import (BackEdge, back_edges, cycle_closers, is_conflict_back_edge,
+                        m_sequence)
 from .samplespace import prime_power_decompose, twise_space, twise_space_size
 from .solvers import (Constraints, SolveStats, SolveStatus, _ms, approx4,
                       branch_solve, reduce_instance, verify_fvs)
@@ -152,15 +153,9 @@ class BlockView(NamedTuple):
 
 
 def live_structure(inst: CfvsInstance) -> BlockView:
-    """Build the block view of T - P; the live sub-tournament is dropped."""
-    sub = inst.T.remove(inst.P)
-    seq = m_sequence(sub.tournament, (sub.from_host[v] for v in inst.M))
-    to_host = sub.to_host
-    blocks = tuple((frozenset(to_host[v] for v in x),
-                    frozenset(to_host[v] for v in y)) for (x, y) in seq.blocks)
-    back = tuple(BackEdge(to_host[e.tail], to_host[e.head], e.tail_block, e.head_block)
-                 for e in back_edges(sub.tournament, seq))
-    return BlockView(blocks, _index_of(x | y for (x, y) in blocks), back)
+    """Build the block view of T - P, on the host tournament itself."""
+    seq = m_sequence(inst.T, inst.M, within=frozenset(inst.T.vertices()) - inst.P)
+    return BlockView(seq.blocks, seq.block_index_map(), tuple(back_edges(inst.T, seq)))
 
 
 def _index_of(groups: Iterable[frozenset]) -> dict:
@@ -278,9 +273,7 @@ def is_m_homogeneous(T: BipartiteTournament, M: Iterable[Vertex],
 def derive_forced_p(T: BipartiteTournament, M: Iterable[Vertex]) -> frozenset:
     """Vertices outside M whose addition to M closes a cycle; any solution
     avoiding M must delete all of them."""
-    M = frozenset(M)
-    return frozenset(v for v in T.vertices()
-                     if v not in M and not is_acyclic(T, M | {v}))
+    return frozenset(cycle_closers(T, T.mask_of(M), T.full_mask))
 
 
 def seed_instances(T: BipartiteTournament, k: int,

@@ -369,7 +369,8 @@ def branch_solve(T: BipartiteTournament, constraints: Constraints | None = None,
         return SolveResult(SolveStatus.NO_SOLUTION, None, stats)
     picked = {lift.get(v, v) for v in work.vertices_of_mask(answer)}
     solution = frozenset(picked | base)
-    assert satisfies(T, solution, constraints), "internal: invalid solution produced"
+    if not satisfies(T, solution, constraints):
+        raise AssertionError("internal: invalid solution produced")
     return SolveResult(SolveStatus.SOLUTION, solution, stats)
 
 

@@ -7,33 +7,47 @@ from btfvs.generators import GenKind, GenSpec, SplitMix64, generate
 from btfvs.msequence import (BackEdgeKind, ClassKind, back_edges, boundaries,
                              classify, is_conflict_back_edge, is_m_consistent,
                              is_refinement, m_sequence, vicinity)
-from btfvs.reference import classify_brute
+from btfvs.reference import brute_blocks, classify_brute
 from btfvs.structure import (canonical_sequence, is_acyclic,
                              some_topological_sort)
 
 from conftest import a, b, tournament
 
 
-def m_consistent_pair(seed: int, max_side=5):
-    """Random (T, M) with T M-consistent and M nonempty: draw a random
-    tournament, sample M from the complement of a feedback vertex set, then
-    drop every vertex whose addition to M closes a cycle."""
+def m_consistent_host(seed: int, max_side=5):
+    """Random (T, M, X) with M nonempty and T - X M-consistent: draw a
+    random tournament, sample M from the complement of a feedback vertex
+    set, and let X be the vertices whose addition to M closes a cycle."""
     rng = SplitMix64(seed)
     m = 1 + rng.below(max_side)
     n = 1 + rng.below(max_side)
-    T0 = generate(GenSpec(m, n, GenKind.UNIFORM_RANDOM, seed=seed))
+    T = generate(GenSpec(m, n, GenKind.UNIFORM_RANDOM, seed=seed))
     from btfvs.solvers import exact_min_fvs
-    H = exact_min_fvs(T0)
-    acyclic_part = sorted(set(T0.vertices()) - H)
+    H = exact_min_fvs(T)
+    acyclic_part = sorted(set(T.vertices()) - H)
     if not acyclic_part:
         return None
     want = 1 + rng.below(len(acyclic_part))
-    M0 = set(rng.sample(acyclic_part, want))
-    bad = {v for v in T0.vertices()
-           if v not in M0 and not is_acyclic(T0, M0 | {v})}
-    sub = T0.remove(bad)
-    M = frozenset(sub.from_host[v] for v in M0)
-    return sub.tournament, M
+    M = frozenset(rng.sample(acyclic_part, want))
+    X = {v for v in T.vertices() if v not in M and not is_acyclic(T, M | {v})}
+    return T, M, X
+
+
+def m_consistent_pair(seed: int, max_side=5):
+    """Random (T, M) with T M-consistent and M nonempty: the host of
+    :func:`m_consistent_host` with X removed."""
+    host = m_consistent_host(seed, max_side)
+    if host is None:
+        return None
+    T0, M0, X = host
+    sub = T0.remove(X)
+    return sub.tournament, frozenset(sub.from_host[v] for v in M0)
+
+
+def in_host(sub, blocks):
+    """Blocks of a sub-tournament mapped back to host vertices."""
+    return tuple((frozenset(sub.to_host[u] for u in x),
+                  frozenset(sub.to_host[u] for u in y)) for (x, y) in blocks)
 
 
 def chain_with_satellites():
@@ -67,6 +81,33 @@ class TestMConsistency:
     def test_cyclic_m_reports_witness_in_m(self, square_2x2):
         ok, witness = is_m_consistent(square_2x2, square_2x2.vertices())
         assert not ok and witness in set(square_2x2.vertices())
+
+    def test_within_ignores_outside_vertices(self, square_2x2):
+        # the witness is the lowest cycle-closing vertex; m_sequence over
+        # V - X ignores the closers it would otherwise report
+        M = {a(0), b(0), a(1)}
+        with pytest.raises(NotMConsistent):
+            m_sequence(square_2x2, M)
+        assert m_sequence(square_2x2, M, within=M).m_set == M
+        checked = 0
+        for seed in range(120):
+            host = m_consistent_host(seed)
+            if host is None:
+                continue
+            T, M, X = host
+            if not X:
+                assert is_m_consistent(T, M) == (True, None)
+                continue
+            assert is_m_consistent(T, M) == (False, min(X))
+            with pytest.raises(NotMConsistent):
+                m_sequence(T, M)
+            assert m_sequence(T, M, within=set(T.vertices()) - X).m_set == M
+            checked += 1
+        assert checked > 10
+
+    def test_m_outside_within_raises(self, square_2x2):
+        with pytest.raises(ValueError):
+            m_sequence(square_2x2, {a(0), b(0)}, within={a(0)})
 
 
 class TestClassify:
@@ -151,29 +192,41 @@ class TestMSequence:
                 assert seq.y(i) == frozenset()
 
     def test_block_partition_properties(self):
-        # partition, canonical containment, Y misses M, alternation
+        # partition of ``within``, canonical containment, Y misses M,
+        # alternation; on M-consistent pairs and on hosts restricted to V - X
         for seed in range(120):
-            pair = m_consistent_pair(seed)
-            if pair is None:
+            host = m_consistent_host(seed)
+            if host is None:
                 continue
-            T, M = pair
-            seq = m_sequence(T, M)
-            sub = T.induced(M)
-            canon = [frozenset(sub.to_host[u] for u in layer)
-                     for layer in canonical_sequence(sub.tournament)]
-            total = 0
-            union = set()
-            for i, (x, y) in enumerate(seq.blocks):
-                total += len(x) + len(y)
-                union |= x | y
-                assert canon[i] <= x
-                assert not (y & M)
-                x_sides = {v.side for v in x}
-                assert len(x_sides) == 1
-                assert not any(v.side in x_sides for v in y)
-                if i + 1 < len(seq):
-                    assert {v.side for v in seq.x(i + 1)} != x_sides
-            assert union == set(T.vertices()) and total == T.num_vertices
+            T0, M0, X = host
+            rem = T0.remove(X)
+            rem_M = frozenset(rem.from_host[v] for v in M0)
+            for T, M, within in ((rem.tournament, rem_M, None),
+                                 (T0, M0, set(T0.vertices()) - X)):
+                seq = m_sequence(T, M, within=within)
+                live = set(T.vertices()) if within is None else within
+                sub = T.induced(M)
+                canon = [frozenset(sub.to_host[u] for u in layer)
+                         for layer in canonical_sequence(sub.tournament)]
+                total = 0
+                union = set()
+                for i, (x, y) in enumerate(seq.blocks):
+                    total += len(x) + len(y)
+                    union |= x | y
+                    assert canon[i] <= x
+                    assert not (y & M)
+                    x_sides = {v.side for v in x}
+                    assert len(x_sides) == 1
+                    assert not any(v.side in x_sides for v in y)
+                    if i + 1 < len(seq):
+                        assert {v.side for v in seq.x(i + 1)} != x_sides
+                assert union == live and total == len(live)
+                if within is not None:
+                    # the host over V - X gives the brute-force partition
+                    # of T - X, in host coordinates
+                    assert seq.blocks == in_host(
+                        rem, brute_blocks(rem.tournament, rem_M))
+                    assert seq.m_set == M
 
     def test_insertion_splits_one_layer(self):
         # for each conflicting vertex, the canonical sequence of T[M + v]
@@ -232,10 +285,7 @@ class TestMSequence:
                 sub = T.remove({v})
                 M_sub = frozenset(sub.from_host[u] for u in M)
                 seq_small = m_sequence(sub.tournament, M_sub)
-                small_blocks = [
-                    (frozenset(sub.to_host[u] for u in x),
-                     frozenset(sub.to_host[u] for u in y))
-                    for (x, y) in seq_small.blocks]
+                small_blocks = in_host(sub, seq_small.blocks)
                 assert len(small_blocks) == len(seq_big.blocks)
                 diffs = []
                 for i, ((xs, ys), (xb, yb)) in enumerate(zip(small_blocks, seq_big.blocks)):

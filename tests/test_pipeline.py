@@ -7,7 +7,7 @@ import pytest
 from btfvs import pipeline
 from btfvs.errors import FamilyCapExceeded, PreconditionViolated
 from btfvs.generators import GenKind, GenSpec, SplitMix64, generate
-from btfvs.msequence import m_sequence
+from btfvs.msequence import back_edges, m_sequence
 from btfvs.pipeline import (STAGES, CfvsInstance, ConstantsProfile,
                             derive_forced_p, is_decoupled, is_low_block_degree,
                             is_m_homogeneous, is_matched, is_regular,
@@ -422,6 +422,35 @@ class TestBlockView:
         sizes = dict(res.trace)
         assert sizes.get("decoupled", 0) > 0
         assert 0 < len(builds) <= sum(sizes.values())
+
+    def test_view_matches_sub_tournament_route(self):
+        # the host-mask view equals the partition of T.remove(P), with its
+        # blocks and back edges (in scan order) mapped back to host vertices
+        checked = 0
+        for seed in range(40):
+            inst = seeded_cfvs(seed, max_side=5)
+            if inst is None:
+                continue
+            try:
+                family = [inst] + stage_regular(inst, TOY)
+            except FamilyCapExceeded:
+                family = [inst]
+            for child in family:
+                live = child.T.remove(child.P)
+                seq = m_sequence(live.tournament,
+                                 (live.from_host[v] for v in child.M))
+                host = live.to_host
+                blocks = tuple((frozenset(host[v] for v in x),
+                                frozenset(host[v] for v in y))
+                               for (x, y) in seq.blocks)
+                back = [(host[e.tail], host[e.head], e.tail_block, e.head_block)
+                        for e in back_edges(live.tournament, seq)]
+                assert child.view.blocks == blocks
+                assert [tuple(e) for e in child.view.back] == back
+                assert child.view.block_of == {
+                    v: i for i, (x, y) in enumerate(blocks) for v in x | y}
+                checked += 1
+        assert checked > 40
 
 
 class TestDecoupling:
