@@ -7,7 +7,7 @@ mixed-multigraph endgame solver, instance generators, and an executable
 property suite tying it all together.
 """
 
-from .graph import Arc, BipartiteTournament, MixedMultigraph, Vertex
+from .graph import BipartiteTournament, MixedMultigraph, Vertex
 from .structure import (CanonicalSequence, Square, canonical_sequence,
                         count_squares, find_square, is_acyclic,
                         is_topological, some_topological_sort)

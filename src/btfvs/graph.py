@@ -14,7 +14,6 @@ concurrent solver branches.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch
@@ -29,12 +28,6 @@ class Vertex(NamedTuple):
 
     def default_label(self) -> str:
         return ("a" if self.side == SIDE_A else "b") + str(self.index)
-
-
-class Arc(Enum):
-    U_TO_V = "u->v"
-    V_TO_U = "v->u"
-    NO_ARC = "none"
 
 
 class SubTournament(NamedTuple):
@@ -195,18 +188,15 @@ class BipartiteTournament:
 
     # -- arcs and neighborhoods --------------------------------------------
 
-    def arc(self, u: Vertex, v: Vertex) -> Arc:
+    def has_arc(self, u: Vertex, v: Vertex) -> bool:
+        """True iff the arc u -> v exists (never for a same-side pair)."""
         self.check_vertex(u)
         self.check_vertex(v)
         if u.side == v.side:
-            return Arc.NO_ARC
+            return False
         if u.side == SIDE_A:
-            return Arc.U_TO_V if self.orient[u.index][v.index] else Arc.V_TO_U
-        return Arc.V_TO_U if self.orient[v.index][u.index] else Arc.U_TO_V
-
-    def has_arc(self, u: Vertex, v: Vertex) -> bool:
-        """True iff the arc u -> v exists."""
-        return self.arc(u, v) is Arc.U_TO_V
+            return self.orient[u.index][v.index]
+        return not self.orient[v.index][u.index]
 
     def out_neighbors(self, v: Vertex, within: Iterable[Vertex] | None = None) -> frozenset:
         self.check_vertex(v)

@@ -22,7 +22,7 @@ from .io import serialize_instance
 from .msequence import (BackEdgeKind, back_edges, classify, is_m_consistent,
                         is_refinement, m_sequence)
 from .pipeline import (CfvsInstance, ConstantsProfile, derive_forced_p,
-                       is_decoupled, is_low_block_degree, is_m_homogeneous,
+                       find_decoupling, is_low_block_degree, is_m_homogeneous,
                        is_matched, is_regular, is_weakly_coupled,
                        matched_branching, pipeline_solve, run_cascade,
                        seed_instances, stage_lowblockdegree, stage_matched,
@@ -671,7 +671,7 @@ def check_predicate_agreement(config: SuiteConfig) -> PropertyResult:
              reference.weakly_coupled_ref(inst, profile)),
             ("low_block_degree", is_low_block_degree(inst, profile),
              reference.low_block_degree_ref(inst, profile)),
-            ("decoupled", is_decoupled(inst, profile),
+            ("decoupled", find_decoupling(inst, profile) is not None,
              reference.decoupled_ref(inst, profile)),
         ]
         for name, got, want in pairs:

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BlockIndexOutOfRange, EmptyM, GroundSetMismatch, NotMConsistent
-from .graph import BipartiteTournament, Vertex
+from .graph import SIDE_A, SIDE_B, BipartiteTournament, Vertex
 from .structure import _peel_layers_mask
 
 
@@ -224,14 +224,20 @@ def m_sequence(T: BipartiteTournament, M: Iterable[Vertex],
 def back_edges(T: BipartiteTournament, seq: MSequence) -> list[BackEdge]:
     """All arcs from a higher-indexed block to a strictly lower one,
     in row-major arc scan order."""
-    idx = seq.block_index_map()
+    m = T.m
+    block = [-1] * T.num_vertices  # gid -> block index, -1 outside the blocks
+    for i, (x, y) in enumerate(seq.blocks):
+        for v in x | y:
+            block[T.gid(v)] = i
     out = []
-    for (u, w) in T.arcs():
-        if u not in idx or w not in idx:
-            continue
-        bi, bj = idx[u], idx[w]
-        if bi > bj:
-            out.append(BackEdge(u, w, bi, bj))
+    for i, row in enumerate(T.orient):
+        bi = block[i]
+        for j, a_to_b in enumerate(row):
+            bj = block[m + j]
+            if a_to_b and bi > bj >= 0:
+                out.append(BackEdge(Vertex(SIDE_A, i), Vertex(SIDE_B, j), bi, bj))
+            elif not a_to_b and bj > bi >= 0:
+                out.append(BackEdge(Vertex(SIDE_B, j), Vertex(SIDE_A, i), bj, bi))
     return out
 
 

@@ -25,13 +25,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property
-from itertools import combinations, permutations
+from functools import cache, cached_property
+from itertools import chain, combinations, permutations
 from math import comb
 from typing import Iterable, NamedTuple
 
 from .dfvc import DfvcInstance, dfvc_solve
-from .errors import FamilyCapExceeded, NotPrimePower, PreconditionViolated
+from .errors import FamilyCapExceeded, NotAcyclic, NotPrimePower, PreconditionViolated
 from .graph import BipartiteTournament, MixedMultigraph, Vertex
 from .matching import (consistent_with_mixed, enumerate_min_vertex_covers,
                        max_bipartite_matching, min_vertex_cover,
@@ -41,7 +41,7 @@ from .msequence import (BackEdge, back_edges, cycle_closers, is_conflict_back_ed
 from .samplespace import prime_power_decompose, twise_space, twise_space_size
 from .solvers import (Constraints, SolveStats, SolveStatus, _ms, approx4,
                       branch_solve, reduce_instance, verify_fvs)
-from .structure import is_acyclic, canonical_sequence
+from .structure import _peel_layers_mask, is_acyclic
 
 
 @dataclass(frozen=True)
@@ -248,18 +248,21 @@ def is_m_homogeneous(T: BipartiteTournament, M: Iterable[Vertex],
     """
     if window < 1:
         raise ValueError("window must be positive")
-    M = frozenset(M)
     H = frozenset(H)
-    rem = T.remove(H)
-    m_live = {rem.from_host[v] for v in M if v in rem.from_host}
-    layers = canonical_sequence(rem.tournament)
-    for side in ("A", "B"):
+    for v in H:
+        T.check_vertex(v)
+    layers = _peel_layers_mask(T, T.full_mask & ~T.mask_of(H))
+    if layers is None:
+        raise NotAcyclic("tournament has a directed cycle")
+    m_mask = T.mask_of(v for v in M if T.is_vertex(v))
+    a_mask = (1 << T.m) - 1
+    for side_mask in (a_mask, T.full_mask & ~a_mask):
         run = 0
-        for layer in layers:
-            if not any(v.side == side for v in layer):
+        for layer in layers:  # a layer lies on one side: arcs join every cross pair
+            if not layer & side_mask:
                 continue
-            m_i = sum(1 for v in layer if v in m_live)
-            f_i = len(layer) - m_i
+            m_i = (layer & m_mask).bit_count()
+            f_i = layer.bit_count() - m_i
             if m_i == 0:
                 run += f_i
             else:
@@ -611,104 +614,87 @@ def stage_lowblockdegree(inst: CfvsInstance, profile: ConstantsProfile) -> list[
 # decoupling stage and the endgame reduction
 
 
+def _split_search(inst: CfvsInstance, profile: ConstantsProfile):
+    """The merged blocks X_i | Y_i, ``runs(cuts)``, the memoised
+    ``windows(i, j)`` and the greedy cut mask of one instance.
+
+    Bit i of a cut mask cuts between block i and block i + 1, and
+    ``runs(cuts)`` lists the (first, last) block of each run.  ``windows``
+    gives blocks i..j's 4-approximation size under budget ``part_fvs_f``
+    (None past it) and the number of live constraint edges touching them.
+    The greedy deletes the same squares whatever its budget, so one
+    budget-``part_fvs_f`` pass per block run serves the greedy split and
+    every split's window check.
+    """
+    blocks = [x | y for (x, y) in inst.view.blocks]
+    block_of = inst.view.block_of
+    live = [(block_of[u], block_of[w]) for (u, w) in inst.live_f()]
+
+    @cache
+    def windows(i: int, j: int) -> tuple[int | None, int]:
+        run = frozenset().union(*blocks[i:j + 1])
+        approx = approx4(inst.T.induced(run).tournament, profile.part_fvs_f)
+        deg = sum(1 for (bu, bw) in live if i <= bu <= j or i <= bw <= j)
+        return None if approx is None else len(approx), deg
+
+    def runs(cuts: int) -> list[tuple[int, int]]:
+        out, first = [], 0
+        for i in range(len(blocks) - 1):
+            if cuts >> i & 1:
+                out.append((first, i))
+                first = i + 1
+        return out + [(first, len(blocks) - 1)]
+
+    greedy, first = 0, 0
+    for i in range(len(blocks) - 1):
+        size, deg = windows(first, i)
+        if size is None or size >= profile.part_fvs_f or deg >= profile.part_degree_d:
+            greedy |= 1 << i
+            first = i + 1
+    return blocks, runs, windows, greedy
+
+
 def partition_parts(inst: CfvsInstance, profile: ConstantsProfile) -> list[frozenset]:
     """Greedy split of the blocks into consecutive runs, cutting whenever
     the run's feedback-vertex-set size (via the 4-approximation, run with
     budget ``part_fvs_f``) or its live constraint-edge incidence reaches the
-    respective window.  The final run may satisfy neither window."""
-    for name, pred in (("regular", is_regular), ("weakly-coupled", is_weakly_coupled)):
-        if not pred(inst, profile):
-            raise PreconditionViolated(name)
-    if not is_matched(inst):
-        raise PreconditionViolated("matched")
-    if not is_low_block_degree(inst, profile):
-        raise PreconditionViolated("low-block-degree")
-    live_f = inst.live_f()
-    parts: list[frozenset] = []
-    current: set = set()
-    for (x, y) in inst.view.blocks:
-        current |= x | y
-        approx = approx4(inst.T.induced(current).tournament, profile.part_fvs_f)
-        fvs_hit = approx is None or len(approx) >= profile.part_fvs_f
-        deg = sum(1 for (u, w) in live_f if u in current or w in current)
-        if fvs_hit or deg >= profile.part_degree_d:
-            parts.append(frozenset(current))
-            current = set()
-    if current:
-        parts.append(frozenset(current))
-    return parts
-
-
-def _split_ok(inst: CfvsInstance, profile: ConstantsProfile,
-              parts: list[frozenset]) -> bool:
-    """Does this particular consecutive-block split witness decoupling?"""
-    t_limit = max(1, inst.k // profile.part_fvs_f)
-    if len(parts) > t_limit:
-        return False
-    live_f = inst.live_f()
-    d = profile.part_degree_d
-    deg_lo = max(1, (200 * d) // 201)
-    for part in parts:
-        sub = inst.T.induced(part).tournament
-        approx = approx4(sub, sub.num_vertices)
-        size = len(approx)
-        window_fvs = profile.part_fvs_f <= size <= 4 * profile.part_fvs_f
-        deg = sum(1 for (u, w) in live_f if u in part or w in part)
-        window_deg = deg_lo <= deg <= d
-        if not (window_fvs or window_deg):
-            return False
-    part_of = _index_of(parts)
-    for e in inst.view.back:
-        if e.tail_block - e.head_block != 1 or (e.tail, e.head) in inst.F:
-            continue
-        if part_of.get(e.tail) == part_of.get(e.head):
-            continue
-        if is_conflict_back_edge(inst.T, inst.M, e):
-            return False
-    return True
+    respective window.  The final run may satisfy neither window.  The stage
+    predicates are not checked here; :func:`stage_decoupled` checks them."""
+    blocks, runs, _, greedy = _split_search(inst, profile)
+    return [frozenset().union(*blocks[i:j + 1]) for (i, j) in runs(greedy)]
 
 
 def find_decoupling(inst: CfvsInstance, profile: ConstantsProfile) -> list[frozenset] | None:
-    """A consecutive-block partition witnessing decoupling, or None.
+    """A consecutive-block partition witnessing decoupling, or None: at most
+    max(1, k // part_fvs_f) parts, no short conflict back edge outside F cut,
+    and every part inside its feedback-vertex-set or constraint-edge window.
 
-    The greedy window partition is tried first when its preconditions hold;
-    every other consecutive split is searched after that (the definition
-    only asks for existence, independent of the other stage predicates).
-    The exhaustive search is skipped when 2^(blocks-1) exceeds the family
-    cap; the greedy split then decides alone.
+    The greedy split of :func:`partition_parts` is tried first, then every
+    other split in cut-mask order; that search is skipped when 2^(blocks-1)
+    exceeds the family cap, and the greedy split then decides alone.
     """
-    greedy: list[frozenset] | None = None
-    try:
-        greedy = partition_parts(inst, profile)
-    except PreconditionViolated:
-        pass
-    if greedy is not None and _split_ok(inst, profile, greedy):
-        return greedy
-    blocks = [x | y for (x, y) in inst.view.blocks]
-    l = len(blocks)
-    if l == 0 or 2 ** (l - 1) > profile.family_cap:
-        return None
-    for cuts in range(2 ** (l - 1)):
-        parts: list[frozenset] = []
-        current: set = set(blocks[0])
-        for i in range(1, l):
-            if (cuts >> (i - 1)) & 1:
-                parts.append(frozenset(current))
-                current = set()
-            current |= blocks[i]
-        parts.append(frozenset(current))
-        if parts == greedy:
-            continue
-        if _split_ok(inst, profile, parts):
-            return parts
+    blocks, runs, windows, greedy = _split_search(inst, profile)
+    f, d = profile.part_fvs_f, profile.part_degree_d
+    deg_lo = max(1, (200 * d) // 201)
+    crossed = 0  # bit i: a short conflict back edge outside F joins blocks i, i + 1
+    for e in inst.view.back:
+        if e.tail_block - e.head_block == 1 and not crossed >> e.head_block & 1 \
+                and (e.tail, e.head) not in inst.F \
+                and is_conflict_back_edge(inst.T, inst.M, e):
+            crossed |= 1 << e.head_block
+
+    def witnesses(cuts: int) -> bool:
+        if cuts.bit_count() >= max(1, inst.k // f) or cuts & crossed:
+            return False
+        return all((size is not None and size >= f) or deg_lo <= deg <= d
+                   for size, deg in (windows(i, j) for (i, j) in runs(cuts)))
+
+    splits = 2 ** (len(blocks) - 1)
+    others = range(splits) if splits <= profile.family_cap else ()
+    for cuts in chain([greedy], (c for c in others if c != greedy)):
+        if witnesses(cuts):
+            return [frozenset().union(*blocks[i:j + 1]) for (i, j) in runs(cuts)]
     return None
-
-
-def is_decoupled(inst: CfvsInstance, profile: ConstantsProfile) -> bool:
-    """Is there a consecutive-block partition within the part-count bound
-    whose parts each hit a window, with F carrying the cross-part short
-    conflict back edges?"""
-    return find_decoupling(inst, profile) is not None
 
 
 def stage_decoupled(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsInstance]:
@@ -716,6 +702,13 @@ def stage_decoupled(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsI
     then branch over the sides of a minimum vertex cover D of the rest
     (each subset C of D joins the solution together with the uncovered
     neighbors of D - C)."""
+    for name, pred in (("regular", is_regular), ("weakly-coupled", is_weakly_coupled)):
+        if not pred(inst, profile):
+            raise PreconditionViolated(name)
+    if not is_matched(inst):
+        raise PreconditionViolated("matched")
+    if not is_low_block_degree(inst, profile):
+        raise PreconditionViolated("low-block-degree")
     parts = partition_parts(inst, profile)
     part_of = _index_of(parts)
     cross = sorted({(u, w) for (u, w, _, _) in inst.view.back
@@ -756,7 +749,7 @@ def stage_decoupled(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsI
                     seen.add(key)
                     if is_regular(child, profile) and is_weakly_coupled(child, profile) \
                             and is_matched(child) and is_low_block_degree(child, profile) \
-                            and is_decoupled(child, profile):
+                            and find_decoupling(child, profile) is not None:
                         out.append(child)
     return out
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btfvs.errors import DimensionMismatch
-from btfvs.graph import Arc, BipartiteTournament, MixedMultigraph
+from btfvs.graph import BipartiteTournament, MixedMultigraph
 
 from conftest import a, b, tournament
 
@@ -21,7 +21,11 @@ def orient_matrices(max_side=5):
 class TestConstruction:
     def test_single_arc(self):
         T = BipartiteTournament(1, 1, [[True]])
-        assert T.arc(a(0), b(0)) is Arc.U_TO_V
+        assert T.has_arc(a(0), b(0))
+        assert not T.has_arc(b(0), a(0))
+        for u, v in ((a(0), b(1)), (b(1), a(0))):
+            with pytest.raises(ValueError):
+                T.has_arc(u, v)
 
     def test_square(self):
         T = BipartiteTournament(2, 2, [[True, False], [False, True]])
@@ -57,17 +61,18 @@ class TestConstruction:
 
 class TestArcs:
     def test_same_side_no_arc(self, square_2x2):
-        assert square_2x2.arc(a(0), a(1)) is Arc.NO_ARC
+        assert not square_2x2.has_arc(a(0), a(1))
+        assert not square_2x2.has_arc(b(1), b(0))
 
     def test_reverse_direction(self, square_2x2):
-        assert square_2x2.arc(b(1), a(0)) is Arc.U_TO_V
-        assert square_2x2.arc(a(0), b(1)) is Arc.V_TO_U
+        assert square_2x2.has_arc(b(1), a(0))
+        assert not square_2x2.has_arc(a(0), b(1))
 
     def test_exactly_one_arc_per_cross_pair(self):
         T = tournament([[True, False, True], [False, False, True]])
         for u in T.a_vertices():
             for v in T.b_vertices():
-                assert (T.arc(u, v) is Arc.U_TO_V) != (T.arc(v, u) is Arc.U_TO_V)
+                assert T.has_arc(u, v) != T.has_arc(v, u)
 
     def test_neighbors(self, square_2x2):
         assert square_2x2.out_neighbors(a(0)) == {b(0)}

@@ -9,7 +9,7 @@ from btfvs.errors import FamilyCapExceeded, PreconditionViolated
 from btfvs.generators import GenKind, GenSpec, SplitMix64, generate
 from btfvs.msequence import back_edges, m_sequence
 from btfvs.pipeline import (STAGES, CfvsInstance, ConstantsProfile,
-                            derive_forced_p, is_decoupled, is_low_block_degree,
+                            derive_forced_p, find_decoupling, is_low_block_degree,
                             is_m_homogeneous, is_matched, is_regular,
                             is_weakly_coupled, long_back,
                             m_family, matched_branching, partition_parts,
@@ -407,6 +407,45 @@ class TestFamiliesPinned:
         assert _family_digests(generate(spec), k) == want
 
 
+def _endgame_digest(T, k):
+    """(count, digest) of the to_dfvc reductions of run_cascade's final
+    family, in family order: each part's sorted host labels, the undirected
+    edges and the forbidden set in host labels, and the budget."""
+    family, _, _ = run_cascade(T, k, TOY)
+    records = []
+    for child in family:
+        red = to_dfvc(child, TOY)
+        d = red.instance
+
+        def label(gv):
+            return T.label(red.to_host[gv])
+
+        records.append((
+            tuple(tuple(sorted(label((i, v)) for v in part.vertices()))
+                  for i, part in enumerate(d.graph.parts)),
+            tuple((label(x), label(y)) for (x, y) in d.graph.undirected),
+            tuple(sorted(label(gv) for gv in d.forbidden)),
+            d.budget))
+    return len(records), hashlib.sha256(repr(records).encode()).hexdigest()[:16]
+
+
+class TestEndgamePinned:
+    """The split each final-family instance is reduced with, pinned to
+    values recorded before the split search was merged; a different
+    decoupling witness shows here even when the families do not change."""
+
+    @pytest.mark.parametrize("spec, k, want", [
+        (GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2), 2, (93, "faa99eb34b8a8870")),
+        (GenSpec(5, 5, GenKind.UNIFORM_RANDOM, seed=1), 2, (66, "ce2e27ff80ce709d")),
+        (GenSpec(4, 5, GenKind.PLANTED_FVS, seed=2, k_plant=2), 2,
+         (95, "8545e639126187b5")),
+        (GenSpec(5, 5, GenKind.PLANTED_FVS, seed=5, k_plant=2), 1,
+         (19, "e4bb0b7ec37c0817")),
+    ])
+    def test_final_family_reductions_unchanged(self, spec, k, want):
+        assert _endgame_digest(generate(spec), k) == want
+
+
 class TestBlockView:
     def test_view_built_at_most_once_per_instance(self, monkeypatch):
         builds = []
@@ -504,7 +543,7 @@ class TestDecoupling:
         if inst is None:
             pytest.skip("all instances regular at toy scale")
         with pytest.raises(PreconditionViolated) as exc:
-            partition_parts(inst, TOY)
+            stage_decoupled(inst, TOY)
         assert exc.value.predicate == "regular"
 
     def test_stage_decoupled_children_pass_all_predicates(self):
@@ -524,7 +563,7 @@ class TestDecoupling:
                 found += 1
                 assert is_regular(child, TOY) and is_weakly_coupled(child, TOY)
                 assert is_matched(child) and is_low_block_degree(child, TOY)
-                assert is_decoupled(child, TOY)
+                assert find_decoupling(child, TOY) is not None
         if not found:
             pytest.skip("no decoupled children at this scale")
 
