@@ -56,8 +56,7 @@ def _profile_from_flag(spec: str | None) -> ConstantsProfile | None:
     if spec == "toy":
         return ConstantsProfile.toy()
     if spec.startswith("file:"):
-        data = json.loads(Path(spec[5:]).read_text())
-        return ConstantsProfile(**data)
+        return ConstantsProfile.from_mapping(json.loads(Path(spec[5:]).read_text()))
     raise ParseError(f"unknown profile {spec!r}; use paper, toy, or file:<path>")
 
 

@@ -140,9 +140,3 @@ def generate(spec: GenSpec) -> BipartiteTournament:
         raise ValueError(f"unknown kind {spec.kind!r}")
     return BipartiteTournament(m, n, orient)
 
-
-def planted_optimum_bound(spec: GenSpec) -> int:
-    """Upper bound on the optimum guaranteed by the planted construction."""
-    if spec.kind is not GenKind.PLANTED_FVS:
-        raise ValueError("only PLANTED_FVS instances carry a planted bound")
-    return min(spec.k_plant, spec.m + spec.n)

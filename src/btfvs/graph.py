@@ -256,16 +256,18 @@ class BipartiteTournament:
 
     # -- twins ----------------------------------------------------------------
 
-    def false_twin_classes(self) -> list[frozenset]:
-        """Partition of V into classes of vertices with identical in/out
-        neighborhoods (necessarily same-side).  Deterministic order: classes
-        sorted by their smallest member.
+    def false_twin_classes(self, within_mask: int | None = None) -> list[frozenset]:
+        """Partition of V (of the gid bitmask ``within_mask`` when given)
+        into classes of vertices with identical in/out neighborhoods inside
+        it (necessarily same-side).  Deterministic order: classes sorted by
+        their smallest member.
         """
+        alive = self.full_mask if within_mask is None else within_mask
         groups: dict[tuple, list[Vertex]] = {}
         out, inc = self._adjacency_masks()
-        for v in self.vertices():
+        for v in self.vertices_of_mask(alive):
             g = self.gid(v)
-            groups.setdefault((v.side, out[g], inc[g]), []).append(v)
+            groups.setdefault((v.side, out[g] & alive, inc[g] & alive), []).append(v)
         classes = [frozenset(vs) for vs in groups.values()]
         return sorted(classes, key=lambda c: min(c))
 

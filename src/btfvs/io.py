@@ -176,6 +176,19 @@ def parse_dfvc(text: str | bytes):
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
     if not isinstance(obj, dict) or "parts" not in obj or "budget" not in obj:
         raise ParseError("mixed multigraph file needs 'parts' and 'budget'")
+    budget = obj["budget"]
+    if not isinstance(budget, int) or isinstance(budget, bool):
+        raise ParseError(f"budget must be an integer, got {budget!r}")
+    if not isinstance(obj["parts"], list):
+        raise ParseError("parts must be an array of instance objects")
+    undirected_raw = obj.get("undirected", [])
+    if not isinstance(undirected_raw, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e)
+            for e in undirected_raw):
+        raise ParseError("undirected must be an array of [label, label] pairs")
+    forbidden_raw = obj.get("forbidden", [])
+    if not isinstance(forbidden_raw, list) or not all(isinstance(x, str) for x in forbidden_raw):
+        raise ParseError("forbidden must be an array of labels")
     parts = []
     by_label: dict = {}
     for pi, part_obj in enumerate(obj["parts"]):
@@ -193,10 +206,10 @@ def parse_dfvc(text: str | bytes):
             raise ParseError(f"unknown vertex label {label!r}")
         return by_label[label]
 
-    undirected = [(lookup(x), lookup(y)) for x, y in obj.get("undirected", [])]
-    forbidden = frozenset(lookup(x) for x in obj.get("forbidden", []))
+    undirected = [(lookup(x), lookup(y)) for x, y in undirected_raw]
+    forbidden = frozenset(lookup(x) for x in forbidden_raw)
     graph = MixedMultigraph(parts, undirected)
-    return DfvcInstance(graph, forbidden, obj["budget"])
+    return DfvcInstance(graph, forbidden, budget)
 
 
 def serialize_cfvs(inst) -> str:

@@ -56,13 +56,22 @@ class SuiteConfig:
     oracle_cap: int = 16
     profile: ConstantsProfile = field(default_factory=ConstantsProfile.toy)
 
+    def __post_init__(self):
+        for f in fields(self):
+            val = getattr(self, f.name)
+            want = ConstantsProfile if f.name == "profile" else int
+            if not isinstance(val, want) or isinstance(val, bool):
+                raise ValueError(f"config field {f.name} must be {want.__name__}, got {val!r}")
+
     @classmethod
     def from_mapping(cls, data: dict) -> "SuiteConfig":
+        if not isinstance(data, dict):
+            raise ValueError("a suite config must be a JSON object")
         kwargs = {}
         names = {f.name for f in fields(cls)}
         for key, val in data.items():
             if key == "profile":
-                val = ConstantsProfile(**val)
+                val = ConstantsProfile.from_mapping(val)
             elif key not in names:
                 raise ValueError(f"unknown config field {key!r}")
             kwargs[key] = val

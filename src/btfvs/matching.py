@@ -95,9 +95,10 @@ def enumerate_min_vertex_covers(edges: Iterable[tuple], cap: int | None = None) 
     return sorted(covers, key=sorted)
 
 
-def min_vertex_cover(edges: Iterable[tuple]) -> frozenset:
-    """One canonical minimum vertex cover (first in the enumeration order)."""
-    return enumerate_min_vertex_covers(edges)[0]
+def min_vertex_cover(edges: Iterable[tuple], cap: int | None = None) -> frozenset:
+    """One canonical minimum vertex cover (first in the enumeration order);
+    ``cap`` bounds the enumeration as in :func:`enumerate_min_vertex_covers`."""
+    return enumerate_min_vertex_covers(edges, cap)[0]
 
 
 def x_preferred_cover(matching_edges: Iterable[tuple], x_set: Iterable[Vertex]) -> frozenset:

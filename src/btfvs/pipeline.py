@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property
 from itertools import chain, combinations, permutations
 from math import comb
@@ -66,11 +66,21 @@ class ConstantsProfile:
     family_cap: int = 50_000
 
     def __post_init__(self):
-        for name in ("hom_window", "large_ratio", "weak_matching",
-                     "block_degree", "part_fvs_f", "part_degree_d",
-                     "budget_slack", "sample_q", "family_cap"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer")
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if not isinstance(val, int) or isinstance(val, bool) or val < 1:
+                raise ValueError(f"{f.name} must be a positive integer, got {val!r}")
+
+    @classmethod
+    def from_mapping(cls, data) -> "ConstantsProfile":
+        """Profile from a knob file's JSON object naming every field
+        (``family_cap`` may be left out); anything else raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("a constants profile must be a JSON object")
+        try:
+            return cls(**data)
+        except TypeError as exc:  # a missing or unknown field
+            raise ValueError(f"constants profile: {exc}") from None
 
     @classmethod
     def for_budget(cls, k: int) -> "ConstantsProfile":
@@ -632,8 +642,8 @@ def _split_search(inst: CfvsInstance, profile: ConstantsProfile):
 
     @cache
     def windows(i: int, j: int) -> tuple[int | None, int]:
-        run = frozenset().union(*blocks[i:j + 1])
-        approx = approx4(inst.T.induced(run).tournament, profile.part_fvs_f)
+        approx = approx4(inst.T, profile.part_fvs_f,
+                         inst.T.mask_of(frozenset().union(*blocks[i:j + 1])))
         deg = sum(1 for (bu, bw) in live if i <= bu <= j or i <= bw <= j)
         return None if approx is None else len(approx), deg
 
@@ -724,7 +734,7 @@ def stage_decoupled(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsI
         for combo in combinations(cross, r):
             uncovered = set(combo)
             must_hit = [e for e in cross if e not in uncovered]
-            cover = sorted(min_vertex_cover(must_hit))
+            cover = sorted(min_vertex_cover(must_hit, profile.family_cap))
             neigh: dict = {}
             for (u, w) in must_hit:
                 neigh.setdefault(u, set()).add(w)

@@ -79,8 +79,7 @@ def verify_fvs(T: BipartiteTournament, S: Iterable[Vertex]) -> bool:
     S = set(S)
     for v in S:
         T.check_vertex(v)
-    alive = set(T.vertices()) - S
-    return find_square(T, within=alive) is None
+    return find_square(T, T.full_mask & ~T.mask_of(S)) is None
 
 
 def satisfies(T: BipartiteTournament, S: Iterable[Vertex], constraints: Constraints) -> bool:
@@ -128,7 +127,7 @@ def oracle_min_fvs(T: BipartiteTournament, constraints: Constraints | None = Non
             return SolveResult(SolveStatus.NO_SOLUTION, None,
                                SolveStats(0, _ms(t0)))
 
-    squares = [mask for _, mask in all_squares(T)]
+    squares = all_squares(T)
     # squares no candidate can hit are a certificate of infeasibility
     usable = T.full_mask & ~forb_mask
     if any(mask & usable == 0 for mask in squares):
@@ -157,28 +156,26 @@ def _ms(t0: float) -> float:
     return (time.perf_counter() - t0) * 1000.0
 
 
-def approx4(T: BipartiteTournament, k: int) -> frozenset | None:
-    """Greedy square deletion: while a square exists, delete all four of its
-    vertices.
+def approx4(T: BipartiteTournament, k: int,
+            within_mask: int | None = None) -> frozenset | None:
+    """Greedy square deletion on T[within_mask] (a gid bitmask; all of V
+    when None): while a square exists, delete all four of its vertices.
 
     Returns a feedback vertex set of size at most 4k, or None after deleting
     more than k squares -- which certifies that no feedback vertex set of
     size at most k exists (every deleted square is vertex-disjoint from the
     others, and each needs its own deletion).
     """
-    alive = set(T.vertices())
-    taken: set = set()
+    alive = start = T.full_mask if within_mask is None else within_mask
     squares = 0
     while True:
-        sq = find_square(T, within=alive)
+        sq = find_square(T, alive)
         if sq is None:
-            return frozenset(taken)
+            return frozenset(T.vertices_of_mask(start & ~alive))
         squares += 1
         if squares > k:
             return None
-        for v in sq.vertices():
-            alive.discard(v)
-            taken.add(v)
+        alive &= ~T.mask_of(sq.vertices())
 
 
 def squares_packing_lower_bound(T: BipartiteTournament,
@@ -195,10 +192,8 @@ def squares_packing_lower_bound(T: BipartiteTournament,
     forb_mask = T.mask_of(forbidden)
     used = 0
     count = 0
-    for _, mask in all_squares(T):
-        if mask & alive_mask != mask or mask & used:
-            continue
-        if mask & ~forb_mask == 0:
+    for mask in all_squares(T, alive_mask):
+        if mask & used or mask & ~forb_mask == 0:
             continue
         used |= mask
         count += 1
@@ -224,43 +219,24 @@ def reduce_instance(T: BipartiteTournament, k: int) -> Reduction:
     can stand in for a truncated twin.
 
     The budget is unchanged; solutions of the reduced instance are solutions
-    of the original verbatim (the mapping records identities).
+    of the original verbatim (the mapping records identities).  The rules
+    run on a bitmask of T's survivors, induced once (T itself if all survive).
     """
-    current = T
-    to_host = {v: v for v in T.vertices()}
+    alive = T.full_mask
     while True:
-        in_square = 0
-        for _, mask in all_squares(current):
-            in_square |= mask
-        keep = [v for v in current.vertices() if (in_square >> current.gid(v)) & 1]
-        if len(keep) < current.num_vertices:
-            sub = current.induced(keep)
-            to_host = {v: to_host[sub.to_host[v]] for v in sub.tournament.vertices()}
-            current = sub.tournament
-            continue
-        truncated = False
-        keep_set = set(current.vertices())
-        for cls in current.false_twin_classes():
-            if len(cls) > k + 1:
-                for v in sorted(cls)[k + 1:]:
-                    keep_set.discard(v)
-                truncated = True
-        if truncated:
-            sub = current.induced(keep_set)
-            to_host = {v: to_host[sub.to_host[v]] for v in sub.tournament.vertices()}
-            current = sub.tournament
-            continue
-        return Reduction(current, k, to_host)
-
-
-@dataclass
-class _SearchState:
-    T: BipartiteTournament
-    forb_mask: int
-    square_masks: list
-    budget_total: int
-    node_limit: int | None
-    nodes: int = 0
+        keep = 0
+        for mask in all_squares(T, alive):  # R1
+            keep |= mask
+        if keep == alive:  # R2, once R1 removes nothing
+            for cls in T.false_twin_classes(alive):
+                keep &= ~T.mask_of(sorted(cls)[k + 1:])
+        if keep == alive:
+            break
+        alive = keep
+    if alive == T.full_mask:
+        return Reduction(T, k, {v: v for v in T.vertices()})
+    sub = T.induced(T.vertices_of_mask(alive))
+    return Reduction(sub.tournament, k, sub.to_host)
 
 
 class _NodeLimit(Exception):
@@ -302,40 +278,40 @@ def branch_solve(T: BipartiteTournament, constraints: Constraints | None = None,
 
     forb_mask = work.mask_of(constraints.forbidden)
     removed0 = work.mask_of(base)
-    cover = sorted((u, w) for (u, w) in constraints.cover_edges)
-    square_masks = [m for _, m in all_squares(work)]
-
-    state = _SearchState(work, forb_mask, square_masks, budget, node_limit)
+    cover = [(1 << work.gid(u), 1 << work.gid(w))
+             for (u, w) in sorted(constraints.cover_edges)]
+    square_masks = all_squares(work)
+    full = work.full_mask
+    nodes = 0
 
     def packing_bound(removed: int) -> int | None:
         """Greedy disjoint live squares; None signals an unbreakable square."""
         used = 0
         count = 0
-        for mask in state.square_masks:
+        for mask in square_masks:
             if mask & removed or mask & used:
                 continue
-            if mask & ~state.forb_mask == 0:
+            if mask & ~forb_mask == 0:
                 return None
             used |= mask
             count += 1
         return count
 
     def rec(removed: int, left: int, cover_idx: int) -> int | None:
-        state.nodes += 1
-        if state.node_limit is not None and state.nodes > state.node_limit:
+        nonlocal nodes
+        nodes += 1
+        if node_limit is not None and nodes > node_limit:
             raise _NodeLimit
         # resolve constraint edges before touching squares
         while cover_idx < len(cover):
-            u, w = cover[cover_idx]
-            bu = 1 << work.gid(u)
-            bw = 1 << work.gid(w)
+            bu, bw = cover[cover_idx]
             if removed & (bu | bw):
                 cover_idx += 1
                 continue
             if left <= 0:
                 return None
             for b in (bu, bw):
-                if not b & state.forb_mask:
+                if not b & forb_mask:
                     result = rec(removed | b, left - 1, cover_idx + 1)
                     if result is not None:
                         return result
@@ -345,14 +321,14 @@ def branch_solve(T: BipartiteTournament, constraints: Constraints | None = None,
             return None
         if bound > left:
             return None
-        sq = find_square(work, within=_alive_vertices(work, removed))
+        sq = find_square(work, full & ~removed)
         if sq is None:
             return removed
         if left <= 0:
             return None
         for v in sq.vertices():
             b = 1 << work.gid(v)
-            if b & state.forb_mask:
+            if b & forb_mask:
                 continue
             result = rec(removed | b, left - 1, cover_idx)
             if result is not None:
@@ -363,8 +339,8 @@ def branch_solve(T: BipartiteTournament, constraints: Constraints | None = None,
         answer = rec(removed0, remaining, 0)
     except _NodeLimit:
         return SolveResult(SolveStatus.BUDGET_EXCEEDED, None,
-                           SolveStats(state.nodes, _ms(t0)))
-    stats = SolveStats(state.nodes, _ms(t0))
+                           SolveStats(nodes, _ms(t0)))
+    stats = SolveStats(nodes, _ms(t0))
     if answer is None:
         return SolveResult(SolveStatus.NO_SOLUTION, None, stats)
     picked = {lift.get(v, v) for v in work.vertices_of_mask(answer)}
@@ -372,10 +348,6 @@ def branch_solve(T: BipartiteTournament, constraints: Constraints | None = None,
     if not satisfies(T, solution, constraints):
         raise AssertionError("internal: invalid solution produced")
     return SolveResult(SolveStatus.SOLUTION, solution, stats)
-
-
-def _alive_vertices(T: BipartiteTournament, removed: int) -> list[Vertex]:
-    return T.vertices_of_mask(T.full_mask & ~removed)
 
 
 def exact_min_fvs(T: BipartiteTournament) -> frozenset:

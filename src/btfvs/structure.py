@@ -43,25 +43,21 @@ class CanonicalSequence(NamedTuple):
     def __iter__(self):
         return iter(self.sets)
 
-    def index_of(self, v: Vertex) -> int:
-        for i, s in enumerate(self.sets):
-            if v in s:
-                return i
-        raise KeyError(f"{v!r} not in sequence")
+
+def _side_ids(T: BipartiteTournament, mask: int | None) -> tuple[list[int], list[int]]:
+    """Ascending A and B indices of a gid bitmask's vertices (all when None)."""
+    mask = T.full_mask if mask is None else mask
+    return ([i for i in range(T.m) if mask >> i & 1],
+            [j for j in range(T.n) if mask >> (T.m + j) & 1])
 
 
-def find_square(T: BipartiteTournament, within: Iterable[Vertex] | None = None) -> Square | None:
-    """First square in lexicographic (a, b, a', b') index order, or None.
+def find_square(T: BipartiteTournament, within_mask: int | None = None) -> Square | None:
+    """First square of T[within_mask] in lexicographic (a, b, a', b') index
+    order, or None; ``within_mask`` is a gid bitmask (all of V when None).
 
     The fixed scan order keeps branching trees reproducible.
     """
-    if within is None:
-        a_set = range(T.m)
-        b_set = range(T.n)
-    else:
-        within = set(within)
-        a_set = sorted(i for (s, i) in within if s == SIDE_A)
-        b_set = sorted(j for (s, j) in within if s == SIDE_B)
+    a_set, b_set = _side_ids(T, within_mask)
     orient = T.orient
     for i in a_set:
         row_i = orient[i]
@@ -79,31 +75,29 @@ def find_square(T: BipartiteTournament, within: Iterable[Vertex] | None = None) 
     return None
 
 
-def all_squares(T: BipartiteTournament, within_mask: int | None = None) -> list[tuple[Square, int]]:
-    """Every square, paired with its vertex bitmask.  Quadratic in side
-    sizes; used by the exhaustive solvers and reduction rules.
+def all_squares(T: BipartiteTournament, within_mask: int | None = None) -> list[int]:
+    """The gid bitmask of every square of T[within_mask] (all of V when
+    None), ordered by (a, a', b, b') with a < a' and b < b'.  Quadratic in
+    side sizes; used by the exhaustive solvers and reduction rules.
     """
     m = T.m
-    full = T.full_mask if within_mask is None else within_mask
     orient = T.orient
-    a_ids = [i for i in range(T.m) if (full >> i) & 1]
-    b_ids = [j for j in range(T.n) if (full >> (m + j)) & 1]
-    out: list[tuple[Square, int]] = []
+    a_ids, b_ids = _side_ids(T, within_mask)
+    out: list[int] = []
     for x, i in enumerate(a_ids):
         row_i = orient[i]
         for i2 in a_ids[x + 1:]:
             row_i2 = orient[i2]
+            pair = (1 << i) | (1 << i2)
+            # {a_i, a_i2, b_j, b_j2} is a square iff a_i and a_i2 disagree
+            # on b_j and both flip their arcs between b_j and b_j2
             for y, j in enumerate(b_ids):
+                arc = row_i[j]
+                if arc == row_i2[j]:
+                    continue
                 for j2 in b_ids[y + 1:]:
-                    mask = (1 << i) | (1 << i2) | (1 << (m + j)) | (1 << (m + j2))
-                    if row_i[j] and not row_i2[j] and row_i2[j2] and not row_i[j2]:
-                        sq = Square(Vertex(SIDE_A, i), Vertex(SIDE_B, j),
-                                    Vertex(SIDE_A, i2), Vertex(SIDE_B, j2))
-                        out.append((sq, mask))
-                    elif row_i[j2] and not row_i2[j2] and row_i2[j] and not row_i[j]:
-                        sq = Square(Vertex(SIDE_A, i), Vertex(SIDE_B, j2),
-                                    Vertex(SIDE_A, i2), Vertex(SIDE_B, j))
-                        out.append((sq, mask))
+                    if row_i[j2] != arc and row_i2[j2] == arc:
+                        out.append(pair | (1 << (m + j)) | (1 << (m + j2)))
     return out
 
 

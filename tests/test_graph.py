@@ -166,8 +166,8 @@ class TestTwins:
         T = BipartiteTournament(m, n, orient)
         classes = T.false_twin_classes()
         cls_of = {v: i for i, c in enumerate(classes) for v in c}
-        for sq, _ in all_squares(T):
-            ids = [cls_of[v] for v in sq.vertices()]
+        for mask in all_squares(T):
+            ids = [cls_of[v] for v in T.vertices_of_mask(mask)]
             assert len(set(ids)) == 4
 
 

@@ -92,7 +92,37 @@ def square_file(tmp_path):
     return path
 
 
+_KNOBS = {"hom_window": 2, "large_ratio": 3, "weak_matching": 2, "block_degree": 3,
+          "part_fvs_f": 1, "part_degree_d": 2, "budget_slack": 1, "sample_q": 2}
+_MIXED = json.loads(serialize_dfvc(DfvcInstance(MixedMultigraph(
+    [BipartiteTournament(2, 2, [[True, False], [False, True]],
+                         labels=["u0", "u1", "v0", "v1"])], []), frozenset(), 1)))
+
+
 class TestCli:
+    @pytest.mark.parametrize("command, payload", [
+        ("dfvc", {**_MIXED, "parts": 5}),
+        ("dfvc", {**_MIXED, "budget": "x"}),
+        ("dfvc", {**_MIXED, "budget": None}),
+        ("dfvc", {**_MIXED, "undirected": [5]}),
+        ("dfvc", {**_MIXED, "forbidden": [[1]]}),
+        ("profile", {key: v for key, v in _KNOBS.items() if key != "sample_q"}),
+        ("profile", {**_KNOBS, "colour": 1}),
+        ("profile", [1, 2]),
+        ("profile", {**_KNOBS, "hom_window": "x"}),
+        ("check-lemmas", {"seed": "x"}),
+        ("check-lemmas", {"profile": {"hom_window": 2}}),
+    ])
+    def test_malformed_file_is_usage_error(self, tmp_path, square_file, capsys,
+                                           command, payload):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        argv = {"dfvc": ["dfvc", str(path)],
+                "profile": ["--profile", f"file:{path}", "pipeline", str(square_file)],
+                "check-lemmas": ["check-lemmas", "--config", str(path), "--quick"]}
+        assert main(argv[command]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_solve_yes(self, square_file, capsys):
         code = main(["solve", str(square_file)])
         assert code == 0

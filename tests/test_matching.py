@@ -79,6 +79,12 @@ class TestMinVertexCovers:
         assert exc.value.where == "vertex cover enumeration"
         assert exc.value.cap == 2
 
+    def test_min_cover_forwards_cap(self):
+        edges = [(a(0), b(0)), (a(1), b(1)), (a(2), b(2))]
+        with pytest.raises(FamilyCapExceeded):
+            min_vertex_cover(edges, cap=2)
+        assert min_vertex_cover(edges, cap=8) == min_vertex_cover(edges)
+
 
 class TestPreferredCover:
     def test_prefers_outside_x(self):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from btfvs.errors import InstanceTooLarge
@@ -7,6 +9,7 @@ from btfvs.generators import GenKind, GenSpec, SplitMix64, generate
 from btfvs.solvers import (Constraints, SolveStatus, approx4, branch_solve,
                            exact_min_fvs, oracle_min_fvs, reduce_instance,
                            satisfies, squares_packing_lower_bound, verify_fvs)
+from btfvs.structure import all_squares, find_square
 
 from conftest import a, b, tournament
 
@@ -245,3 +248,76 @@ class TestExact:
             spec = GenSpec(5, 5, GenKind.PLANTED_FVS, seed=seed, k_plant=3)
             T = generate(spec)
             assert len(exact_min_fvs(T)) <= 3
+
+
+def _labels(T, vs):
+    return None if vs is None else sorted(T.label(v) for v in vs)
+
+
+def _outcome(T, res):
+    return res.status.value, _labels(T, res.solution), res.stats.nodes
+
+
+def _square_layer_digest(spec):
+    """(opt, square count, digest) of every square-layer answer on the
+    generated instance: the all_squares mask list in order, find_square,
+    approx4 and reduce_instance (kept host labels) at opt, the packing
+    bound, branch_solve at opt - 1, at opt and under seeded constraints
+    (status, solution, nodes), and exact_min_fvs."""
+    T = generate(spec)
+    opt = len(exact_min_fvs(T))
+    masks = all_squares(T)
+    red = reduce_instance(T, opt)
+    records = [
+        masks,
+        find_square(T),
+        _labels(T, approx4(T, opt)),
+        squares_packing_lower_bound(T),
+        _labels(T, red.to_host.values()),
+        _outcome(T, branch_solve(T, Constraints(budget=opt - 1))),
+        _outcome(T, branch_solve(T, Constraints(budget=opt))),
+        _outcome(T, branch_solve(T, random_constraints(T, SplitMix64(spec.seed)))),
+        _labels(T, exact_min_fvs(T)),
+    ]
+    return opt, len(masks), hashlib.sha256(repr(records).encode()).hexdigest()[:16]
+
+
+class TestSquareLayerPinned:
+    """The square layer's answers, pinned to values recorded before it moved
+    to gid bitmasks; a change of scan order, branch order or node count
+    shows here."""
+
+    @pytest.mark.parametrize("spec, want", [
+        (GenSpec(5, 5, GenKind.UNIFORM_RANDOM, seed=1), (2, 13, "1b30c640d25b2e4d")),
+        (GenSpec(7, 7, GenKind.UNIFORM_RANDOM, seed=3), (5, 56, "87d7ef31907e2fff")),
+        (GenSpec(9, 9, GenKind.UNIFORM_RANDOM, seed=7), (6, 141, "0f3340a63db36b60")),
+        (GenSpec(6, 7, GenKind.PLANTED_FVS, seed=2, k_plant=3), (2, 14, "afb5a1dc4b96bb65")),
+        (GenSpec(7, 7, GenKind.TWIN_HEAVY, seed=4, twin_a=2, twin_b=2),
+         (3, 36, "6f8465c88d66c9c0")),
+        (GenSpec(5, 5, GenKind.ACYCLIC, seed=5), (0, 0, "120729f1b675bfbf")),
+    ])
+    def test_answers_unchanged(self, spec, want):
+        assert _square_layer_digest(spec) == want
+
+    def test_mask_inputs_match_induced_route(self):
+        # approx4 and false_twin_classes on a vertex mask of T equal the same
+        # calls on the induced sub-tournament, mapped back to T's vertices
+        checked = 0
+        for seed in range(40):
+            kind = (GenKind.UNIFORM_RANDOM, GenKind.TWIN_HEAVY)[seed % 2]
+            T = generate(GenSpec(2 + seed % 5, 2 + (seed // 3) % 5, kind, seed=seed,
+                                 twin_a=2, twin_b=2))
+            rng = SplitMix64(seed)
+            keep = [v for v in T.vertices() if rng.below(4)]
+            sub = T.induced(keep)
+            mask = T.mask_of(keep)
+            for k in (0, 1, 2, T.num_vertices):
+                want = approx4(sub.tournament, k)
+                got = approx4(T, k, mask)
+                assert got == (None if want is None else
+                               frozenset(sub.to_host[v] for v in want))
+                checked += got is not None and len(got) > 0
+            assert T.false_twin_classes(mask) == [
+                frozenset(sub.to_host[v] for v in cls)
+                for cls in sub.tournament.false_twin_classes()]
+        assert checked > 0

@@ -30,7 +30,7 @@ class TestFindSquare:
         assert find_square(chain_2x2) is None
 
     def test_within_restriction(self, square_2x2):
-        assert find_square(square_2x2, within={a(0), b(0), a(1)}) is None
+        assert find_square(square_2x2, square_2x2.mask_of({a(0), b(0), a(1)})) is None
 
     def test_agrees_with_bruteforce_on_random(self):
         for seed in range(30):
@@ -46,12 +46,8 @@ class TestFindSquare:
     def test_all_squares_matches_bruteforce(self):
         for seed in range(20):
             T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=seed))
-            ours = set()
-            for sq, _ in all_squares(T):
-                # normalize rotation: brute enumerates both a-starts
-                ours.add((sq.a, sq.b, sq.a2, sq.b2))
-                ours.add((sq.a2, sq.b2, sq.a, sq.b))
-            assert ours == set(brute_squares(T))
+            # brute enumerates each square twice, once from each a-start
+            assert set(all_squares(T)) == {T.mask_of(sq) for sq in brute_squares(T)}
             assert count_squares(T) * 2 == len(brute_squares(T))
 
 
