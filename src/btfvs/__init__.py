@@ -9,8 +9,8 @@ property suite tying it all together.
 
 from .graph import BipartiteTournament, MixedMultigraph, Vertex
 from .structure import (CanonicalSequence, Square, canonical_sequence,
-                        count_squares, find_square, is_acyclic,
-                        is_topological, some_topological_sort)
+                        find_square, is_acyclic, is_topological,
+                        some_topological_sort)
 from .msequence import (BackEdge, BackEdgeKind, Classification, ClassKind,
                         MSequence, back_edges, boundaries, classify,
                         is_conflict_back_edge, is_m_consistent, is_refinement,

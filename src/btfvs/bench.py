@@ -10,6 +10,7 @@ import csv
 import time
 from dataclasses import dataclass
 
+from .errors import InstanceTooLarge
 from .graph import BipartiteTournament
 from .pipeline import ConstantsProfile, pipeline_solve
 from .solvers import (Constraints, SolveStatus, _ms, approx4, branch_solve,
@@ -33,16 +34,6 @@ def _run_one(args) -> BenchRecord:
     instance_id, T, k, solver, oracle_cap, profile = args
     budget = k if k is not None else T.num_vertices
     t0 = time.perf_counter()
-    if solver == "oracle":
-        res = oracle_min_fvs(T, cap=oracle_cap)
-        return BenchRecord(instance_id, solver, res.status.value,
-                           len(res.solution) if res.found else None,
-                           res.stats.nodes, _ms(t0))
-    if solver == "branch":
-        res = branch_solve(T, Constraints(budget=budget))
-        return BenchRecord(instance_id, solver, res.status.value,
-                           len(res.solution) if res.found else None,
-                           res.stats.nodes, _ms(t0))
     if solver == "exact":
         sol = exact_min_fvs(T)
         return BenchRecord(instance_id, solver, SolveStatus.SOLUTION.value,
@@ -54,12 +45,20 @@ def _run_one(args) -> BenchRecord:
         return BenchRecord(instance_id, solver, status,
                            len(out) if out is not None else None,
                            0, _ms(t0), approximate=True)
-    if solver == "pipeline":
+    if solver == "oracle":
+        try:
+            res = oracle_min_fvs(T, cap=oracle_cap)
+        except InstanceTooLarge:
+            return BenchRecord(instance_id, solver, "too-large", None, 0, _ms(t0))
+    elif solver == "branch":
+        res = branch_solve(T, Constraints(budget=budget))
+    elif solver == "pipeline":
         res = pipeline_solve(T, budget, profile)
-        return BenchRecord(instance_id, solver, res.status.value,
-                           len(res.solution) if res.found else None,
-                           res.stats.nodes, _ms(t0))
-    raise ValueError(f"unknown solver {solver!r}")
+    else:
+        raise ValueError(f"unknown solver {solver!r}")
+    return BenchRecord(instance_id, solver, res.status.value,
+                       len(res.solution) if res.found else None,
+                       res.stats.nodes, _ms(t0))
 
 
 def bench(corpus: list[tuple[str, BipartiteTournament, int | None]],

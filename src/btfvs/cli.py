@@ -82,11 +82,8 @@ def _report_solve(args, T, res) -> int:
                      "solution": labels, "nodes": res.stats.nodes},
               json.dumps(labels))
         return 0
-    if res.status is SolveStatus.NO_SOLUTION:
-        _emit(args, {"status": "no-solution"}, "no solution within budget")
-        return 1
-    print("search budget exhausted before an answer", file=sys.stderr)
-    return INTERNAL_ERROR
+    _emit(args, {"status": "no-solution"}, "no solution within budget")
+    return 1
 
 
 def cmd_solve(args) -> int:

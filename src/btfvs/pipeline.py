@@ -879,6 +879,8 @@ def pipeline_solve(T: BipartiteTournament, k: int,
     before being returned, so a yes is always a real feedback vertex set of
     size at most k regardless of the profile; when the cascade produces
     nothing usable the fallback answers, so the result is always correct.
+    The fallback runs ``branch_solve`` on the reduction built here and lifts
+    its answer to T.
     ``collect`` is forwarded to the cascade for family inspection.
     """
     if profile is None:
@@ -937,7 +939,10 @@ def pipeline_solve(T: BipartiteTournament, k: int,
                               SolveStats(len(jobs), _ms(t0)),
                               tuple(trace), tuple(diagnostics), False)
 
-    fb = branch_solve(T, Constraints(budget=k))
-    return PipelineResult(fb.status, fb.solution,
+    fb = branch_solve(work, Constraints(budget=k))
+    lifted = None if fb.solution is None else frozenset(red.to_host[v] for v in fb.solution)
+    if lifted is not None and not verify_fvs(T, lifted):
+        raise AssertionError("internal: fallback answer does not lift to T")
+    return PipelineResult(fb.status, lifted,
                           SolveStats(fb.stats.nodes, _ms(t0)),
                           tuple(trace), tuple(diagnostics), True)

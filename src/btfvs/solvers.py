@@ -24,13 +24,12 @@ from typing import Iterable, NamedTuple
 
 from .errors import InstanceTooLarge
 from .graph import BipartiteTournament, Vertex
-from .structure import all_squares, find_square
+from .structure import _a_pairs, all_squares, find_square
 
 
 class SolveStatus(Enum):
     SOLUTION = "solution"
     NO_SOLUTION = "no-solution"
-    BUDGET_EXCEEDED = "budget-exceeded"  # node limit hit; answer unknown
 
 
 class SolveStats(NamedTuple):
@@ -211,7 +210,8 @@ def reduce_instance(T: BipartiteTournament, k: int) -> Reduction:
 
     R1 deletes every vertex contained in no square: such a vertex lies on no
     4-cycle, hence on no cycle at all that a minimum solution would need it
-    for, and its removal changes no square.
+    for, and its removal changes no square.  It lists no square: the squares
+    through an A-pair cover exactly the pair and its masks D1 | D0.
 
     R2 truncates every false-twin class to k+1 representatives: a square
     contains at most one vertex per class and twins are interchangeable in
@@ -225,8 +225,8 @@ def reduce_instance(T: BipartiteTournament, k: int) -> Reduction:
     alive = T.full_mask
     while True:
         keep = 0
-        for mask in all_squares(T, alive):  # R1
-            keep |= mask
+        for pair, d1, d0 in _a_pairs(T, alive):  # R1
+            keep |= pair | d1 | d0
         if keep == alive:  # R2, once R1 removes nothing
             for cls in T.false_twin_classes(alive):
                 keep &= ~T.mask_of(sorted(cls)[k + 1:])
@@ -239,12 +239,8 @@ def reduce_instance(T: BipartiteTournament, k: int) -> Reduction:
     return Reduction(sub.tournament, k, sub.to_host)
 
 
-class _NodeLimit(Exception):
-    pass
-
-
-def branch_solve(T: BipartiteTournament, constraints: Constraints | None = None,
-                 node_limit: int | None = None) -> SolveResult:
+def branch_solve(T: BipartiteTournament,
+                 constraints: Constraints | None = None) -> SolveResult:
     """Budgeted branching solver, sound and complete within its budget.
 
     Uncovered constraint edges are resolved first by two-way branching on
@@ -300,8 +296,6 @@ def branch_solve(T: BipartiteTournament, constraints: Constraints | None = None,
     def rec(removed: int, left: int, cover_idx: int) -> int | None:
         nonlocal nodes
         nodes += 1
-        if node_limit is not None and nodes > node_limit:
-            raise _NodeLimit
         # resolve constraint edges before touching squares
         while cover_idx < len(cover):
             bu, bw = cover[cover_idx]
@@ -335,11 +329,7 @@ def branch_solve(T: BipartiteTournament, constraints: Constraints | None = None,
                 return result
         return None
 
-    try:
-        answer = rec(removed0, remaining, 0)
-    except _NodeLimit:
-        return SolveResult(SolveStatus.BUDGET_EXCEEDED, None,
-                           SolveStats(nodes, _ms(t0)))
+    answer = rec(removed0, remaining, 0)
     stats = SolveStats(nodes, _ms(t0))
     if answer is None:
         return SolveResult(SolveStatus.NO_SOLUTION, None, stats)

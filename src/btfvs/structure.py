@@ -44,11 +44,21 @@ class CanonicalSequence(NamedTuple):
         return iter(self.sets)
 
 
-def _side_ids(T: BipartiteTournament, mask: int | None) -> tuple[list[int], list[int]]:
-    """Ascending A and B indices of a gid bitmask's vertices (all when None)."""
-    mask = T.full_mask if mask is None else mask
-    return ([i for i in range(T.m) if mask >> i & 1],
-            [j for j in range(T.n) if mask >> (T.m + j) & 1])
+def _a_pairs(T: BipartiteTournament, alive: int):
+    """(pair bits, D1, D0) for each pair a < a' of A vertices of the gid
+    bitmask ``alive`` that lies in a square, ascending by (a, a').  Over the
+    live B vertices, D1 = out(a) & ~out(a') and D0 = out(a') & ~out(a), and
+    {a, a', b, b'} is a square exactly when b is in D1 and b' in D0.
+    """
+    out = T.out_mask
+    a_ids = [i for i in range(T.m) if alive >> i & 1]
+    for x, i in enumerate(a_ids):
+        out_i = out[i] & alive
+        for i2 in a_ids[x + 1:]:
+            d1 = out_i & ~out[i2]
+            d0 = out[i2] & alive & ~out_i
+            if d1 and d0:
+                yield (1 << i) | (1 << i2), d1, d0
 
 
 def find_square(T: BipartiteTournament, within_mask: int | None = None) -> Square | None:
@@ -57,53 +67,51 @@ def find_square(T: BipartiteTournament, within_mask: int | None = None) -> Squar
 
     The fixed scan order keeps branching trees reproducible.
     """
-    a_set, b_set = _side_ids(T, within_mask)
-    orient = T.orient
-    for i in a_set:
-        row_i = orient[i]
-        for j in b_set:
-            if not row_i[j]:
-                continue  # need a_i -> b_j
-            for i2 in a_set:
-                if orient[i2][j]:
-                    continue  # need b_j -> a_i2
-                row_i2 = orient[i2]
-                for j2 in b_set:
-                    if row_i2[j2] and not row_i[j2]:
-                        return Square(Vertex(SIDE_A, i), Vertex(SIDE_B, j),
-                                      Vertex(SIDE_A, i2), Vertex(SIDE_B, j2))
+    alive = T.full_mask if within_mask is None else within_mask
+    out = T.out_mask
+    rest = alive & ((1 << T.m) - 1)
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        i = low.bit_length() - 1
+        back_i = alive & ~out[i]
+        tried = 0  # a' already seen to have no b' with a' -> b' -> a_i
+        bs = out[i] & alive
+        while bs:
+            bj = bs & -bs
+            bs ^= bj
+            j = bj.bit_length() - 1
+            a2s = out[j] & alive & ~tried
+            while a2s:
+                bi2 = a2s & -a2s
+                a2s ^= bi2
+                i2 = bi2.bit_length() - 1
+                closing = out[i2] & back_i
+                if closing:
+                    j2 = (closing & -closing).bit_length() - 1
+                    return Square(*map(T.vertex_of_gid, (i, j, i2, j2)))
+                tried |= bi2
     return None
 
 
 def all_squares(T: BipartiteTournament, within_mask: int | None = None) -> list[int]:
     """The gid bitmask of every square of T[within_mask] (all of V when
-    None), ordered by (a, a', b, b') with a < a' and b < b'.  Quadratic in
-    side sizes; used by the exhaustive solvers and reduction rules.
+    None), ordered by (a, a', b, b') with a < a' and b < b'.  Used by the
+    exhaustive solvers and the packing bound.
     """
-    m = T.m
-    orient = T.orient
-    a_ids, b_ids = _side_ids(T, within_mask)
-    out: list[int] = []
-    for x, i in enumerate(a_ids):
-        row_i = orient[i]
-        for i2 in a_ids[x + 1:]:
-            row_i2 = orient[i2]
-            pair = (1 << i) | (1 << i2)
-            # {a_i, a_i2, b_j, b_j2} is a square iff a_i and a_i2 disagree
-            # on b_j and both flip their arcs between b_j and b_j2
-            for y, j in enumerate(b_ids):
-                arc = row_i[j]
-                if arc == row_i2[j]:
-                    continue
-                for j2 in b_ids[y + 1:]:
-                    if row_i[j2] != arc and row_i2[j2] == arc:
-                        out.append(pair | (1 << (m + j)) | (1 << (m + j2)))
-    return out
-
-
-def count_squares(T: BipartiteTournament, within: Iterable[Vertex] | None = None) -> int:
-    mask = None if within is None else T.mask_of(within)
-    return len(all_squares(T, mask))
+    alive = T.full_mask if within_mask is None else within_mask
+    squares: list[int] = []
+    for pair, d1, d0 in _a_pairs(T, alive):
+        rest = d1 | d0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            other = (d0 if low & d1 else d1) & rest  # the b' > b across from b
+            while other:
+                high = other & -other
+                other ^= high
+                squares.append(pair | low | high)
+    return squares
 
 
 def _peel_layers_mask(T: BipartiteTournament, alive: int) -> list[int] | None:

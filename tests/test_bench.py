@@ -3,7 +3,9 @@ from __future__ import annotations
 import pytest
 
 from btfvs.bench import BenchRecord, bench, to_csv
+from btfvs.cli import main
 from btfvs.generators import GenKind, GenSpec, generate
+from btfvs.io import serialize_instance
 
 
 def small_corpus(count=4, k=2):
@@ -47,6 +49,30 @@ class TestBench:
         par = bench(corpus, ["oracle", "branch"], workers=2)
         strip = lambda rs: [(r.instance_id, r.solver, r.status, r.size) for r in rs]
         assert strip(seq) == strip(par)
+
+    def test_instance_above_oracle_cap_is_recorded(self, tmp_path):
+        # the 9x9 instance has 18 vertices, above the default oracle cap of
+        # 16: its oracle row says so and the run goes on
+        specs = [GenSpec(3, 3, GenKind.UNIFORM_RANDOM, seed=1),
+                 GenSpec(9, 9, GenKind.UNIFORM_RANDOM, seed=1)]
+        corpus = [(spec.file_stem(), generate(spec), None) for spec in specs]
+        records = bench(corpus, ["oracle", "branch"])
+        assert len(records) == 4
+        big = {r.solver: r for r in records if r.instance_id == specs[1].file_stem()}
+        assert (big["oracle"].status, big["oracle"].size, big["oracle"].nodes) == \
+            ("too-large", None, 0)
+        assert big["branch"].status == "solution"
+
+        (tmp_path / "corpus").mkdir()
+        for iid, T, _ in corpus:
+            (tmp_path / "corpus" / f"{iid}.json").write_text(serialize_instance(T))
+        out_csv = tmp_path / "results.csv"
+        code = main(["bench", "--corpus", str(tmp_path / "corpus"),
+                     "--solvers", "oracle,branch", "--out", str(out_csv)])
+        assert code == 0
+        rows = [line.split(",")[:2] for line in out_csv.read_text().splitlines()[1:]]
+        assert sorted(rows) == sorted([iid, s] for iid, _, _ in corpus
+                                      for s in ("oracle", "branch"))
 
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError):

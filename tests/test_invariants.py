@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import btfvs
 
 PACKAGE = Path(btfvs.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # reference.py is the frozen, definition-literal cross-check route.  It is
 # kept as written so that it shares no code path with the production
@@ -31,7 +33,7 @@ def test_no_assert_statements_in_package():
 def _tracer_targets(name: str) -> list[tuple[str, ...]]:
     """The leading string fields of each entry of a tuple assigned at the
     top level of the benchmark's tracer, read without importing it."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    path = PERFBENCH / "tracer.py"
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, ast.Assign) and \
                 [getattr(t, "id", None) for t in node.targets] == [name]:
@@ -54,3 +56,58 @@ def test_tracer_targets_resolve():
         if cls is None or not callable(vars(cls).get(attr)):
             missing.append(f"{mod_name}.{cls_name}.{attr}")
     assert methods and not missing, f"traced names missing from btfvs: {missing}"
+
+
+def _resolve(node: ast.expr, imported: dict):
+    """The btfvs object a call's callee names, or None when it is not one:
+    a name bound by ``from btfvs... import``, or a dotted path from
+    ``btfvs`` such as ``btfvs.pipeline.ConstantsProfile.toy``."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    if node.id in imported:
+        obj = imported[node.id]
+    elif node.id == "btfvs":
+        obj = btfvs
+    else:
+        return None
+    for name in reversed(parts):
+        if not hasattr(obj, name) and inspect.ismodule(obj):
+            importlib.import_module(f"{obj.__name__}.{name}")
+        obj = getattr(obj, name)
+    return obj
+
+
+def test_benchmark_calls_bind_to_btfvs_signatures():
+    # the benchmark reports a call that no longer binds as a failed solve,
+    # so dropping a keyword it passes (say pipeline_solve's workers) would
+    # pass the tests here and break only the benchmark
+    checked = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        if path.name.startswith("test_"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("btfvs"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = getattr(module, alias.name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            target = _resolve(node.func, imported)
+            if target is None or inspect.ismodule(target):
+                continue
+            where = f"{path.name}:{node.lineno} {ast.unparse(node.func)}"
+            args = [None] * len(node.args)
+            kwargs = {kw.arg: None for kw in node.keywords if kw.arg is not None}
+            try:
+                inspect.signature(target).bind(*args, **kwargs)
+            except TypeError as exc:
+                raise AssertionError(f"{where}: {exc}") from None
+            checked.append(where)
+    assert any("pipeline_solve" in w for w in checked), checked

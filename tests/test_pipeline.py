@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from btfvs import pipeline
+from btfvs import pipeline, solvers
 from btfvs.errors import FamilyCapExceeded, PreconditionViolated
 from btfvs.generators import GenKind, GenSpec, SplitMix64, generate
 from btfvs.msequence import back_edges, m_sequence
@@ -18,7 +18,8 @@ from btfvs.pipeline import (STAGES, CfvsInstance, ConstantsProfile,
                             to_dfvc)
 from btfvs.reference import window_property_brute
 from btfvs.samplespace import twise_space_size
-from btfvs.solvers import SolveStatus, oracle_min_fvs, verify_fvs
+from btfvs.solvers import (Constraints, SolveStatus, branch_solve, exact_min_fvs,
+                           oracle_min_fvs, verify_fvs)
 from btfvs.structure import is_acyclic
 
 from conftest import a, b, tournament
@@ -639,6 +640,36 @@ class TestPipelineSolve:
         seq = pipeline_solve(T, opt, TOY)
         par = pipeline_solve(T, opt, TOY, workers=2)
         assert seq.found == par.found
+
+    @pytest.mark.parametrize("seed", [1, 3, 4])
+    def test_fallback_runs_on_the_reduction(self, seed, monkeypatch):
+        # under the paper profile 8x8 seeding overflows, so the fallback
+        # answers; it must give branch_solve's own answer on T, node for
+        # node, while T is reduced only once (the planted instances shrink
+        # under the reduction, so the fallback's own reduce call gets the
+        # reduced tournament, not T)
+        T = generate(GenSpec(8, 8, GenKind.PLANTED_FVS, seed=seed, k_plant=3))
+        opt = len(exact_min_fvs(T))
+        original = solvers.reduce_instance
+        on_T = []
+
+        def counting(tournament, k):
+            on_T.append(tournament is T)
+            return original(tournament, k)
+
+        for k in (opt - 1, opt):
+            assert solvers.reduce_instance(T, k).tournament is not T
+            want = branch_solve(T, Constraints(budget=k))
+            monkeypatch.setattr(solvers, "reduce_instance", counting)
+            monkeypatch.setattr(pipeline, "reduce_instance", counting)
+            on_T.clear()
+            res = pipeline_solve(T, k)  # the paper profile
+            monkeypatch.undo()
+            assert res.used_fallback
+            assert (res.status, res.solution, res.stats.nodes) == \
+                (want.status, want.solution, want.stats.nodes)
+            assert res.found == (k == opt)
+            assert on_T.count(True) == 1
 
     def test_trace_reports_stage_sizes(self):
         T = generate(GenSpec(3, 3, GenKind.UNIFORM_RANDOM, seed=22))

@@ -5,12 +5,11 @@ from itertools import product
 import pytest
 
 from btfvs.errors import NotAcyclic
-from btfvs.generators import GenKind, GenSpec, generate
+from btfvs.generators import GenKind, GenSpec, SplitMix64, generate
 from btfvs.graph import BipartiteTournament
 from btfvs.reference import brute_squares, dfs_has_cycle
-from btfvs.structure import (all_squares, canonical_sequence, count_squares,
-                             find_square, is_acyclic, is_topological,
-                             some_topological_sort)
+from btfvs.structure import (all_squares, canonical_sequence, find_square,
+                             is_acyclic, is_topological, some_topological_sort)
 
 from conftest import a, b, tournament
 
@@ -48,7 +47,24 @@ class TestFindSquare:
             T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=seed))
             # brute enumerates each square twice, once from each a-start
             assert set(all_squares(T)) == {T.mask_of(sq) for sq in brute_squares(T)}
-            assert count_squares(T) * 2 == len(brute_squares(T))
+            assert len(all_squares(T)) * 2 == len(brute_squares(T))
+
+    def test_vertex_masks_match_bruteforce(self):
+        # find_square and all_squares on a random vertex mask of T equal the
+        # reference enumeration restricted to the same vertices
+        checked = 0
+        for seed in range(60):
+            kind = (GenKind.UNIFORM_RANDOM, GenKind.TWIN_HEAVY)[seed % 2]
+            T = generate(GenSpec(2 + seed % 6, 2 + (seed // 2) % 6, kind, seed=seed,
+                                 twin_a=2, twin_b=2))
+            rng = SplitMix64(seed)
+            within = {v for v in T.vertices() if rng.below(4)}
+            mask = T.mask_of(within)
+            brute = brute_squares(T, within)
+            assert find_square(T, mask) == (min(brute) if brute else None)
+            assert set(all_squares(T, mask)) == {T.mask_of(sq) for sq in brute}
+            checked += bool(brute)
+        assert checked > 0
 
 
 class TestIsAcyclic:
