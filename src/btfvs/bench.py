@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from .errors import InstanceTooLarge
 from .graph import BipartiteTournament
 from .pipeline import ConstantsProfile, pipeline_solve
-from .solvers import (Constraints, SolveStatus, _ms, approx4, branch_solve,
-                      exact_min_fvs, oracle_min_fvs)
+from .solvers import (ORACLE_DEFAULT_CAP, Constraints, SolveStatus, _ms, approx4,
+                      branch_solve, exact_min_fvs, oracle_min_fvs)
 
 KNOWN_SOLVERS = ("oracle", "branch", "approx4", "exact", "pipeline")
 
@@ -63,15 +63,14 @@ def _run_one(args) -> BenchRecord:
 
 def bench(corpus: list[tuple[str, BipartiteTournament, int | None]],
           solvers: list[str], profile: ConstantsProfile | None = None,
-          oracle_cap: int = 16, workers: int = 1,
-          check_agreement: bool = True) -> list[BenchRecord]:
-    """Run every solver on every instance.
+          oracle_cap: int = ORACLE_DEFAULT_CAP,
+          workers: int = 1) -> list[BenchRecord]:
+    """Run every solver on every instance, in ``workers`` processes.
 
-    With agreement checking on, minimum sizes from the complete
-    minimum-seeking solvers (oracle, exact) must match, and the budgeted
-    solvers (branch, pipeline) must agree with each other on feasibility.
-    Records come back sorted by (instance, solver) regardless of worker
-    count.
+    Minimum sizes from the complete minimum-seeking solvers (oracle, exact)
+    must match, and the budgeted solvers (branch, pipeline) must agree with
+    each other on feasibility.  Records come back sorted by (instance,
+    solver) regardless of worker count.
     """
     for s in solvers:
         if s not in KNOWN_SOLVERS:
@@ -84,8 +83,7 @@ def bench(corpus: list[tuple[str, BipartiteTournament, int | None]],
     else:
         records = [_run_one(t) for t in tasks]
     records.sort(key=lambda r: (r.instance_id, r.solver))
-    if check_agreement:
-        _assert_agreement(records)
+    _assert_agreement(records)
     return records
 
 

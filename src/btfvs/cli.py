@@ -24,8 +24,8 @@ from .io import (canonical_sequence_json, labels_of, m_sequence_json,
 from .lemma_suite import SuiteConfig, run_lemma_suite
 from .msequence import back_edges, is_conflict_back_edge, m_sequence
 from .pipeline import ConstantsProfile, pipeline_solve
-from .solvers import (Constraints, SolveStatus, approx4, branch_solve,
-                      exact_min_fvs, oracle_min_fvs, verify_fvs)
+from .solvers import (ORACLE_DEFAULT_CAP, Constraints, SolveStatus, approx4,
+                      branch_solve, exact_min_fvs, oracle_min_fvs, verify_fvs)
 from .structure import canonical_sequence
 
 USAGE_ERROR = 2
@@ -262,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="btfvs",
         description="Feedback vertex set toolkit for bipartite tournaments")
     parser.add_argument("--seed", type=int, default=1, help="base seed")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="processes for bench; pipeline accepts only 1")
     parser.add_argument("--profile", default=None,
                         help="constants profile: paper, toy, or file:<path>")
     parser.add_argument("--json", action="store_true",
@@ -284,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_instance_cmd("oracle", cmd_oracle, help="exhaustive reference solver")
     p.add_argument("--budget", type=int)
-    p.add_argument("--cap", type=int, default=16)
+    p.add_argument("--cap", type=int, default=ORACLE_DEFAULT_CAP)
     p.add_argument("--forbidden")
     p.add_argument("--required")
     p.add_argument("--cover-edges", dest="cover_edges")
@@ -332,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--solvers", default="oracle,branch",
                    help=f"comma list from {','.join(KNOWN_SOLVERS)}")
-    p.add_argument("--cap", type=int, default=16)
+    p.add_argument("--cap", type=int, default=ORACLE_DEFAULT_CAP)
     p.add_argument("--out", help="CSV path (stdout otherwise)")
 
     p = add_instance_cmd("dfvc", cmd_dfvc, help="mixed multigraph endgame solver")

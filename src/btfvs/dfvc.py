@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 from .errors import NotAMatching
 from .graph import BipartiteTournament, MixedMultigraph
-from .solvers import (Constraints, SolveResult, SolveStats, SolveStatus,
-                      _ms, approx4, branch_solve, oracle_min_fvs)
+from .solvers import (ORACLE_DEFAULT_CAP, Constraints, SolveResult, SolveStats,
+                      SolveStatus, _ms, approx4, branch_solve, oracle_min_fvs)
 
 GlobalVertex = tuple  # (part_index, Vertex)
 
@@ -47,8 +47,7 @@ class ClassReport(NamedTuple):
     violations: tuple[str, ...]
 
 
-def validate_class(inst: DfvcInstance, d: int, f: int, t: int,
-                   oracle_cap: int = 16) -> ClassReport:
+def validate_class(inst: DfvcInstance, d: int, f: int, t: int) -> ClassReport:
     """Check each part's undirected degree (<= d), feedback vertex set size
     window ([f, 4f], exact within the oracle cap, approximation bounds
     beyond it), and the part count (<= t)."""
@@ -60,7 +59,7 @@ def validate_class(inst: DfvcInstance, d: int, f: int, t: int,
         deg = g.undirected_degree(pi)
         if deg > d:
             violations.append(f"part {pi}: undirected degree {deg} exceeds d={d}")
-        if part.num_vertices <= oracle_cap:
+        if part.num_vertices <= ORACLE_DEFAULT_CAP:
             opt = len(oracle_min_fvs(part).solution)
             lo = hi = opt
         else:
@@ -76,14 +75,18 @@ def validate_class(inst: DfvcInstance, d: int, f: int, t: int,
 
 def _part_min_fvs(part: BipartiteTournament, removed: set, forbidden: set):
     """Minimum feedback vertex set of a part minus ``removed``, avoiding
-    ``forbidden``; None when some square cannot be broken."""
-    sub = part.remove(removed)
-    forb = frozenset(sub.from_host[v] for v in forbidden if v in sub.from_host)
-    deletable = sub.tournament.num_vertices - len(forb)
+    ``forbidden``; None when some square cannot be broken.
+
+    Searched for ascending k on the part itself, with ``removed`` required
+    in the solution and counted in the budget, so the part is never
+    re-induced; ``removed`` is dropped from the answer.
+    """
+    deletable = part.num_vertices - len(removed) - len(forbidden)
     for k in range(deletable + 1):
-        res = branch_solve(sub.tournament, Constraints(forbidden=forb, budget=k))
+        res = branch_solve(part, Constraints(forbidden=forbidden, required_in=removed,
+                                             budget=len(removed) + k))
         if res.found:
-            return frozenset(sub.to_host[v] for v in res.solution)
+            return res.solution - removed
     return None
 
 

@@ -91,14 +91,21 @@ def labels_of(T: BipartiteTournament, vertices) -> list[str]:
     return sorted(T.label(v) for v in vertices)
 
 
+def _by_label(T: BipartiteTournament, label: str) -> Vertex:
+    try:
+        return T.vertex_by_label(label)
+    except KeyError:
+        raise ParseError(f"no vertex labelled {label!r}") from None
+
+
 def resolve_labels(T: BipartiteTournament, spec: str) -> frozenset:
-    """Comma-separated labels -> vertex set."""
+    """Comma-separated labels -> vertex set; an unknown label is a ParseError."""
     out = set()
     for token in spec.split(","):
         token = token.strip()
         if not token:
             continue
-        out.add(T.vertex_by_label(token))
+        out.add(_by_label(T, token))
     return frozenset(out)
 
 
@@ -112,8 +119,8 @@ def resolve_edge_list(T: BipartiteTournament, spec: str) -> frozenset:
         if "-" not in token:
             raise ParseError(f"edge {token!r} must be 'label-label'")
         left, right = token.split("-", 1)
-        u = T.vertex_by_label(left.strip())
-        w = T.vertex_by_label(right.strip())
+        u = _by_label(T, left.strip())
+        w = _by_label(T, right.strip())
         if T.has_arc(u, w):
             out.add((u, w))
         elif T.has_arc(w, u):

@@ -28,8 +28,8 @@ from .pipeline import (CfvsInstance, ConstantsProfile, derive_forced_p,
                        seed_instances, stage_lowblockdegree, stage_matched,
                        stage_regular, stage_weak)
 from .samplespace import twise_space, twise_space_size
-from .solvers import (Constraints, approx4, branch_solve, exact_min_fvs,
-                      oracle_min_fvs, reduce_instance, verify_fvs)
+from .solvers import (ORACLE_DEFAULT_CAP, Constraints, approx4, branch_solve,
+                      exact_min_fvs, oracle_min_fvs, reduce_instance, verify_fvs)
 from .structure import (canonical_sequence, find_square, is_acyclic,
                         is_topological)
 
@@ -53,7 +53,7 @@ class SuiteConfig:
     forward_trials: int = 40
     max_side: int = 8
     small_side: int = 5
-    oracle_cap: int = 16
+    oracle_cap: int = ORACLE_DEFAULT_CAP
     profile: ConstantsProfile = field(default_factory=ConstantsProfile.toy)
 
     def __post_init__(self):

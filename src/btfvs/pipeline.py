@@ -99,12 +99,12 @@ class ConstantsProfile:
         )
 
     @classmethod
-    def toy(cls, family_cap: int = 20_000) -> "ConstantsProfile":
+    def toy(cls) -> "ConstantsProfile":
         """Small constants that keep every stage executable on tiny
         instances; completeness claims are relative to these knobs."""
         return cls(hom_window=2, large_ratio=3, weak_matching=2,
                    block_degree=3, part_fvs_f=1, part_degree_d=2,
-                   budget_slack=1, sample_q=2, family_cap=family_cap)
+                   budget_slack=1, sample_q=2, family_cap=20_000)
 
 
 @dataclass(frozen=True)
@@ -194,6 +194,23 @@ def _block_incidence(inst: CfvsInstance, edges: Iterable[tuple]) -> dict:
     return counts
 
 
+def _subset_count(size: int, most: int) -> int:
+    """The number of subsets of at most ``most`` elements of a ``size``-set."""
+    return sum(comb(size, r) for r in range(min(most, size) + 1))
+
+
+def _small_subsets(pool: list, most: int, stage: str,
+                   profile: ConstantsProfile) -> Iterable[tuple]:
+    """Every subset of ``pool`` with at most ``most`` elements, by size and
+    each size in ``combinations`` order; raises FamilyCapExceeded(stage,
+    count, family_cap) up front when there are more than ``family_cap``."""
+    count = _subset_count(len(pool), most)
+    if count > profile.family_cap:
+        raise FamilyCapExceeded(stage, count, profile.family_cap)
+    return chain.from_iterable(combinations(pool, r)
+                               for r in range(min(most, len(pool)) + 1))
+
+
 # ---------------------------------------------------------------------------
 # seeding
 
@@ -224,25 +241,20 @@ def m_family(T: BipartiteTournament, k: int, profile: ConstantsProfile) -> list[
     verts = T.vertices()
     slack = profile.budget_slack
 
-    selections = []
-    would_be = 0
-    for f in space.functions:
-        z = frozenset(verts[i] for i in range(n) if f[i] == 1)
-        selections.append(z)
-        would_be += sum(comb(len(z), r) for r in range(min(slack, len(z)) + 1))
+    selections = [frozenset(verts[i] for i in range(n) if f[i] == 1)
+                  for f in space.functions]
+    would_be = sum(_subset_count(len(z), slack) for z in selections)
     if would_be > profile.family_cap:
         raise FamilyCapExceeded("undeletable-set family", would_be, profile.family_cap)
 
     out: list[frozenset] = []
     seen: set = set()
     for z in selections:
-        zs = sorted(z)
-        for r in range(min(slack, len(z)) + 1):
-            for combo in combinations(zs, r):
-                m_set = z - frozenset(combo)
-                if m_set not in seen:
-                    seen.add(m_set)
-                    out.append(m_set)
+        for combo in _small_subsets(sorted(z), slack, "undeletable-set family", profile):
+            m_set = z - frozenset(combo)
+            if m_set not in seen:
+                seen.add(m_set)
+                out.append(m_set)
     return out
 
 
@@ -351,22 +363,16 @@ def stage_regular(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsIns
     slack = profile.budget_slack
     if len(mandatory) > slack:
         return []
-    pool = sorted(big - inst.M)
-    free = slack - len(mandatory)
-    would_be = sum(comb(len(pool), r) for r in range(min(free, len(pool)) + 1))
-    if would_be > profile.family_cap:
-        raise FamilyCapExceeded("oversized-block stage", would_be, profile.family_cap)
     out = []
-    for r in range(min(free, len(pool)) + 1):
-        for combo in combinations(pool, r):
-            exempt = mandatory | frozenset(combo)
-            forced = big - exempt
-            new_p = inst.P | forced
-            if len(new_p) > inst.k:
-                continue  # cannot be part of any budget-k solution
-            child = replace(inst, P=new_p)
-            if is_regular(child, profile):
-                out.append(child)
+    for combo in _small_subsets(sorted(big - inst.M), slack - len(mandatory),
+                                "oversized-block stage", profile):
+        forced = big - mandatory - frozenset(combo)
+        new_p = inst.P | forced
+        if len(new_p) > inst.k:
+            continue  # cannot be part of any budget-k solution
+        child = replace(inst, P=new_p)
+        if is_regular(child, profile):
+            out.append(child)
     return out
 
 
@@ -413,20 +419,15 @@ def stage_weak(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsInstan
     already required)."""
     big = short_back_large(inst, profile)
     longs = long_back(inst)
-    pool = sorted(big)
-    slack = profile.budget_slack
-    would_be = sum(comb(len(pool), r) for r in range(min(slack, len(pool)) + 1))
-    if would_be > profile.family_cap:
-        raise FamilyCapExceeded("back-edge coupling stage", would_be, profile.family_cap)
     out = []
-    for r in range(min(slack, len(pool)) + 1):
-        for combo in combinations(pool, r):
-            f_new = (big - frozenset(combo)) | longs | inst.F
-            child = replace(inst, F=f_new)
-            # only F changed, so T - P and M, hence the view, are the parent's
-            child.__dict__["view"] = inst.view
-            if is_weakly_coupled(child, profile):
-                out.append(child)
+    for combo in _small_subsets(sorted(big), profile.budget_slack,
+                                "back-edge coupling stage", profile):
+        f_new = (big - frozenset(combo)) | longs | inst.F
+        child = replace(inst, F=f_new)
+        # only F changed, so T - P and M, hence the view, are the parent's
+        child.__dict__["view"] = inst.view
+        if is_weakly_coupled(child, profile):
+            out.append(child)
     return out
 
 
@@ -724,43 +725,39 @@ def stage_decoupled(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsI
     cross = sorted({(u, w) for (u, w, _, _) in inst.view.back
                     if part_of.get(u) != part_of.get(w)})
     cap_b = 2 * len(parts) * (2 * profile.hom_window ** 2)
-    would_be = sum(comb(len(cross), r) for r in range(min(cap_b, len(cross)) + 1))
-    if would_be > profile.family_cap:
-        raise FamilyCapExceeded("decoupling stage", would_be, profile.family_cap)
     out = []
     seen: set = set()
     work = 0
-    for r in range(min(cap_b, len(cross)) + 1):
-        for combo in combinations(cross, r):
-            uncovered = set(combo)
-            must_hit = [e for e in cross if e not in uncovered]
-            cover = sorted(min_vertex_cover(must_hit, profile.family_cap))
-            neigh: dict = {}
-            for (u, w) in must_hit:
-                neigh.setdefault(u, set()).add(w)
-                neigh.setdefault(w, set()).add(u)
-            work += 2 ** len(cover)
-            if work > profile.family_cap:
-                raise FamilyCapExceeded("decoupling stage", work, profile.family_cap)
-            for csize in range(len(cover) + 1):
-                for chosen in combinations(cover, csize):
-                    chosen = set(chosen)
-                    forced = set(chosen)
-                    for v in cover:
-                        if v not in chosen:
-                            forced |= neigh.get(v, set())
-                    new_p = inst.P | forced
-                    if new_p & inst.M or len(new_p) > inst.k:
-                        continue
-                    child = replace(inst, P=frozenset(new_p))
-                    key = (child.P, child.F)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if is_regular(child, profile) and is_weakly_coupled(child, profile) \
-                            and is_matched(child) and is_low_block_degree(child, profile) \
-                            and find_decoupling(child, profile) is not None:
-                        out.append(child)
+    for combo in _small_subsets(cross, cap_b, "decoupling stage", profile):
+        uncovered = set(combo)
+        must_hit = [e for e in cross if e not in uncovered]
+        cover = sorted(min_vertex_cover(must_hit, profile.family_cap))
+        neigh: dict = {}
+        for (u, w) in must_hit:
+            neigh.setdefault(u, set()).add(w)
+            neigh.setdefault(w, set()).add(u)
+        work += 2 ** len(cover)
+        if work > profile.family_cap:
+            raise FamilyCapExceeded("decoupling stage", work, profile.family_cap)
+        for csize in range(len(cover) + 1):
+            for chosen in combinations(cover, csize):
+                chosen = set(chosen)
+                forced = set(chosen)
+                for v in cover:
+                    if v not in chosen:
+                        forced |= neigh.get(v, set())
+                new_p = inst.P | forced
+                if new_p & inst.M or len(new_p) > inst.k:
+                    continue
+                child = replace(inst, P=frozenset(new_p))
+                key = (child.P, child.F)
+                if key in seen:
+                    continue
+                seen.add(key)
+                if is_regular(child, profile) and is_weakly_coupled(child, profile) \
+                        and is_matched(child) and is_low_block_degree(child, profile) \
+                        and find_decoupling(child, profile) is not None:
+                    out.append(child)
     return out
 
 
@@ -875,18 +872,26 @@ def pipeline_solve(T: BipartiteTournament, k: int,
     """Full composition: reduce, seed, cascade, endgame, verify -- with an
     unconditional fallback to the branching solver.
 
-    Every candidate answer is re-verified against the original tournament
-    before being returned, so a yes is always a real feedback vertex set of
-    size at most k regardless of the profile; when the cascade produces
-    nothing usable the fallback answers, so the result is always correct.
-    The fallback runs ``branch_solve`` on the reduction built here and lifts
-    its answer to T.
-    ``collect`` is forwarded to the cascade for family inspection.
+    The endgame tries the final family one child at a time, in family
+    order: it builds a child's ``to_dfvc`` reduction only when it reaches
+    that child and stops at the first answer that verifies.  Every candidate
+    answer is re-verified against the original tournament before being
+    returned, so a yes is always a real feedback vertex set of size at most
+    k regardless of the profile; when the cascade produces nothing usable
+    the fallback answers, so the result is always correct.  The fallback
+    runs ``branch_solve`` on the reduction built here and lifts its answer
+    to T.  ``stats.nodes`` is the size of the final family when the cascade
+    answers, and the fallback's node count otherwise.
+
+    The search runs in one thread; ``workers`` must be 1 (ValueError
+    otherwise).  ``collect`` is forwarded to the cascade for family
+    inspection.
     """
+    if workers != 1:
+        raise ValueError(f"pipeline_solve runs one worker, got workers={workers}")
     if profile is None:
         profile = ConstantsProfile.for_budget(max(k, 0))
     t0 = time.perf_counter()
-    diagnostics: list[str] = []
     if k < 0:
         return PipelineResult(SolveStatus.NO_SOLUTION, None,
                               SolveStats(0, _ms(t0)), (), (), False)
@@ -896,48 +901,23 @@ def pipeline_solve(T: BipartiteTournament, k: int,
         # reduction removed everything: the input was square-free
         return PipelineResult(SolveStatus.SOLUTION, frozenset(),
                               SolveStats(0, _ms(t0)), (("reduce", 0),), (), False)
-    family, trace, diags = run_cascade(work, k, profile, collect=collect)
-    diagnostics.extend(diags)
+    family, trace, diagnostics = run_cascade(work, k, profile, collect=collect)
 
-    jobs = []
     for child in family:
         try:
             reduction = to_dfvc(child, profile)
         except (PreconditionViolated, FamilyCapExceeded) as exc:
             diagnostics.append(f"endgame: {exc}")
             continue
-        jobs.append((child, reduction))
-
-    def attempt(job):
-        child, reduction = job
         res = dfvc_solve(reduction.instance)
         if not res.found:
-            return None
+            continue
         lifted_work = child.P | {reduction.to_host[gv] for gv in res.solution}
         lifted = frozenset(red.to_host[v] for v in lifted_work)
         if len(lifted) <= k and verify_fvs(T, lifted):
-            return lifted
-        return None
-
-    answer = None
-    if workers > 1 and len(jobs) > 1:
-        import concurrent.futures
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(attempt, jobs):
-                if result is not None:
-                    answer = result
-                    break
-    else:
-        for job in jobs:
-            result = attempt(job)
-            if result is not None:
-                answer = result
-                break
-
-    if answer is not None:
-        return PipelineResult(SolveStatus.SOLUTION, answer,
-                              SolveStats(len(jobs), _ms(t0)),
-                              tuple(trace), tuple(diagnostics), False)
+            return PipelineResult(SolveStatus.SOLUTION, lifted,
+                                  SolveStats(len(family), _ms(t0)),
+                                  tuple(trace), tuple(diagnostics), False)
 
     fb = branch_solve(work, Constraints(budget=k))
     lifted = None if fb.solution is None else frozenset(red.to_host[v] for v in fb.solution)

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import pytest
 
-from btfvs.dfvc import DfvcInstance, dfvc_solve, validate_class, verify_dfvc
+from btfvs.dfvc import (DfvcInstance, _part_min_fvs, dfvc_solve, validate_class,
+                        verify_dfvc)
 from btfvs.errors import NotAMatching
 from btfvs.generators import GenKind, GenSpec, SplitMix64, generate
 from btfvs.graph import MixedMultigraph
 from btfvs.reference import dfvc_oracle
-from btfvs.solvers import SolveStatus
+from btfvs.solvers import Constraints, SolveStatus, branch_solve
 
 from conftest import a, b, tournament
 
@@ -143,3 +144,37 @@ class TestDfvcSolve:
             from btfvs.solvers import oracle_min_fvs
             expected = sum(len(oracle_min_fvs(p).solution) for p in g.parts)
             assert res.found and len(res.solution) == expected
+
+
+def _part_min_fvs_on_remainder(part, removed, forbidden):
+    """The route through the part minus ``removed``: ascending k over
+    ``branch_solve`` on the induced remainder, mapped back to the part."""
+    sub = part.remove(removed)
+    forb = frozenset(sub.from_host[v] for v in forbidden)
+    for k in range(sub.tournament.num_vertices - len(forb) + 1):
+        res = branch_solve(sub.tournament, Constraints(forbidden=forb, budget=k))
+        if res.found:
+            return frozenset(sub.to_host[v] for v in res.solution)
+    return None
+
+
+class TestPartMinFvs:
+    def test_matches_search_on_the_remainder(self):
+        # with no forbidden vertex the remainder route also runs the
+        # reduction rules, which the in-place search (removed required)
+        # skips; the answer must not depend on it
+        kinds = (GenKind.UNIFORM_RANDOM, GenKind.TWIN_HEAVY, GenKind.PLANTED_FVS)
+        reduced_only_there = 0
+        for seed in range(200):
+            rng = SplitMix64(seed + 900)
+            part = generate(GenSpec(3 + rng.below(4), 3 + rng.below(4), kinds[seed % 3],
+                                    seed=seed, k_plant=2))
+            verts = part.vertices()
+            removed = {v for v in verts if rng.below(6) == 0}
+            forbidden = set()
+            if seed % 4:
+                forbidden = {v for v in verts if v not in removed and rng.below(4) == 0}
+            reduced_only_there += bool(removed) and not forbidden
+            assert _part_min_fvs(part, removed, forbidden) == \
+                _part_min_fvs_on_remainder(part, removed, forbidden), seed
+        assert reduced_only_there >= 30

@@ -111,3 +111,14 @@ def test_benchmark_calls_bind_to_btfvs_signatures():
                 raise AssertionError(f"{where}: {exc}") from None
             checked.append(where)
     assert any("pipeline_solve" in w for w in checked), checked
+
+
+def test_branch_solve_lookup_sites_are_the_solver():
+    # the tracer counts part searches and fallback time by wrapping
+    # branch_solve where dfvc and pipeline look it up; a local wrapper or
+    # copy there would hide those searches from it
+    import btfvs.dfvc
+    import btfvs.pipeline
+    import btfvs.solvers
+    assert btfvs.dfvc.branch_solve is btfvs.solvers.branch_solve
+    assert btfvs.pipeline.branch_solve is btfvs.solvers.branch_solve

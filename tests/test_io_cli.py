@@ -123,6 +123,20 @@ class TestCli:
         assert main(argv[command]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--solution", "zz"],
+        ["solve", "--forbidden", "zz"],
+        ["solve", "--cover-edges", "a0-zz"],
+        ["structure", "--m-seq", "--m", "zz"],
+        ["oracle", "--required", "qq"],
+    ])
+    def test_unknown_label_is_usage_error(self, square_file, capsys, argv):
+        code = main([argv[0], str(square_file), *argv[1:]])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert repr(argv[-1].rsplit("-", 1)[-1]) in err
+
     def test_solve_yes(self, square_file, capsys):
         code = main(["solve", str(square_file)])
         assert code == 0

@@ -5,8 +5,11 @@ import hashlib
 import pytest
 
 from btfvs import pipeline, solvers
+from btfvs.cli import main
+from btfvs.dfvc import dfvc_solve
 from btfvs.errors import FamilyCapExceeded, PreconditionViolated
 from btfvs.generators import GenKind, GenSpec, SplitMix64, generate
+from btfvs.io import serialize_instance
 from btfvs.msequence import back_edges, m_sequence
 from btfvs.pipeline import (STAGES, CfvsInstance, ConstantsProfile,
                             derive_forced_p, find_decoupling, is_low_block_degree,
@@ -597,7 +600,6 @@ class TestEndgame:
                 for (ga, gb) in d.graph.undirected:
                     u, w = red.to_host[ga], red.to_host[gb]
                     assert (u, w) in child.F or (w, u) in child.F
-                from btfvs.dfvc import dfvc_solve
                 res = dfvc_solve(d)
                 if res.found:
                     lifted = child.P | {red.to_host[gv] for gv in res.solution}
@@ -634,12 +636,50 @@ class TestPipelineSolve:
                     assert verify_fvs(T, res.solution)
                     assert len(res.solution) <= k
 
-    def test_workers_agree(self):
+    def test_only_one_worker(self, tmp_path):
         T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=21))
         opt = len(oracle_min_fvs(T).solution)
-        seq = pipeline_solve(T, opt, TOY)
-        par = pipeline_solve(T, opt, TOY, workers=2)
-        assert seq.found == par.found
+        with pytest.raises(ValueError):
+            pipeline_solve(T, opt, TOY, workers=2)
+
+        def outcome(res):
+            return (res.status, res.solution, res.stats.nodes, res.trace,
+                    res.diagnostics, res.used_fallback)
+
+        assert outcome(pipeline_solve(T, opt, TOY, workers=1)) == \
+            outcome(pipeline_solve(T, opt, TOY))
+        path = tmp_path / "inst.json"
+        path.write_text(serialize_instance(T, k=opt))
+        assert main(["--workers", "2", "--profile", "toy", "pipeline", str(path)]) == 2
+
+    def test_endgame_reduces_only_the_children_it_tries(self, monkeypatch):
+        # the cascade answers from a 93-child final family; the endgame
+        # packages the children one at a time, in family order, and stops
+        # at the first whose answer verifies
+        T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2))
+        red = solvers.reduce_instance(T, 2)
+        family, _, _ = run_cascade(red.tournament, 2, TOY)
+        original = pipeline.to_dfvc
+        tried = []
+
+        def recording(inst, profile):
+            tried.append(inst)
+            return original(inst, profile)
+
+        monkeypatch.setattr(pipeline, "to_dfvc", recording)
+        res = pipeline_solve(T, 2, TOY)
+        monkeypatch.undo()
+        assert res.found and not res.used_fallback
+        assert res.stats.nodes == len(family) == 93
+
+        def key(inst):
+            return (inst.M, inst.P, inst.F)
+
+        assert [key(c) for c in tried] == [key(c) for c in family[:3]]
+        last = original(tried[-1], TOY)
+        answer = dfvc_solve(last.instance)
+        lifted = tried[-1].P | {last.to_host[gv] for gv in answer.solution}
+        assert frozenset(red.to_host[v] for v in lifted) == res.solution
 
     @pytest.mark.parametrize("seed", [1, 3, 4])
     def test_fallback_runs_on_the_reduction(self, seed, monkeypatch):
