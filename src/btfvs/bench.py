@@ -70,8 +70,10 @@ def bench(corpus: list[tuple[str, BipartiteTournament, int | None]],
     Minimum sizes from the complete minimum-seeking solvers (oracle, exact)
     must match, and the budgeted solvers (branch, pipeline) must agree with
     each other on feasibility.  Records come back sorted by (instance,
-    solver) regardless of worker count.
+    solver) regardless of worker count; ``workers`` < 1 raises ValueError.
     """
+    if workers < 1:
+        raise ValueError(f"bench needs at least one worker, got workers={workers}")
     for s in solvers:
         if s not in KNOWN_SOLVERS:
             raise ValueError(f"unknown solver {s!r}; pick from {KNOWN_SOLVERS}")

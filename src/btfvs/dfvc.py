@@ -111,7 +111,6 @@ def dfvc_solve(inst: DfvcInstance) -> SolveResult:
     nodes = 0
 
     def finish(deleted: frozenset):
-        nonlocal nodes
         total: set = set(deleted)
         for pi, part in enumerate(g.parts):
             removed_here = {v for (pj, v) in deleted if pj == pi}

@@ -113,9 +113,10 @@ class CfvsInstance:
     contains P, and covers F.
 
     The block structure of T - P relative to M, which every stage predicate
-    reads, is derived once on first use and cached as :attr:`view`, in host
-    coordinates.  ``dataclasses.replace`` builds a child with an empty cache;
-    a child that differs only in F may be handed its parent's view.
+    reads, is cached as :attr:`view`, in host coordinates.  An instance with
+    no parent derives it on first use; a stage child (see :func:`_child`)
+    inherits its parent's view minus the vertices it adds to P, since a
+    vertex's block depends only on T, M and the vertex itself.
     """
 
     T: BipartiteTournament
@@ -166,6 +167,23 @@ def live_structure(inst: CfvsInstance) -> BlockView:
     """Build the block view of T - P, on the host tournament itself."""
     seq = m_sequence(inst.T, inst.M, within=frozenset(inst.T.vertices()) - inst.P)
     return BlockView(seq.blocks, seq.block_index_map(), tuple(back_edges(inst.T, seq)))
+
+
+def _child(inst: CfvsInstance, P: frozenset | None = None,
+           F: frozenset | None = None) -> CfvsInstance | None:
+    """``inst`` with P grown to ``P`` (a superset of inst.P) and/or F set to
+    ``F``, holding its parent's view minus the added vertices; None when the
+    new P meets M or exceeds k, as no solution then contains it."""
+    P = inst.P if P is None else P
+    if P & inst.M or len(P) > inst.k:
+        return None
+    child = replace(inst, P=P, F=inst.F if F is None else F)
+    gone, view = P - inst.P, inst.view
+    child.__dict__["view"] = view if not gone else BlockView(
+        tuple((x - gone, y - gone) for (x, y) in view.blocks),
+        {v: i for v, i in view.block_of.items() if v not in gone},
+        tuple(e for e in view.back if e.tail not in gone and e.head not in gone))
+    return child
 
 
 def _index_of(groups: Iterable[frozenset]) -> dict:
@@ -366,12 +384,8 @@ def stage_regular(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsIns
     out = []
     for combo in _small_subsets(sorted(big - inst.M), slack - len(mandatory),
                                 "oversized-block stage", profile):
-        forced = big - mandatory - frozenset(combo)
-        new_p = inst.P | forced
-        if len(new_p) > inst.k:
-            continue  # cannot be part of any budget-k solution
-        child = replace(inst, P=new_p)
-        if is_regular(child, profile):
+        child = _child(inst, P=inst.P | (big - mandatory - frozenset(combo)))
+        if child is not None and is_regular(child, profile):
             out.append(child)
     return out
 
@@ -422,11 +436,8 @@ def stage_weak(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsInstan
     out = []
     for combo in _small_subsets(sorted(big), profile.budget_slack,
                                 "back-edge coupling stage", profile):
-        f_new = (big - frozenset(combo)) | longs | inst.F
-        child = replace(inst, F=f_new)
-        # only F changed, so T - P and M, hence the view, are the parent's
-        child.__dict__["view"] = inst.view
-        if is_weakly_coupled(child, profile):
+        child = _child(inst, F=(big - frozenset(combo)) | longs | inst.F)
+        if child is not None and is_weakly_coupled(child, profile):
             out.append(child)
     return out
 
@@ -501,16 +512,13 @@ def matched_branching(edges: Iterable[tuple], budget: int,
 
 def stage_matched(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsInstance]:
     """Branch until the live constraint edges form a matching; children keep
-    F and grow P by the branch additions."""
-    live_edges = inst.live_f()
-    remaining = inst.k - len(inst.P)
-    if remaining < 0:
-        return []
+    F and grow P by the branch additions, so every child is matched."""
     out = []
-    for added in matched_branching(live_edges, remaining, cap=profile.family_cap):
-        child = replace(inst, P=inst.P | added)
-        if is_regular(child, profile) and is_weakly_coupled(child, profile) \
-                and is_matched(child):
+    for added in matched_branching(inst.live_f(), inst.k - len(inst.P),
+                                   cap=profile.family_cap):
+        child = _child(inst, P=inst.P | added)
+        if child is not None and is_regular(child, profile) \
+                and is_weakly_coupled(child, profile):
             out.append(child)
     return out
 
@@ -552,6 +560,7 @@ def stage_lowblockdegree(inst: CfvsInstance, profile: ConstantsProfile) -> list[
     t_cap = max(0, (2 * inst.k) // profile.block_degree)
 
     out = []
+    seen: set = set()
     work = 0
 
     def bump(n=1):
@@ -604,21 +613,14 @@ def stage_lowblockdegree(inst: CfvsInstance, profile: ConstantsProfile) -> list[
                             q_edges = [(u, w) for (u, w) in live_f
                                        if (u in (x_union | y_union) or w in (x_union | y_union))
                                        and u not in p3 and w not in p3]
-                            p4 = p3 | x_preferred_cover(q_edges, x_union | y_union)
-                            if p4 & inst.M or len(p4) > inst.k:
+                            p4 = frozenset(p3 | x_preferred_cover(q_edges, x_union | y_union))
+                            if p4 in seen:  # another guess collapsed onto it
                                 continue
-                            child = replace(inst, P=frozenset(p4))
-                            if is_low_block_degree(child, profile):
+                            seen.add(p4)
+                            child = _child(inst, P=p4)
+                            if child is not None and is_low_block_degree(child, profile):
                                 out.append(child)
-    # deduplicate children that different guesses collapse onto
-    seen: set = set()
-    unique = []
-    for child in out:
-        key = (child.P, child.F)
-        if key not in seen:
-            seen.add(key)
-            unique.append(child)
-    return unique
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +714,8 @@ def stage_decoupled(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsI
     """Resolve cross-part back edges: guess the subset B left uncovered,
     then branch over the sides of a minimum vertex cover D of the rest
     (each subset C of D joins the solution together with the uncovered
-    neighbors of D - C)."""
+    neighbors of D - C).  A larger P keeps the instance regular, weakly
+    coupled and matched, so children are checked only for the rest."""
     for name, pred in (("regular", is_regular), ("weakly-coupled", is_weakly_coupled)):
         if not pred(inst, profile):
             raise PreconditionViolated(name)
@@ -747,15 +750,11 @@ def stage_decoupled(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsI
                     if v not in chosen:
                         forced |= neigh.get(v, set())
                 new_p = inst.P | forced
-                if new_p & inst.M or len(new_p) > inst.k:
+                if new_p in seen:
                     continue
-                child = replace(inst, P=frozenset(new_p))
-                key = (child.P, child.F)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if is_regular(child, profile) and is_weakly_coupled(child, profile) \
-                        and is_matched(child) and is_low_block_degree(child, profile) \
+                seen.add(new_p)
+                child = _child(inst, P=new_p)
+                if child is not None and is_low_block_degree(child, profile) \
                         and find_decoupling(child, profile) is not None:
                     out.append(child)
     return out

@@ -14,6 +14,7 @@ points distinct and gives the family its exact size q^(m*t).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .errors import NotPrimePower
@@ -43,25 +44,13 @@ def prime_power_decompose(q: int) -> tuple[int, int]:
 
 def _poly_mul_mod(a: tuple, b: tuple, mod: tuple, p: int) -> tuple:
     """Product of coefficient tuples, reduced modulo the monic ``mod``."""
-    deg_mod = len(mod) - 1
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if not ai:
             continue
         for j, bj in enumerate(b):
             out[i + j] = (out[i + j] + ai * bj) % p
-    # reduce: repeatedly subtract shifted multiples of mod
-    for top in range(len(out) - 1, deg_mod - 1, -1):
-        c = out[top]
-        if c:
-            out[top] = 0
-            shift = top - deg_mod
-            for i, mi in enumerate(mod):
-                out[shift + i] = (out[shift + i] - c * mi) % p
-    out = out[:deg_mod]
-    while len(out) < deg_mod:
-        out.append(0)
-    return tuple(out)
+    return tuple(_poly_remainder(out, mod, p))
 
 
 def _poly_remainder(num: list, den: tuple, p: int) -> list:
@@ -146,25 +135,29 @@ class SampleSpace:
         return len(self.functions)
 
 
-def twise_space_size(n: int, t: int, q: int) -> int:
-    """Size the construction will produce, without materializing it."""
-    p, e = prime_power_decompose(q)
+def _extension_degree(n: int, q: int) -> int:
+    """The smallest m with q^m >= n + 1."""
     m = 1
     while q ** m < n + 1:
         m += 1
-    return q ** (m * t)
+    return m
 
 
+def twise_space_size(n: int, t: int, q: int) -> int:
+    """Size the construction will produce, without materializing it."""
+    prime_power_decompose(q)
+    return q ** (_extension_degree(n, q) * t)
+
+
+@lru_cache(maxsize=16)
 def twise_space(n: int, t: int, q: int) -> SampleSpace:
     """Construct the full family; exact t-wise independence by evaluation of
-    all degree-(t-1) polynomials, projected onto the base-q alphabet."""
+    all degree-(t-1) polynomials, projected onto the base-q alphabet.  The
+    space is immutable, so repeated calls share one cached object."""
     if n < 1 or t < 1:
         raise ValueError("need n >= 1 and t >= 1")
     p, e = prime_power_decompose(q)
-    m = 1
-    while q ** m < n + 1:
-        m += 1
-    field = FiniteField(p, e * m)
+    field = FiniteField(p, e * _extension_degree(n, q))
     points = list(range(1, n + 1))
     functions = []
     # coefficient tuples in lexicographic order, constant term last so the

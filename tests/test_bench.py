@@ -74,6 +74,16 @@ class TestBench:
         assert sorted(rows) == sorted([iid, s] for iid, _, _ in corpus
                                       for s in ("oracle", "branch"))
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers, tmp_path):
+        with pytest.raises(ValueError):
+            bench(small_corpus(count=1), ["branch"], workers=workers)
+        (tmp_path / "corpus").mkdir()
+        for iid, T, k in small_corpus(count=1):
+            (tmp_path / "corpus" / f"{iid}.json").write_text(serialize_instance(T, k=k))
+        assert main(["--workers", str(workers), "bench", "--corpus",
+                     str(tmp_path / "corpus"), "--solvers", "branch"]) == 2
+
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError):
             bench(small_corpus(count=1), ["magic"])

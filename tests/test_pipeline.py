@@ -20,7 +20,7 @@ from btfvs.pipeline import (STAGES, CfvsInstance, ConstantsProfile,
                             stage_decoupled, stage_regular, stage_weak,
                             to_dfvc)
 from btfvs.reference import window_property_brute
-from btfvs.samplespace import twise_space_size
+from btfvs.samplespace import twise_space, twise_space_size
 from btfvs.solvers import (Constraints, SolveStatus, branch_solve, exact_min_fvs,
                            oracle_min_fvs, verify_fvs)
 from btfvs.structure import is_acyclic
@@ -106,6 +106,11 @@ class TestMFamily:
         with pytest.raises(FamilyCapExceeded) as exc:
             m_family(T, 2, prof)
         assert exc.value.would_be > 10
+
+    def test_sample_space_built_once(self):
+        # the space depends only on (n, t, q): every solve with the same
+        # reduced size and profile shares one object
+        assert twise_space(9, 2, 2) is twise_space(9, 2, 2)
 
     def test_deterministic(self):
         T = generate(GenSpec(3, 2, GenKind.UNIFORM_RANDOM, seed=7))
@@ -452,6 +457,8 @@ class TestEndgamePinned:
 
 class TestBlockView:
     def test_view_built_at_most_once_per_instance(self, monkeypatch):
+        # each seed builds its view once; every stage child inherits its
+        # parent's, so no other instance builds one
         builds = []
         original = pipeline.live_structure
 
@@ -459,41 +466,44 @@ class TestBlockView:
             builds.append(inst)
             return original(inst)
 
-        monkeypatch.setattr(pipeline, "live_structure", counting)
         T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2))
+        seeds = seed_instances(solvers.reduce_instance(T, 2).tournament, 2, TOY)
+        monkeypatch.setattr(pipeline, "live_structure", counting)
         res = pipeline_solve(T, 2, TOY)
-        sizes = dict(res.trace)
-        assert sizes.get("decoupled", 0) > 0
-        assert 0 < len(builds) <= sum(sizes.values())
+        assert dict(res.trace).get("decoupled", 0) > 0
+
+        def key(inst):
+            return (inst.M, inst.P, inst.F)
+
+        assert [key(i) for i in builds] == [key(s) for s in seeds]
 
     def test_view_matches_sub_tournament_route(self):
-        # the host-mask view equals the partition of T.remove(P), with its
-        # blocks and back edges (in scan order) mapped back to host vertices
-        checked = 0
-        for seed in range(40):
-            inst = seeded_cfvs(seed, max_side=5)
-            if inst is None:
-                continue
-            try:
-                family = [inst] + stage_regular(inst, TOY)
-            except FamilyCapExceeded:
-                family = [inst]
-            for child in family:
-                live = child.T.remove(child.P)
-                seq = m_sequence(live.tournament,
-                                 (live.from_host[v] for v in child.M))
-                host = live.to_host
-                blocks = tuple((frozenset(host[v] for v in x),
-                                frozenset(host[v] for v in y))
-                               for (x, y) in seq.blocks)
-                back = [(host[e.tail], host[e.head], e.tail_block, e.head_block)
-                        for e in back_edges(live.tournament, seq)]
-                assert child.view.blocks == blocks
-                assert [tuple(e) for e in child.view.back] == back
-                assert child.view.block_of == {
-                    v: i for i, (x, y) in enumerate(blocks) for v in x | y}
-                checked += 1
-        assert checked > 40
+        # hand-built instances and every stage's instances -- seeds building
+        # their own views, children inheriting theirs -- hold the partition
+        # of T.remove(P), with its blocks and back edges (in scan order)
+        # mapped back to host vertices
+        family = [("hand-built", inst) for inst in
+                  (seeded_cfvs(seed, max_side=5) for seed in range(40)) if inst is not None]
+        for spec, k in ((GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2), 2),
+                        (GenSpec(5, 5, GenKind.PLANTED_FVS, seed=5, k_plant=2), 1),
+                        (GenSpec(4, 5, GenKind.PLANTED_FVS, seed=2, k_plant=2), 2)):
+            run_cascade(generate(spec), k, TOY, collect=lambda stage, _, children:
+                        family.extend((stage, c) for c in children))
+        checked = dict.fromkeys(("hand-built",) + STAGES, 0)
+        for stage, child in family:
+            live = child.T.remove(child.P)
+            seq = m_sequence(live.tournament, (live.from_host[v] for v in child.M))
+            host = live.to_host
+            blocks = tuple((frozenset(host[v] for v in x), frozenset(host[v] for v in y))
+                           for (x, y) in seq.blocks)
+            back = [(host[e.tail], host[e.head], e.tail_block, e.head_block)
+                    for e in back_edges(live.tournament, seq)]
+            assert child.view.blocks == blocks
+            assert [tuple(e) for e in child.view.back] == back
+            assert child.view.block_of == {
+                v: i for i, (x, y) in enumerate(blocks) for v in x | y}
+            checked[stage] += 1
+        assert all(checked.values()), checked
 
 
 class TestDecoupling:
