@@ -21,7 +21,8 @@ from typing import NamedTuple
 from .errors import NotAMatching
 from .graph import BipartiteTournament, MixedMultigraph
 from .solvers import (ORACLE_DEFAULT_CAP, Constraints, SolveResult, SolveStats,
-                      SolveStatus, _ms, approx4, branch_solve, oracle_min_fvs)
+                      SolveStatus, _ms, approx4, branch_solve, oracle_min_fvs,
+                      squares_packing_lower_bound)
 
 GlobalVertex = tuple  # (part_index, Vertex)
 
@@ -79,10 +80,13 @@ def _part_min_fvs(part: BipartiteTournament, removed: set, forbidden: set):
 
     Searched for ascending k on the part itself, with ``removed`` required
     in the solution and counted in the budget, so the part is never
-    re-induced; ``removed`` is dropped from the answer.
+    re-induced; ``removed`` is dropped from the answer.  The search starts at
+    the square-packing bound of the part minus ``removed``, below which no k
+    can succeed.
     """
     deletable = part.num_vertices - len(removed) - len(forbidden)
-    for k in range(deletable + 1):
+    lb = squares_packing_lower_bound(part, forbidden, alive=set(part.vertices()) - removed)
+    for k in range(lb, deletable + 1):
         res = branch_solve(part, Constraints(forbidden=forbidden, required_in=removed,
                                              budget=len(removed) + k))
         if res.found:

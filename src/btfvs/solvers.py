@@ -6,8 +6,10 @@ Four routes with very different trust stories:
   other solver is tested against; capped at small instances.
 * ``approx4``         -- greedy square deletion, factor-4 approximation.
 * ``branch_solve``    -- budgeted branching over squares and constraint
-  edges, with safe reduction and a packing lower bound.
-* ``exact_min_fvs``   -- ascending-budget iteration over ``branch_solve``.
+  edges, with safe reduction, a packing lower bound over each node's live
+  squares and a per-call table of dead ``removed`` masks.
+* ``exact_min_fvs``   -- ascending-budget iteration over ``branch_solve``,
+  from the square-packing lower bound up.
 
 All solvers honor ``Constraints``: a set of undeletable vertices, a set of
 vertices forced into the solution, an edge set the solution must cover, and
@@ -251,6 +253,21 @@ def branch_solve(T: BipartiteTournament,
     endpoint, or when the greedy square-packing bound exceeds the remaining
     budget.  Single-threaded and deterministic: the first solution in branch
     order is returned.
+
+    Each node carries its live squares: the squares of the reduced instance
+    that miss ``removed``, in ``all_squares`` order, handed down minus the
+    squares through the deleted vertex.  The packing bound scans only them,
+    and a node with none left is a solution.
+
+    Within one call a node's state is a function of its ``removed`` mask
+    alone: every child deletes one vertex not yet deleted, so the budget
+    left is the budget minus ``popcount(removed)``; every constraint edge
+    before the node's index is covered, so the next uncovered one follows
+    from ``removed``; and so do the live squares.  A mask whose subtree
+    found nothing is therefore recorded as dead, and a child reaching a dead
+    mask again (by another order of the same deletions) is skipped.  Only
+    subtrees without a solution are skipped, so the first solution in
+    branch order is the one returned without the table.
     """
     if constraints is None:
         constraints = Constraints()
@@ -276,16 +293,16 @@ def branch_solve(T: BipartiteTournament,
     removed0 = work.mask_of(base)
     cover = [(1 << work.gid(u), 1 << work.gid(w))
              for (u, w) in sorted(constraints.cover_edges)]
-    square_masks = all_squares(work)
     full = work.full_mask
+    dead: set[int] = set()  # removed masks whose subtree holds no solution
     nodes = 0
 
-    def packing_bound(removed: int) -> int | None:
+    def packing_bound(live: list[int]) -> int | None:
         """Greedy disjoint live squares; None signals an unbreakable square."""
         used = 0
         count = 0
-        for mask in square_masks:
-            if mask & removed or mask & used:
+        for mask in live:
+            if mask & used:
                 continue
             if mask & ~forb_mask == 0:
                 return None
@@ -293,7 +310,20 @@ def branch_solve(T: BipartiteTournament,
             count += 1
         return count
 
-    def rec(removed: int, left: int, cover_idx: int) -> int | None:
+    def branch(removed: int, bits, left: int, cover_idx: int,
+               live: list[int]) -> int | None:
+        """Try deleting each deletable bit of ``bits`` in order."""
+        for b in bits:
+            child = removed | b
+            if b & forb_mask or child in dead:
+                continue
+            result = rec(child, left - 1, cover_idx, [q for q in live if not q & b])
+            if result is not None:
+                return result
+            dead.add(child)
+        return None
+
+    def rec(removed: int, left: int, cover_idx: int, live: list[int]) -> int | None:
         nonlocal nodes
         nodes += 1
         # resolve constraint edges before touching squares
@@ -304,32 +334,18 @@ def branch_solve(T: BipartiteTournament,
                 continue
             if left <= 0:
                 return None
-            for b in (bu, bw):
-                if not b & forb_mask:
-                    result = rec(removed | b, left - 1, cover_idx + 1)
-                    if result is not None:
-                        return result
-            return None
-        bound = packing_bound(removed)
-        if bound is None:
-            return None
-        if bound > left:
+            return branch(removed, (bu, bw), left, cover_idx + 1, live)
+        if not live:
+            return removed
+        bound = packing_bound(live)
+        if bound is None or bound > left:
             return None
         sq = find_square(work, full & ~removed)
-        if sq is None:
-            return removed
-        if left <= 0:
-            return None
-        for v in sq.vertices():
-            b = 1 << work.gid(v)
-            if b & forb_mask:
-                continue
-            result = rec(removed | b, left - 1, cover_idx)
-            if result is not None:
-                return result
-        return None
+        return branch(removed, [1 << work.gid(v) for v in sq.vertices()],
+                      left, cover_idx, live)
 
-    answer = rec(removed0, remaining, 0)
+    live0 = [mask for mask in all_squares(work) if not mask & removed0]
+    answer = rec(removed0, remaining, 0, live0)
     stats = SolveStats(nodes, _ms(t0))
     if answer is None:
         return SolveResult(SolveStatus.NO_SOLUTION, None, stats)
@@ -341,8 +357,10 @@ def branch_solve(T: BipartiteTournament,
 
 
 def exact_min_fvs(T: BipartiteTournament) -> frozenset:
-    """Minimum feedback vertex set by ascending-budget iteration."""
-    for k in range(T.num_vertices + 1):
+    """Minimum feedback vertex set by ascending-budget iteration over
+    ``branch_solve``, starting at the greedy square-packing bound: no budget
+    below it can succeed, so the first budget that does is the optimum."""
+    for k in range(squares_packing_lower_bound(T), T.num_vertices + 1):
         res = branch_solve(T, Constraints(budget=k))
         if res.found:
             return res.solution

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from btfvs import solvers
 from btfvs.errors import InstanceTooLarge
 from btfvs.generators import GenKind, GenSpec, SplitMix64, generate
 from btfvs.reference import brute_squares
@@ -224,12 +225,67 @@ class TestBranchSolve:
         res = branch_solve(square_2x2, cons2)
         assert res.found and res.solution == {a(0), b(0)}
 
+    def test_pruning_keeps_the_first_solution(self):
+        # the packing bound and the dead-mask table only cut subtrees without
+        # a solution, so the unpruned search in the same order finds the same
+        # first one; cover edges are where a dead mask could hide state
+        outcomes = set()
+        for seed in range(200):
+            T = generate(GenSpec(2 + seed % 4, 2 + (seed // 4) % 4,
+                                 GenKind.UNIFORM_RANDOM, seed=seed + 3000))
+            cons = random_constraints(T, SplitMix64(seed + 3000))
+            for c in (cons, Constraints(budget=cons.budget)):
+                want = _unpruned_branch(T, c)
+                got = branch_solve(T, c)
+                assert got.solution == want, f"seed {seed}, {c}"
+                outcomes.add((bool(c.cover_edges), got.found))
+        assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
     def test_cover_edges_enforced(self, chain_2x2):
         edge = (a(0), b(1))
         cons = Constraints(cover_edges=frozenset({edge}), budget=1)
         res = branch_solve(chain_2x2, cons)
         assert res.found
         assert a(0) in res.solution or b(1) in res.solution
+
+
+def _unpruned_branch(T, cons):
+    """branch_solve's search with neither the packing bound nor the dead
+    table: on the same ``work`` (reduced only when ``cons`` is free), cover
+    edges in sorted order first, then the deletable vertices of
+    find_square's square.  Returns the first solution in that order, or
+    None."""
+    base = cons.required_in
+    left = cons.budget - len(base)
+    if left < 0:
+        return None
+    work, lift = T, {}
+    if cons.is_free():
+        red = reduce_instance(T, cons.budget)
+        work, lift = red.tournament, red.to_host
+    forb = work.mask_of(cons.forbidden)
+    cover = [(1 << work.gid(u), 1 << work.gid(w)) for (u, w) in sorted(cons.cover_edges)]
+
+    def rec(removed, left):
+        bits = next(((bu, bw) for bu, bw in cover if not removed & (bu | bw)), None)
+        if bits is None:
+            sq = find_square(work, work.full_mask & ~removed)
+            if sq is None:
+                return removed
+            bits = [1 << work.gid(v) for v in sq.vertices()]
+        if left <= 0:
+            return None
+        for bit in bits:
+            if not bit & forb:
+                found = rec(removed | bit, left - 1)
+                if found is not None:
+                    return found
+        return None
+
+    found = rec(work.mask_of(base), left)
+    if found is None:
+        return None
+    return frozenset({lift.get(v, v) for v in work.vertices_of_mask(found)} | base)
 
 
 class TestExact:
@@ -257,50 +313,86 @@ def _labels(T, vs):
     return None if vs is None else sorted(T.label(v) for v in vs)
 
 
-def _outcome(T, res):
-    return res.status.value, _labels(T, res.solution), res.stats.nodes
-
-
-def _square_layer_digest(spec):
-    """(opt, square count, digest) of every square-layer answer on the
-    generated instance: the all_squares mask list in order, find_square,
-    approx4 and reduce_instance (kept host labels) at opt, the packing
-    bound, branch_solve at opt - 1, at opt and under seeded constraints
-    (status, solution, nodes), and exact_min_fvs."""
+def _square_layer_answers(spec):
+    """(opt, square count, digest, branch nodes) on the generated instance.
+    The digest covers every square-layer answer: the all_squares mask list
+    in order, find_square, approx4 and reduce_instance (kept host labels) at
+    opt, the packing bound, the status and solution of branch_solve at
+    opt - 1, at opt and under seeded constraints, and exact_min_fvs.  The
+    node counts of those three branch_solve calls are returned apart, since
+    pruning may lower them without changing an answer."""
     T = generate(spec)
     opt = len(exact_min_fvs(T))
     masks = all_squares(T)
     red = reduce_instance(T, opt)
+    runs = [branch_solve(T, Constraints(budget=opt - 1)),
+            branch_solve(T, Constraints(budget=opt)),
+            branch_solve(T, random_constraints(T, SplitMix64(spec.seed)))]
     records = [
         masks,
         find_square(T),
         _labels(T, approx4(T, opt)),
         squares_packing_lower_bound(T),
         _labels(T, red.to_host.values()),
-        _outcome(T, branch_solve(T, Constraints(budget=opt - 1))),
-        _outcome(T, branch_solve(T, Constraints(budget=opt))),
-        _outcome(T, branch_solve(T, random_constraints(T, SplitMix64(spec.seed)))),
+        *[(res.status.value, _labels(T, res.solution)) for res in runs],
         _labels(T, exact_min_fvs(T)),
     ]
-    return opt, len(masks), hashlib.sha256(repr(records).encode()).hexdigest()[:16]
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()[:16]
+    return opt, len(masks), digest, tuple(res.stats.nodes for res in runs)
+
+
+PINNED_SPECS = [
+    GenSpec(5, 5, GenKind.UNIFORM_RANDOM, seed=1),
+    GenSpec(7, 7, GenKind.UNIFORM_RANDOM, seed=3),
+    GenSpec(9, 9, GenKind.UNIFORM_RANDOM, seed=7),
+    GenSpec(6, 7, GenKind.PLANTED_FVS, seed=2, k_plant=3),
+    GenSpec(7, 7, GenKind.TWIN_HEAVY, seed=4, twin_a=2, twin_b=2),
+    GenSpec(5, 5, GenKind.ACYCLIC, seed=5),
+]
 
 
 class TestSquareLayerPinned:
-    """The square layer's answers, pinned to values recorded before it moved
-    to gid bitmasks; a change of scan order, branch order or node count
-    shows here."""
+    """The square layer's answers, pinned to values recorded before the
+    branching search gained its live square lists and dead-mask table; a
+    change of scan order or branch order shows here.  Node counts are
+    pinned apart, in ``test_node_counts``."""
 
-    @pytest.mark.parametrize("spec, want", [
-        (GenSpec(5, 5, GenKind.UNIFORM_RANDOM, seed=1), (2, 13, "1b30c640d25b2e4d")),
-        (GenSpec(7, 7, GenKind.UNIFORM_RANDOM, seed=3), (5, 56, "87d7ef31907e2fff")),
-        (GenSpec(9, 9, GenKind.UNIFORM_RANDOM, seed=7), (6, 141, "0f3340a63db36b60")),
-        (GenSpec(6, 7, GenKind.PLANTED_FVS, seed=2, k_plant=3), (2, 14, "afb5a1dc4b96bb65")),
-        (GenSpec(7, 7, GenKind.TWIN_HEAVY, seed=4, twin_a=2, twin_b=2),
-         (3, 36, "6f8465c88d66c9c0")),
-        (GenSpec(5, 5, GenKind.ACYCLIC, seed=5), (0, 0, "120729f1b675bfbf")),
-    ])
+    @pytest.mark.parametrize("spec, want", list(zip(PINNED_SPECS, [
+        (2, 13, "a20bb1805d90d2c2"),
+        (5, 56, "a4a0f142fdc1a913"),
+        (6, 141, "6f08f4666eb07710"),
+        (2, 14, "e9eff941e7cb055f"),
+        (3, 36, "b36e45e71b722c24"),
+        (0, 0, "200ccb44e2ec7983"),
+    ])))
     def test_answers_unchanged(self, spec, want):
-        assert _square_layer_digest(spec) == want
+        assert _square_layer_answers(spec)[:3] == want
+
+    @pytest.mark.parametrize("spec, nodes", list(zip(PINNED_SPECS, [
+        (1, 10, 5),
+        (98, 8, 4),
+        (131, 186, 23),
+        (1, 5, 1),
+        (1, 6, 3),
+        (0, 1, 1),
+    ])))
+    def test_node_counts(self, spec, nodes):
+        # branch_solve nodes at opt - 1, at opt and under seeded constraints
+        assert _square_layer_answers(spec)[3] == nodes
+
+    @pytest.mark.parametrize("spec", PINNED_SPECS)
+    def test_exact_starts_at_packing_bound(self, spec, monkeypatch):
+        # exact_min_fvs tries budgets from the packing bound up to the optimum
+        budgets = []
+
+        def recording(T, constraints=None):
+            budgets.append(constraints.budget)
+            return branch_solve(T, constraints)
+
+        monkeypatch.setattr(solvers, "branch_solve", recording)
+        T = generate(spec)
+        opt = len(exact_min_fvs(T))
+        assert budgets == list(range(squares_packing_lower_bound(T), opt + 1))
 
     def test_mask_inputs_match_induced_route(self):
         # approx4 and false_twin_classes on a vertex mask of T equal the same
