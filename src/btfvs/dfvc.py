@@ -85,7 +85,10 @@ def _part_min_fvs(part: BipartiteTournament, removed: set, forbidden: set):
     can succeed.
     """
     deletable = part.num_vertices - len(removed) - len(forbidden)
-    lb = squares_packing_lower_bound(part, forbidden, alive=set(part.vertices()) - removed)
+    lb = squares_packing_lower_bound(part, part.mask_of(forbidden),
+                                     part.full_mask & ~part.mask_of(removed))
+    if lb is None:
+        return None
     for k in range(lb, deletable + 1):
         res = branch_solve(part, Constraints(forbidden=forbidden, required_in=removed,
                                              budget=len(removed) + k))

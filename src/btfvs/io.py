@@ -37,7 +37,8 @@ def parse_instance(text: str | bytes) -> ParsedInstance:
         if field not in obj:
             raise ParseError(f"missing required field {field!r}")
     m, n = obj["m"], obj["n"]
-    if not isinstance(m, int) or not isinstance(n, int) or m < 0 or n < 0:
+    # type(), not isinstance(): JSON true and false parse to bools, ints too
+    if type(m) is not int or type(n) is not int or m < 0 or n < 0:
         raise ParseError(f"m and n must be non-negative integers, got {m!r}, {n!r}")
     orient_raw = obj["orient"]
     if not isinstance(orient_raw, list):
@@ -53,7 +54,7 @@ def parse_instance(text: str | bytes) -> ParsedInstance:
             cells.append(bool(cell))
         orient.append(cells)
     k = obj.get("k")
-    if k is not None and (not isinstance(k, int) or k < 0):
+    if k is not None and (type(k) is not int or k < 0):
         raise ParseError(f"k must be a non-negative integer, got {k!r}")
     labels = obj.get("labels")
     if labels is not None:
@@ -184,7 +185,7 @@ def parse_dfvc(text: str | bytes):
     if not isinstance(obj, dict) or "parts" not in obj or "budget" not in obj:
         raise ParseError("mixed multigraph file needs 'parts' and 'budget'")
     budget = obj["budget"]
-    if not isinstance(budget, int) or isinstance(budget, bool):
+    if type(budget) is not int:
         raise ParseError(f"budget must be an integer, got {budget!r}")
     if not isinstance(obj["parts"], list):
         raise ParseError("parts must be an array of instance objects")

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields, replace
-from functools import cache, cached_property
+from dataclasses import dataclass, field, fields, replace
+from functools import cache
 from itertools import chain, combinations, permutations
 from math import comb
 from typing import Iterable, NamedTuple
@@ -107,16 +107,26 @@ class ConstantsProfile:
                    budget_slack=1, sample_q=2, family_cap=20_000)
 
 
+class BlockView(NamedTuple):
+    """Block structure of T - P relative to M, in host coordinates."""
+
+    blocks: tuple[tuple[frozenset, frozenset], ...]  # (X_i, Y_i)
+    block_of: dict  # host vertex -> block index
+    back: tuple[BackEdge, ...]  # row-major arc scan order
+
+
 @dataclass(frozen=True)
 class CfvsInstance:
     """One constrained question: an FVS of T of size <= k that avoids M,
     contains P, and covers F.
 
-    The block structure of T - P relative to M, which every stage predicate
-    reads, is cached as :attr:`view`, in host coordinates.  An instance with
-    no parent derives it on first use; a stage child (see :func:`_child`)
-    inherits its parent's view minus the vertices it adds to P, since a
-    vertex's block depends only on T, M and the vertex itself.
+    ``view`` is the block structure of T - P relative to M, which every
+    stage predicate reads, in host coordinates.  An instance built without
+    one is validated and derives it here (NotMConsistent if it cannot).  A
+    stage child (see :func:`_child`) is valid by construction, as stages add
+    only vertices and arcs of T, and holds its parent's view minus the
+    vertices it adds to P: a vertex's block depends only on T, M and itself.
+    ``parts`` is the split :func:`stage_decoupled` verified for a child.
     """
 
     T: BipartiteTournament
@@ -124,8 +134,12 @@ class CfvsInstance:
     P: frozenset
     F: frozenset
     k: int
+    view: BlockView | None = field(default=None, compare=False, repr=False)
+    parts: tuple[frozenset, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
+        if self.view is not None:
+            return
         object.__setattr__(self, "M", frozenset(self.M))
         object.__setattr__(self, "P", frozenset(self.P))
         object.__setattr__(self, "F", frozenset(tuple(e) for e in self.F))
@@ -136,6 +150,7 @@ class CfvsInstance:
         for (u, w) in self.F:
             if not self.T.has_arc(u, w):
                 raise ValueError(f"constraint edge {u!r}->{w!r} is not an arc")
+        object.__setattr__(self, "view", live_structure(self))
 
     def live_f(self) -> frozenset:
         """Constraint edges with both endpoints outside P (still uncovered)."""
@@ -149,18 +164,6 @@ class CfvsInstance:
     def is_solution(self, H: Iterable[Vertex]) -> bool:
         from .solvers import satisfies
         return satisfies(self.T, frozenset(H), self.constraints())
-
-    @cached_property
-    def view(self) -> BlockView:
-        return live_structure(self)
-
-
-class BlockView(NamedTuple):
-    """Block structure of T - P relative to M, in host coordinates."""
-
-    blocks: tuple[tuple[frozenset, frozenset], ...]  # (X_i, Y_i)
-    block_of: dict  # host vertex -> block index
-    back: tuple[BackEdge, ...]  # row-major arc scan order
 
 
 def live_structure(inst: CfvsInstance) -> BlockView:
@@ -177,18 +180,13 @@ def _child(inst: CfvsInstance, P: frozenset | None = None,
     P = inst.P if P is None else P
     if P & inst.M or len(P) > inst.k:
         return None
-    child = replace(inst, P=P, F=inst.F if F is None else F)
     gone, view = P - inst.P, inst.view
-    child.__dict__["view"] = view if not gone else BlockView(
-        tuple((x - gone, y - gone) for (x, y) in view.blocks),
-        {v: i for v, i in view.block_of.items() if v not in gone},
-        tuple(e for e in view.back if e.tail not in gone and e.head not in gone))
-    return child
-
-
-def _index_of(groups: Iterable[frozenset]) -> dict:
-    """Map each member of a sequence of disjoint sets to its set's index."""
-    return {v: i for i, group in enumerate(groups) for v in group}
+    if gone:
+        view = BlockView(
+            tuple((x - gone, y - gone) for (x, y) in view.blocks),
+            {v: i for v, i in view.block_of.items() if v not in gone},
+            tuple(e for e in view.back if e.tail not in gone and e.head not in gone))
+    return CfvsInstance(inst.T, inst.M, P, inst.F if F is None else F, inst.k, view)
 
 
 def _short_by_pair(inst: CfvsInstance, exclude: frozenset = frozenset()) -> list[list]:
@@ -724,7 +722,7 @@ def stage_decoupled(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsI
     if not is_low_block_degree(inst, profile):
         raise PreconditionViolated("low-block-degree")
     parts = partition_parts(inst, profile)
-    part_of = _index_of(parts)
+    part_of = {v: i for i, part in enumerate(parts) for v in part}
     cross = sorted({(u, w) for (u, w, _, _) in inst.view.back
                     if part_of.get(u) != part_of.get(w)})
     cap_b = 2 * len(parts) * (2 * profile.hom_window ** 2)
@@ -755,8 +753,8 @@ def stage_decoupled(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsI
                 seen.add(new_p)
                 child = _child(inst, P=new_p)
                 if child is not None and is_low_block_degree(child, profile) \
-                        and find_decoupling(child, profile) is not None:
-                    out.append(child)
+                        and (split := find_decoupling(child, profile)) is not None:
+                    out.append(replace(child, parts=tuple(split)))
     return out
 
 
@@ -773,10 +771,10 @@ def to_dfvc(inst: CfvsInstance, profile: ConstantsProfile) -> DfvcReduction:
     Constraint edges already covered by P have an endpoint outside the
     graph and nothing left to enforce, so only live edges cross over.
     """
-    parts = find_decoupling(inst, profile)
+    parts = inst.parts or find_decoupling(inst, profile)
     if parts is None:
         raise PreconditionViolated("decoupled")
-    part_of = _index_of(parts)
+    part_of = {v: i for i, part in enumerate(parts) for v in part}
     tournaments = []
     from_host_maps = []
     to_host: dict = {}

@@ -54,6 +54,13 @@ class TestInstanceFormat:
         with pytest.raises(ParseError):
             parse_instance('{"m": 1, "n": 1, "orient": [[true]]}')
 
+    @pytest.mark.parametrize("field", ["m", "n", "k"])
+    def test_bool_count_rejected(self, field):
+        # JSON true is a Python int; a count or budget must not accept it
+        obj = {"m": 1, "n": 2, "orient": [[1, 0]], "k": 1, field: True}
+        with pytest.raises(ParseError, match="True"):
+            parse_instance(json.dumps(obj))
+
     def test_ragged_rejected(self):
         with pytest.raises(ParseError):
             parse_instance('{"m": 2, "n": 2, "orient": [[1], [0, 1]]}')
@@ -97,6 +104,79 @@ _KNOBS = {"hom_window": 2, "large_ratio": 3, "weak_matching": 2, "block_degree":
 _MIXED = json.loads(serialize_dfvc(DfvcInstance(MixedMultigraph(
     [BipartiteTournament(2, 2, [[True, False], [False, True]],
                          labels=["u0", "u1", "v0", "v1"])], []), frozenset(), 1)))
+
+
+_SQUARE = {"m": 2, "n": 2, "orient": [[1, 0], [0, 1]], "k": 1}
+_BAD_INSTANCES = [
+    "{nope", "", "[1, 2]", "null", '"text"', '{"n": 2, "orient": []}',
+    *(json.dumps({**_SQUARE, **change}) for change in (
+        {"m": True}, {"n": False}, {"k": True}, {"k": False}, {"m": -1}, {"m": "2"},
+        {"m": 2.0}, {"m": 10 ** 12}, {"k": -1}, {"k": "1"}, {"k": 1.5},
+        {"orient": {}}, {"orient": [1, 2]}, {"orient": [[1, 2], [0, 1]]},
+        {"orient": [[True, 0], [0, 1]]}, {"orient": [[None, 0], [0, 1]]},
+        {"orient": [[[1], 0], [0, 1]]}, {"orient": [[1], [0, 1]]},
+        {"orient": [[1, 0]]}, {"labels": [1, 2, 3, 4]}, {"labels": ["a", "b"]},
+        {"labels": "abcd"})),
+]
+_PART = {"m": 1, "n": 1, "orient": [[1]], "labels": ["u", "v"]}
+_MIXED_OK = {"parts": [_PART, {**_PART, "labels": ["w", "x"]}],
+             "undirected": [["u", "w"]], "forbidden": [], "budget": 1}
+_BAD_MIXED = [
+    {**_MIXED_OK, "budget": True}, {**_MIXED_OK, "budget": 1.0},
+    {**_MIXED_OK, "parts": [{**_PART, "m": True}, _MIXED_OK["parts"][1]]},
+    {**_MIXED_OK, "parts": [{**_PART, "k": True}, _MIXED_OK["parts"][1]]},
+    {**_MIXED_OK, "parts": [5]}, {**_MIXED_OK, "parts": {}},
+    {**_MIXED_OK, "undirected": [["u", "zz"]]},
+    {**_MIXED_OK, "undirected": [["u", "w"], ["u", "x"]]},
+    {**_MIXED_OK, "forbidden": ["zz"]}, {**_MIXED_OK, "forbidden": "u"},
+    {key: v for key, v in _MIXED_OK.items() if key != "budget"},
+]
+
+
+class TestCliFuzz:
+    """Malformed input files exit 2 with a one-line error, whichever
+    command reads them."""
+
+    COMMANDS = (["solve"], ["oracle"], ["approx"], ["exact"], ["structure"],
+                ["verify"], ["--profile", "toy", "pipeline"], ["dfvc"])
+
+    @staticmethod
+    def _rejects(capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, (argv, err)
+        assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
+
+    @pytest.mark.parametrize("text", _BAD_INSTANCES)
+    def test_malformed_instance(self, tmp_path, capsys, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        for command in self.COMMANDS:
+            self._rejects(capsys, [*command, str(path)])
+        self._rejects(capsys, ["bench", "--corpus", str(tmp_path)])
+
+    @pytest.mark.parametrize("payload", _BAD_MIXED)
+    def test_malformed_mixed_multigraph(self, tmp_path, capsys, payload):
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(payload))
+        self._rejects(capsys, ["dfvc", str(path)])
+
+    @pytest.mark.parametrize("payload", [
+        {**_KNOBS, "hom_window": True}, {**_KNOBS, "sample_q": 0},
+        {**_KNOBS, "family_cap": 1.5}, {**_KNOBS, "colour": 1}, {"hom_window": 2},
+        [1], None, "{nope",
+    ])
+    def test_malformed_knob_file(self, tmp_path, square_file, capsys, payload):
+        path = tmp_path / "knobs.json"
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "square.json").write_text(square_file.read_text())
+        for command in (["pipeline", str(square_file)], ["bench", "--corpus", str(corpus)]):
+            self._rejects(capsys, ["--profile", f"file:{path}", *command])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"profile": payload}))
+        self._rejects(capsys, ["check-lemmas", "--config", str(config), "--quick"])
 
 
 class TestCli:
@@ -230,6 +310,13 @@ class TestCli:
     def test_usage_error(self):
         assert main(["solve"]) == 2
         assert main(["not-a-command"]) == 2
+
+    def test_bool_budget_in_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"m": 1, "n": 2, "orient": [[1, 0]], "k": True}))
+        assert main(["--json", "solve", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            "error: k must be a non-negative integer, got True\n"
 
     def test_json_envelope(self, square_file, capsys):
         code = main(["--json", "solve", str(square_file)])

@@ -7,7 +7,7 @@ import pytest
 from btfvs import pipeline, solvers
 from btfvs.cli import main
 from btfvs.dfvc import dfvc_solve
-from btfvs.errors import FamilyCapExceeded, PreconditionViolated
+from btfvs.errors import FamilyCapExceeded, NotMConsistent, PreconditionViolated
 from btfvs.generators import GenKind, GenSpec, SplitMix64, generate
 from btfvs.io import serialize_instance
 from btfvs.msequence import back_edges, m_sequence
@@ -455,6 +455,33 @@ class TestEndgamePinned:
         assert _endgame_digest(generate(spec), k) == want
 
 
+class TestHandBuilt:
+    """An instance built without a parent is validated, and derives its
+    view, when it is constructed."""
+
+    @pytest.mark.parametrize("M, P, F, message", [
+        ({a(0)}, {a(0)}, (), "overlap"),
+        ({a(0)}, {a(5)}, (), "not a vertex"),
+        ({b(3)}, (), (), "not a vertex"),
+        ({a(0)}, (), {(b(0), a(0))}, "not an arc"),
+        ({a(0)}, (), {(a(0), a(1))}, "not an arc"),
+    ])
+    def test_invalid_instance_rejected(self, square_2x2, M, P, F, message):
+        with pytest.raises(ValueError, match=message):
+            CfvsInstance(square_2x2, frozenset(M), frozenset(P), F, 1)
+
+    def test_view_derived_at_construction(self, square_2x2):
+        # a0 -> b0 -> a1 -> b1 -> a0: with b1 left in, M = {a0, b0, a1}
+        # is not consistent, and construction says so
+        M = frozenset({a(0), b(0), a(1)})
+        with pytest.raises(NotMConsistent):
+            CfvsInstance(square_2x2, M, frozenset(), frozenset(), 1)
+        inst = CfvsInstance(square_2x2, M, {b(1)}, [(a(0), b(0))], 1)
+        assert inst.P == {b(1)} and inst.F == {(a(0), b(0))}
+        assert set(inst.view.block_of) == M
+        assert inst.parts == ()
+
+
 class TestBlockView:
     def test_view_built_at_most_once_per_instance(self, monkeypatch):
         # each seed builds its view once; every stage child inherits its
@@ -580,6 +607,32 @@ class TestDecoupling:
                 assert find_decoupling(child, TOY) is not None
         if not found:
             pytest.skip("no decoupled children at this scale")
+
+    def test_stage_decoupled_children_carry_their_split(self, monkeypatch):
+        # each child kept holds the split find_decoupling verified, and
+        # to_dfvc packages it without searching again; a hand-built
+        # instance carries none, so to_dfvc searches for it
+        T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2))
+        family, _, _ = run_cascade(solvers.reduce_instance(T, 2).tournament, 2, TOY)
+        assert len(family) == 93
+        for child in family:
+            assert list(child.parts) == find_decoupling(child, TOY)
+        original = pipeline.find_decoupling
+        searched = []
+
+        def counting(inst, profile):
+            searched.append(inst)
+            return original(inst, profile)
+
+        monkeypatch.setattr(pipeline, "find_decoupling", counting)
+        for child in family:
+            to_dfvc(child, TOY)
+        assert searched == []
+        hand_built = CfvsInstance(family[0].T, family[0].M, family[0].P,
+                                  family[0].F, family[0].k)
+        assert hand_built == family[0] and hand_built.parts == ()
+        assert to_dfvc(hand_built, TOY) == to_dfvc(family[0], TOY)
+        assert searched == [hand_built]
 
 
 class TestEndgame:
@@ -728,3 +781,35 @@ class TestPipelineSolve:
         if names and names[0] != "reduce":
             assert names[0] == "seed"
             assert set(names) <= set(STAGES) | {"reduce"}
+
+    @pytest.mark.parametrize("stage", STAGES[1:])
+    def test_stage_overflow_is_a_diagnostic(self, stage, monkeypatch):
+        # a stage that overflows its cap, on its first parent or on every
+        # one, loses only those subtrees: the answer still agrees with the
+        # oracle (through the fallback when nothing is left) and a
+        # diagnostic names the stage
+        T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2))
+        opt = len(oracle_min_fvs(T).solution)
+        original = getattr(pipeline, f"stage_{stage}")
+        for every in (False, True):
+            for k in (opt - 1, opt):
+                calls = []
+
+                def overflowing(inst, profile):
+                    calls.append(inst)
+                    if every or len(calls) == 1:
+                        raise FamilyCapExceeded(f"{stage} stage", 1, 0)
+                    return original(inst, profile)
+
+                monkeypatch.setattr(pipeline, f"stage_{stage}", overflowing)
+                res = pipeline_solve(T, k, TOY)
+                monkeypatch.undo()
+                assert calls, (stage, k)
+                assert res.found == (k >= opt), (stage, every, k)
+                if res.found:
+                    assert len(res.solution) <= k and verify_fvs(T, res.solution)
+                assert f"{stage}: {stage} stage: family of size >= 1 exceeds cap 0" \
+                    in res.diagnostics
+                if every:
+                    assert res.used_fallback
+                    assert dict(res.trace)[stage] == 0
