@@ -185,8 +185,8 @@ def parse_dfvc(text: str | bytes):
     if not isinstance(obj, dict) or "parts" not in obj or "budget" not in obj:
         raise ParseError("mixed multigraph file needs 'parts' and 'budget'")
     budget = obj["budget"]
-    if type(budget) is not int:
-        raise ParseError(f"budget must be an integer, got {budget!r}")
+    if type(budget) is not int or budget < 0:
+        raise ParseError(f"budget must be a non-negative integer, got {budget!r}")
     if not isinstance(obj["parts"], list):
         raise ParseError("parts must be an array of instance objects")
     undirected_raw = obj.get("undirected", [])

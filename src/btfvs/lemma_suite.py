@@ -62,6 +62,8 @@ class SuiteConfig:
             want = ConstantsProfile if f.name == "profile" else int
             if not isinstance(val, want) or isinstance(val, bool):
                 raise ValueError(f"config field {f.name} must be {want.__name__}, got {val!r}")
+            if want is int and f.name != "seed" and val < 0:
+                raise ValueError(f"config field {f.name} must be non-negative, got {val!r}")
 
     @classmethod
     def from_mapping(cls, data: dict) -> "SuiteConfig":

@@ -136,21 +136,28 @@ def is_m_consistent(T: BipartiteTournament, M: Iterable[Vertex]) -> tuple[bool, 
     return witness is None, witness
 
 
+def _layer_keys(T: BipartiteTournament, m_mask: int,
+                peeled: list[int]) -> list[tuple[int, int, int]]:
+    """(layer, out- and in-neighborhood in M) per peeled layer of T[M];
+    members of a layer share their M-neighborhoods."""
+    out, inc = T.out_mask, T.in_mask
+    keys = []
+    for layer in peeled:
+        g = (layer & -layer).bit_length() - 1
+        keys.append((layer, out[g] & m_mask, inc[g] & m_mask))
+    return keys
+
+
 def _layers(T: BipartiteTournament, M: frozenset, within: Iterable[Vertex] | None,
             what: str) -> tuple[int, int, list[tuple[int, int, int]]]:
-    """Masks of M and ``within``, and (layer, out- and in-neighborhood in M)
-    per layer of T[M]; members of a layer share their M-neighborhoods."""
+    """Masks of M and ``within``, and the layer keys of T[M] (see
+    :func:`_layer_keys`), once T[within] is checked M-consistent."""
     if not M:
         raise EmptyM(f"{what} needs a nonempty M")
     m_mask, alive, witness = _consistency(T, M, within)
     if witness is not None:
         raise NotMConsistent(f"witness vertex {witness!r}")
-    out, inc = T.out_mask, T.in_mask
-    layers = []
-    for layer in _peel_layers_mask(T, m_mask):
-        g = (layer & -layer).bit_length() - 1
-        layers.append((layer, out[g] & m_mask, inc[g] & m_mask))
-    return m_mask, alive, layers
+    return m_mask, alive, _layer_keys(T, m_mask, _peel_layers_mask(T, m_mask))
 
 
 def _classify_gid(T: BipartiteTournament, m_mask: int,
@@ -191,6 +198,33 @@ def classify(T: BipartiteTournament, M: Iterable[Vertex], v: Vertex) -> Classifi
     return _classify_gid(T, m_mask, layers, T.gid(v))
 
 
+def _blocks_mask(T: BipartiteTournament, m_mask: int, keys: list[tuple[int, int, int]],
+                 alive: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """The (X_i, Y_i) gid masks of T[alive] relative to M, and gid -> block
+    index (-1 outside ``alive``); ``keys`` are T[M]'s layer keys and
+    T[alive] must be M-consistent."""
+    l = len(keys)
+    xs = [0] * l
+    ys = [0] * l
+    block = [-1] * T.num_vertices
+    rest = alive
+    while rest:
+        low = rest & -rest
+        g = low.bit_length() - 1
+        kind, i = _classify_gid(T, m_mask, keys, g)
+        if kind is ClassKind.EQUIVALENT:
+            xs[i] |= low
+        else:
+            if kind is ClassKind.UNIVERSAL_MINUS:
+                i = 0
+            elif kind is ClassKind.UNIVERSAL_PLUS:
+                i = l - 1
+            ys[i] |= low
+        block[g] = i
+        rest ^= low
+    return list(zip(xs, ys)), block
+
+
 def m_sequence(T: BipartiteTournament, M: Iterable[Vertex],
                within: Iterable[Vertex] | None = None) -> MSequence:
     """The unique alternating block partition of T[within] relative to M
@@ -200,35 +234,17 @@ def m_sequence(T: BipartiteTournament, M: Iterable[Vertex],
     T[within] M-consistent.
     """
     M = frozenset(M)
-    m_mask, rest, layers = _layers(T, M, within, "the block partition")
-    l = len(layers)
-    xs = [0] * l
-    ys = [0] * l
-    while rest:
-        low = rest & -rest
-        c = _classify_gid(T, m_mask, layers, low.bit_length() - 1)
-        if c.kind is ClassKind.EQUIVALENT:
-            xs[c.block] |= low
-        elif c.kind is ClassKind.CONFLICTING:
-            ys[c.block] |= low
-        elif c.kind is ClassKind.UNIVERSAL_MINUS:
-            ys[0] |= low
-        else:
-            ys[l - 1] |= low
-        rest ^= low
-    return MSequence(tuple(
-        (frozenset(T.vertices_of_mask(x)), frozenset(T.vertices_of_mask(y)))
-        for x, y in zip(xs, ys)), M)
+    m_mask, alive, keys = _layers(T, M, within, "the block partition")
+    vs = T.vertices_of_mask
+    return MSequence(tuple((frozenset(vs(x)), frozenset(vs(y)))
+                           for x, y in _blocks_mask(T, m_mask, keys, alive)[0]), M)
 
 
-def back_edges(T: BipartiteTournament, seq: MSequence) -> list[BackEdge]:
-    """All arcs from a higher-indexed block to a strictly lower one,
-    in row-major arc scan order."""
+def _back_edges(T: BipartiteTournament, block: list[int]) -> list[BackEdge]:
+    """Arcs from a higher-indexed block to a strictly lower one, in
+    row-major arc scan order; ``block`` maps gid -> block index, -1 for a
+    vertex outside the blocks."""
     m = T.m
-    block = [-1] * T.num_vertices  # gid -> block index, -1 outside the blocks
-    for i, (x, y) in enumerate(seq.blocks):
-        for v in x | y:
-            block[T.gid(v)] = i
     out = []
     for i, row in enumerate(T.orient):
         bi = block[i]
@@ -241,6 +257,30 @@ def back_edges(T: BipartiteTournament, seq: MSequence) -> list[BackEdge]:
     return out
 
 
+def back_edges(T: BipartiteTournament, seq: MSequence) -> list[BackEdge]:
+    """All arcs from a higher-indexed block to a strictly lower one,
+    in row-major arc scan order."""
+    block = [-1] * T.num_vertices
+    for i, (x, y) in enumerate(seq.blocks):
+        for v in x | y:
+            block[T.gid(v)] = i
+    return _back_edges(T, block)
+
+
+def _closes_m_square(T: BipartiteTournament, m_mask: int, tail: int, head: int) -> bool:
+    """Does the arc tail -> head (gids) close a square with two M-vertices:
+    m1 in N^+(head) & M and m2 in N^-(tail) & M with the arc m1 -> m2?"""
+    out = T.out_mask
+    heads = out[head] & m_mask
+    tails = T.in_mask[tail] & m_mask
+    while heads:
+        low = heads & -heads
+        if out[low.bit_length() - 1] & tails:
+            return True
+        heads ^= low
+    return False
+
+
 def is_conflict_back_edge(T: BipartiteTournament, M: Iterable[Vertex], e: BackEdge) -> bool:
     """Does the back edge close a square with two M-vertices?
 
@@ -249,16 +289,7 @@ def is_conflict_back_edge(T: BipartiteTournament, M: Iterable[Vertex], e: BackEd
     """
     T.check_vertex(e.tail)
     T.check_vertex(e.head)
-    m = T.mask_of(M)
-    out = T.out_mask
-    heads = out[T.gid(e.head)] & m
-    tails = T.in_mask[T.gid(e.tail)] & m
-    while heads:
-        low = heads & -heads
-        if out[low.bit_length() - 1] & tails:
-            return True
-        heads ^= low
-    return False
+    return _closes_m_square(T, T.mask_of(M), T.gid(e.tail), T.gid(e.head))
 
 
 class Boundaries(NamedTuple):

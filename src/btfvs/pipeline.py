@@ -36,12 +36,13 @@ from .graph import BipartiteTournament, MixedMultigraph, Vertex
 from .matching import (consistent_with_mixed, enumerate_min_vertex_covers,
                        max_bipartite_matching, min_vertex_cover,
                        x_preferred_cover)
-from .msequence import (BackEdge, back_edges, cycle_closers, is_conflict_back_edge,
-                        m_sequence)
+from .msequence import (BackEdge, _back_edges, _blocks_mask, _closes_m_square,
+                        _layer_keys, _layers, cycle_closers)
+from .msequence import m_sequence  # noqa: F401  (a lookup site perfbench's tracer wraps)
 from .samplespace import prime_power_decompose, twise_space, twise_space_size
 from .solvers import (Constraints, SolveStats, SolveStatus, _ms, approx4,
                       branch_solve, reduce_instance, verify_fvs)
-from .structure import _peel_layers_mask, is_acyclic
+from .structure import _peel_layers_mask
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,9 @@ class BlockView(NamedTuple):
     blocks: tuple[tuple[frozenset, frozenset], ...]  # (X_i, Y_i)
     block_of: dict  # host vertex -> block index
     back: tuple[BackEdge, ...]  # row-major arc scan order
+    # (tail, head) of each back edge that closes a square with two M-vertices;
+    # a child keeps its parent's set, which may name arcs it no longer has
+    conflict: frozenset
 
 
 @dataclass(frozen=True)
@@ -123,8 +127,9 @@ class CfvsInstance:
     ``view`` is the block structure of T - P relative to M, which every
     stage predicate reads, in host coordinates.  An instance built without
     one is validated and derives it here (NotMConsistent if it cannot).  A
-    stage child (see :func:`_child`) is valid by construction, as stages add
-    only vertices and arcs of T, and holds its parent's view minus the
+    seed (see :func:`seed_instances`) is valid by construction and built
+    with its view.  So is a stage child (see :func:`_child`), as stages add
+    only vertices and arcs of T; it holds its parent's view minus the
     vertices it adds to P: a vertex's block depends only on T, M and itself.
     ``parts`` is the split :func:`stage_decoupled` verified for a child.
     """
@@ -150,7 +155,9 @@ class CfvsInstance:
         for (u, w) in self.F:
             if not self.T.has_arc(u, w):
                 raise ValueError(f"constraint edge {u!r}->{w!r} is not an arc")
-        object.__setattr__(self, "view", live_structure(self))
+        m_mask, alive, keys = _layers(self.T, self.M, frozenset(self.T.vertices()) - self.P,
+                                      "the block partition")
+        object.__setattr__(self, "view", live_structure(self.T, m_mask, keys, alive))
 
     def live_f(self) -> frozenset:
         """Constraint edges with both endpoints outside P (still uncovered)."""
@@ -166,10 +173,20 @@ class CfvsInstance:
         return satisfies(self.T, frozenset(H), self.constraints())
 
 
-def live_structure(inst: CfvsInstance) -> BlockView:
-    """Build the block view of T - P, on the host tournament itself."""
-    seq = m_sequence(inst.T, inst.M, within=frozenset(inst.T.vertices()) - inst.P)
-    return BlockView(seq.blocks, seq.block_index_map(), tuple(back_edges(inst.T, seq)))
+def live_structure(T: BipartiteTournament, m_mask: int, keys: list[tuple[int, int, int]],
+                   alive: int) -> BlockView:
+    """The block view of T[alive] relative to M, on the host tournament
+    itself, from gid masks and T[M]'s layer keys; T[alive] must be
+    M-consistent, which is not checked here."""
+    blocks, block = _blocks_mask(T, m_mask, keys, alive)
+    back = tuple(_back_edges(T, block))
+    vs, gid = T.vertices_of_mask, T.gid
+    return BlockView(
+        tuple((frozenset(vs(x)), frozenset(vs(y))) for x, y in blocks),
+        {T.vertex_of_gid(g): i for g, i in enumerate(block) if i >= 0},
+        back,
+        frozenset((e.tail, e.head) for e in back
+                  if _closes_m_square(T, m_mask, gid(e.tail), gid(e.head))))
 
 
 def _child(inst: CfvsInstance, P: frozenset | None = None,
@@ -185,7 +202,8 @@ def _child(inst: CfvsInstance, P: frozenset | None = None,
         view = BlockView(
             tuple((x - gone, y - gone) for (x, y) in view.blocks),
             {v: i for v, i in view.block_of.items() if v not in gone},
-            tuple(e for e in view.back if e.tail not in gone and e.head not in gone))
+            tuple(e for e in view.back if e.tail not in gone and e.head not in gone),
+            view.conflict)
     return CfvsInstance(inst.T, inst.M, P, inst.F if F is None else F, inst.k, view)
 
 
@@ -323,14 +341,23 @@ def seed_instances(T: BipartiteTournament, k: int,
 
     Guesses with a cyclic induced subgraph admit no avoiding solution and
     are dropped; the empty guess carries no structure and is dropped too
-    (the fallback solver covers it).
+    (the fallback solver covers it).  A seed is valid by construction: P
+    holds every cycle closer, so T - P is M-consistent, and T[M] is peeled
+    once for both the acyclicity test and the seed's view.
     """
     out = []
+    full = T.full_mask
     for M in m_family(T, k, profile):
-        if not M or not is_acyclic(T, M):
+        if not M:
             continue
-        P = derive_forced_p(T, M)
-        out.append(CfvsInstance(T, M, P, frozenset(), k))
+        m_mask = T.mask_of(M)
+        peeled = _peel_layers_mask(T, m_mask)
+        if peeled is None:
+            continue
+        P = cycle_closers(T, m_mask, full)
+        view = live_structure(T, m_mask, _layer_keys(T, m_mask, peeled),
+                              full & ~T.mask_of(P))
+        out.append(CfvsInstance(T, M, frozenset(P), frozenset(), k, view))
     return out
 
 
@@ -414,11 +441,8 @@ def is_weakly_coupled(inst: CfvsInstance, profile: ConstantsProfile) -> bool:
     Edges of F already covered by P are vacuous and exempt from the back-edge
     requirement.
     """
-    back = {(e.tail, e.head): e for e in inst.view.back}
-    for arc in inst.live_f():
-        e = back.get(arc)
-        if e is None or not is_conflict_back_edge(inst.T, inst.M, e):
-            return False
+    if not inst.live_f() <= inst.view.conflict:
+        return False
     if not long_back(inst) <= inst.F:
         return False
     return all(len(max_bipartite_matching(edges)) <= profile.weak_matching
@@ -691,7 +715,7 @@ def find_decoupling(inst: CfvsInstance, profile: ConstantsProfile) -> list[froze
     for e in inst.view.back:
         if e.tail_block - e.head_block == 1 and not crossed >> e.head_block & 1 \
                 and (e.tail, e.head) not in inst.F \
-                and is_conflict_back_edge(inst.T, inst.M, e):
+                and (e.tail, e.head) in inst.view.conflict:
             crossed |= 1 << e.head_block
 
     def witnesses(cuts: int) -> bool:

@@ -130,6 +130,7 @@ _BAD_MIXED = [
     {**_MIXED_OK, "undirected": [["u", "w"], ["u", "x"]]},
     {**_MIXED_OK, "forbidden": ["zz"]}, {**_MIXED_OK, "forbidden": "u"},
     {key: v for key, v in _MIXED_OK.items() if key != "budget"},
+    {**_MIXED_OK, "budget": -1},
 ]
 
 
@@ -192,6 +193,7 @@ class TestCli:
         ("profile", {**_KNOBS, "hom_window": "x"}),
         ("check-lemmas", {"seed": "x"}),
         ("check-lemmas", {"profile": {"hom_window": 2}}),
+        ("check-lemmas", {"random_trials": -5}),
     ])
     def test_malformed_file_is_usage_error(self, tmp_path, square_file, capsys,
                                            command, payload):

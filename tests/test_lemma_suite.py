@@ -48,6 +48,16 @@ class TestSuiteRunner:
         for entry in payload["results"]:
             assert {"name", "passed", "checked", "note", "counterexample"} == set(entry)
 
+    def test_config_rejects_negative_counts(self):
+        import pytest
+        from dataclasses import fields
+        for f in fields(SuiteConfig):
+            if f.name in ("seed", "profile"):
+                continue
+            with pytest.raises(ValueError, match=f.name):
+                SuiteConfig(**{f.name: -1})
+        assert SuiteConfig(seed=-1, random_trials=0).seed == -1
+
     def test_config_from_mapping_rejects_unknown(self):
         import pytest
         with pytest.raises(ValueError):

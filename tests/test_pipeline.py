@@ -3,14 +3,16 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from btfvs import pipeline, solvers
+from btfvs import msequence, pipeline, solvers
 from btfvs.cli import main
 from btfvs.dfvc import dfvc_solve
 from btfvs.errors import FamilyCapExceeded, NotMConsistent, PreconditionViolated
 from btfvs.generators import GenKind, GenSpec, SplitMix64, generate
 from btfvs.io import serialize_instance
-from btfvs.msequence import back_edges, m_sequence
+from btfvs.msequence import back_edges, is_conflict_back_edge, m_sequence
 from btfvs.pipeline import (STAGES, CfvsInstance, ConstantsProfile,
                             derive_forced_p, find_decoupling, is_low_block_degree,
                             is_m_homogeneous, is_matched, is_regular,
@@ -489,20 +491,57 @@ class TestBlockView:
         builds = []
         original = pipeline.live_structure
 
-        def counting(inst):
-            builds.append(inst)
-            return original(inst)
+        def counting(T, m_mask, keys, alive):
+            builds.append((m_mask, alive))
+            return original(T, m_mask, keys, alive)
 
         T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2))
-        seeds = seed_instances(solvers.reduce_instance(T, 2).tournament, 2, TOY)
+        work = solvers.reduce_instance(T, 2).tournament
+        seeds = seed_instances(work, 2, TOY)
         monkeypatch.setattr(pipeline, "live_structure", counting)
         res = pipeline_solve(T, 2, TOY)
         assert dict(res.trace).get("decoupled", 0) > 0
+        assert builds == [(work.mask_of(s.M), work.full_mask & ~work.mask_of(s.P))
+                          for s in seeds]
 
-        def key(inst):
-            return (inst.M, inst.P, inst.F)
+    def test_seeding_scans_for_closers_once_per_seed(self, monkeypatch):
+        # a seed's P holds every cycle closer, so T - P is M-consistent by
+        # construction: seeding runs one closer scan per seed and never the
+        # consistency check of hand-built instances
+        T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2))
+        seeds = seed_instances(solvers.reduce_instance(T, 2).tournament, 2, TOY)
+        calls = dict.fromkeys(("cycle_closers", "_consistency"), 0)
+        for name in calls:
+            original = getattr(msequence, name)
 
-        assert [key(i) for i in builds] == [key(s) for s in seeds]
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for mod in (msequence, pipeline):
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counting)
+        res = pipeline_solve(T, 2, TOY)
+        assert dict(res.trace)["seed"] == len(seeds) > 0
+        assert calls == {"cycle_closers": len(seeds), "_consistency": 0}
+
+    def test_view_conflict_arcs_match_the_square_test(self):
+        # every view, a child's inherited one too, holds exactly the back
+        # edges that is_conflict_back_edge accepts among its back edges
+        family = [inst for inst in (seeded_cfvs(seed, max_side=5) for seed in range(40))
+                  if inst is not None]
+        for spec, k in ((GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2), 2),
+                        (GenSpec(5, 5, GenKind.PLANTED_FVS, seed=5, k_plant=2), 1)):
+            run_cascade(generate(spec), k, TOY,
+                        collect=lambda stage, _, children: family.extend(children))
+        conflicts = 0
+        for inst in family:
+            want = {(e.tail, e.head) for e in inst.view.back
+                    if is_conflict_back_edge(inst.T, inst.M, e)}
+            assert {(e.tail, e.head) for e in inst.view.back
+                    if (e.tail, e.head) in inst.view.conflict} == want
+            conflicts += len(want)
+        assert conflicts > 0
 
     def test_view_matches_sub_tournament_route(self):
         # hand-built instances and every stage's instances -- seeds building
@@ -698,6 +737,21 @@ class TestPipelineSolve:
                 if res.found:
                     assert verify_fvs(T, res.solution)
                     assert len(res.solution) <= k
+
+    @given(st.builds(ConstantsProfile, *[st.integers(1, 3)] * 8,
+                     family_cap=st.integers(1, 2_000)),
+           st.integers(3, 4), st.integers(3, 4), st.integers(0, 2 ** 32), st.booleans())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_any_small_profile_agrees_with_the_oracle(self, profile, m, n, seed, below):
+        # whatever the constants, overflows become diagnostics and the
+        # fallback answers, so the result never raises and never disagrees
+        T = generate(GenSpec(m, n, GenKind.UNIFORM_RANDOM, seed=seed))
+        opt = len(oracle_min_fvs(T).solution)
+        k = opt - 1 if below and opt > 0 else opt
+        res = pipeline_solve(T, k, profile)
+        assert res.found == (k == opt)
+        if res.found:
+            assert len(res.solution) == opt and verify_fvs(T, res.solution)
 
     def test_only_one_worker(self, tmp_path):
         T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=21))
