@@ -45,7 +45,11 @@ class BipartiteTournament:
     acyclic and serve as recursion base cases.
     """
 
-    __slots__ = ("m", "n", "orient", "labels", "_out_mask", "_in_mask")
+    # The underscored slots are derived caches, filled on first use: the
+    # adjacency masks here, the square index by ``structure.square_index``
+    # and the survivor mask of the last ``solvers.reduce_instance``.
+    __slots__ = ("m", "n", "orient", "labels", "_out_mask", "_in_mask",
+                 "_square_index", "_reduction")
 
     def __init__(self, m: int, n: int, orient: Sequence[Sequence[object]],
                  labels: Sequence[str] | None = None):
@@ -72,6 +76,8 @@ class BipartiteTournament:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_out_mask", None)
         object.__setattr__(self, "_in_mask", None)
+        object.__setattr__(self, "_square_index", None)
+        object.__setattr__(self, "_reduction", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BipartiteTournament is immutable")

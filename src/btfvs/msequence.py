@@ -109,20 +109,22 @@ def cycle_closers(T: BipartiteTournament, m_mask: int, candidates: int) -> list[
             if _peel_layers_mask(T, m_mask | 1 << T.gid(v)) is None]
 
 
-def _consistency(T: BipartiteTournament, M: frozenset,
-                 within: Iterable[Vertex] | None) -> tuple[int, int, Vertex | None]:
-    """Masks of M and ``within`` (ValueError unless M lies inside it), and
-    the M-consistency witness (lowest-gid cycle closer) for T[within], or None."""
+def _consistency(T: BipartiteTournament, M: frozenset, within: Iterable[Vertex] | None
+                 ) -> tuple[int, int, Vertex | None, list[int] | None]:
+    """Masks of M and ``within`` (ValueError unless M lies inside it), the
+    M-consistency witness (lowest-gid cycle closer) for T[within] or None,
+    and the peeled layers of T[M] (None when T[M] is cyclic)."""
     for v in M:
         T.check_vertex(v)
     m_mask = T.mask_of(M)
     alive = T.full_mask if within is None else T.mask_of(within)
     if m_mask & ~alive:
         raise ValueError("M is not contained in the vertex set `within`")
-    if _peel_layers_mask(T, m_mask) is None:
-        return m_mask, alive, T.vertices_of_mask(m_mask)[0]
+    peeled = _peel_layers_mask(T, m_mask)
+    if peeled is None:
+        return m_mask, alive, T.vertices_of_mask(m_mask)[0], None
     closers = cycle_closers(T, m_mask, alive)
-    return m_mask, alive, (closers[0] if closers else None)
+    return m_mask, alive, (closers[0] if closers else None), peeled
 
 
 def is_m_consistent(T: BipartiteTournament, M: Iterable[Vertex]) -> tuple[bool, Vertex | None]:
@@ -154,10 +156,10 @@ def _layers(T: BipartiteTournament, M: frozenset, within: Iterable[Vertex] | Non
     :func:`_layer_keys`), once T[within] is checked M-consistent."""
     if not M:
         raise EmptyM(f"{what} needs a nonempty M")
-    m_mask, alive, witness = _consistency(T, M, within)
+    m_mask, alive, witness, peeled = _consistency(T, M, within)
     if witness is not None:
         raise NotMConsistent(f"witness vertex {witness!r}")
-    return m_mask, alive, _layer_keys(T, m_mask, _peel_layers_mask(T, m_mask))
+    return m_mask, alive, _layer_keys(T, m_mask, peeled)
 
 
 def _classify_gid(T: BipartiteTournament, m_mask: int,

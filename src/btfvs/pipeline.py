@@ -900,9 +900,10 @@ def pipeline_solve(T: BipartiteTournament, k: int,
     returned, so a yes is always a real feedback vertex set of size at most
     k regardless of the profile; when the cascade produces nothing usable
     the fallback answers, so the result is always correct.  The fallback
-    runs ``branch_solve`` on the reduction built here and lifts its answer
-    to T.  ``stats.nodes`` is the size of the final family when the cascade
-    answers, and the fallback's node count otherwise.
+    is ``branch_solve`` on T, which reuses the survivors of the reduction
+    made here (cached on T) and checks its answer on T.  ``stats.nodes`` is
+    the size of the final family when the cascade answers, and the
+    fallback's node count otherwise.
 
     The search runs in one thread; ``workers`` must be 1 (ValueError
     otherwise).  ``collect`` is forwarded to the cascade for family
@@ -940,10 +941,7 @@ def pipeline_solve(T: BipartiteTournament, k: int,
                                   SolveStats(len(family), _ms(t0)),
                                   tuple(trace), tuple(diagnostics), False)
 
-    fb = branch_solve(work, Constraints(budget=k))
-    lifted = None if fb.solution is None else frozenset(red.to_host[v] for v in fb.solution)
-    if lifted is not None and not verify_fvs(T, lifted):
-        raise AssertionError("internal: fallback answer does not lift to T")
-    return PipelineResult(fb.status, lifted,
+    fb = branch_solve(T, Constraints(budget=k))
+    return PipelineResult(fb.status, fb.solution,
                           SolveStats(fb.stats.nodes, _ms(t0)),
                           tuple(trace), tuple(diagnostics), True)

@@ -6,8 +6,8 @@ Four routes with very different trust stories:
   other solver is tested against; capped at small instances.
 * ``approx4``         -- greedy square deletion, factor-4 approximation.
 * ``branch_solve``    -- budgeted branching over squares and constraint
-  edges, with safe reduction, a packing lower bound over each node's live
-  squares and a per-call table of dead ``removed`` masks.
+  edges, with safe reduction, a packing lower bound read from the square
+  index and a per-call table of dead ``removed`` masks.
 * ``exact_min_fvs``   -- ascending-budget iteration over ``branch_solve``,
   from the square-packing lower bound up.
 
@@ -26,7 +26,8 @@ from typing import Iterable, NamedTuple
 
 from .errors import InstanceTooLarge
 from .graph import BipartiteTournament, Vertex
-from .structure import _a_pairs, all_squares, find_square
+from .structure import (SquareIndex, _a_pairs, _square_gids, all_squares, find_square,
+                        square_index)
 
 
 class SolveStatus(Enum):
@@ -170,38 +171,57 @@ def approx4(T: BipartiteTournament, k: int,
     alive = start = T.full_mask if within_mask is None else within_mask
     squares = 0
     while True:
-        sq = find_square(T, alive)
-        if sq is None:
+        gids = _square_gids(T, alive)
+        if gids is None:
             return frozenset(T.vertices_of_mask(start & ~alive))
         squares += 1
         if squares > k:
             return None
-        alive &= ~T.mask_of(sq.vertices())
+        for g in gids:
+            alive &= ~(1 << g)
 
 
-def _packing_bound(squares: Iterable[int], forb_mask: int) -> int | None:
-    """Greedy vertex-disjoint packing of ``squares`` (gid masks) in order:
-    each packed square needs its own deletion, so the count lower-bounds the
-    deletions left.  None on a square inside ``forb_mask``, which none breaks."""
-    used = 0
+def _avoiding(through: list[int], live: int, mask: int) -> int:
+    """The squares of the index bitset ``live`` that miss every vertex of
+    the gid mask ``mask``."""
+    while mask:
+        low = mask & -mask
+        live &= ~through[low.bit_length() - 1]
+        mask ^= low
+    return live
+
+
+def _pack(index: SquareIndex, live: int, cap: int) -> int:
+    """Greedy vertex-disjoint packing of the squares of the index bitset
+    ``live``, lowest index first: each packed square needs its own deletion,
+    so the count lower-bounds the deletions left.  Stops at cap + 1.
+
+    All squares of an A-pair share a and a', so at most one per pair is
+    packed, and the first live one in grid order ({min live D1, min live
+    D0}) is also the first in ``all_squares`` order: the packing is the
+    greedy one over ``all_squares``."""
+    through, square = index.through, index.square
     count = 0
-    for mask in squares:
-        if mask & used:
-            continue
-        if mask & ~forb_mask == 0:
-            return None
-        used |= mask
+    while live and count <= cap:
         count += 1
+        a, b, a2, b2 = square((live & -live).bit_length() - 1)
+        live &= ~(through[a] | through[b] | through[a2] | through[b2])
     return count
 
 
 def squares_packing_lower_bound(T: BipartiteTournament, forbidden: int = 0,
                                 alive: int | None = None) -> int | None:
     """Greedy vertex-disjoint square packing of T[alive] (gid masks; all of
-    V when None), in ``all_squares`` order; None when it meets a square
-    made of ``forbidden`` vertices only, which certifies infeasibility."""
-    return _packing_bound(all_squares(T, T.full_mask if alive is None else alive),
-                          forbidden)
+    V when None), in ``all_squares`` order, read from T's square index; None
+    when a square of T[alive] is made of ``forbidden`` vertices only, which
+    certifies infeasibility."""
+    index = square_index(T)
+    live = (1 << index.count) - 1
+    if alive is not None:
+        live = _avoiding(index.through, live, T.full_mask & ~alive)
+    if forbidden and _avoiding(index.through, live, T.full_mask & ~forbidden):
+        return None
+    return _pack(index, live, index.count)
 
 
 class Reduction(NamedTuple):
@@ -226,8 +246,12 @@ def reduce_instance(T: BipartiteTournament, k: int) -> Reduction:
     The budget is unchanged; solutions of the reduced instance are solutions
     of the original verbatim (the mapping records identities).  The rules
     run on a bitmask of T's survivors, induced once (T itself if all survive).
+    T caches the survivor mask (see :func:`_reduction_at`); only the mask,
+    so a caller that keeps T does not keep the reduced tournament and the
+    square index built on it.
     """
     alive = T.full_mask
+    truncated = False
     while True:
         keep = 0
         for pair, d1, d0 in _a_pairs(T, alive):  # R1
@@ -235,13 +259,32 @@ def reduce_instance(T: BipartiteTournament, k: int) -> Reduction:
         if keep == alive:  # R2, once R1 removes nothing
             for cls in T.false_twin_classes(alive):
                 keep &= ~T.mask_of(sorted(cls)[k + 1:])
+            truncated = truncated or keep != alive
         if keep == alive:
             break
         alive = keep
+    object.__setattr__(T, "_reduction", (k, truncated, alive))
+    return _induce(T, alive, k)
+
+
+def _induce(T: BipartiteTournament, alive: int, k: int) -> Reduction:
+    """The reduction of T to the gid mask ``alive`` of its survivors."""
     if alive == T.full_mask:
         return Reduction(T, k, {v: v for v in T.vertices()})
     sub = T.induced(T.vertices_of_mask(alive))
     return Reduction(sub.tournament, k, sub.to_host)
+
+
+def _reduction_at(T: BipartiteTournament, k: int) -> Reduction:
+    """``reduce_instance(T, k)``, induced from the survivors of T's last
+    reduction when those hold at budget k.  R1 does not depend on k and R2
+    only caps twin classes at k + 1, so a reduction in which R2 removed
+    nothing is also the reduction at every larger budget."""
+    if T._reduction is not None:
+        k0, truncated, alive = T._reduction
+        if k == k0 or (k > k0 and not truncated):
+            return _induce(T, alive, k)
+    return reduce_instance(T, k)
 
 
 def branch_solve(T: BipartiteTournament,
@@ -252,15 +295,22 @@ def branch_solve(T: BipartiteTournament,
     their deletable endpoints; then the first square (in the fixed scan
     order) is branched on, trying each deletable vertex in lexicographic
     order.  Required vertices are deleted up front and count against the
-    budget.  A branch dies when a square or constraint edge has no deletable
-    endpoint, or when the greedy square-packing bound exceeds the remaining
-    budget.  Single-threaded and deterministic: the first solution in branch
-    order is returned.
+    budget.  A branch dies when a constraint edge has no deletable endpoint,
+    or when the greedy square-packing bound exceeds the remaining budget; a
+    square of forbidden vertices only, which no deletion breaks, answers no
+    at the root.  Single-threaded and deterministic: the first solution in
+    branch order is returned.
 
-    Each node carries its live squares: the squares of the reduced instance
-    that miss ``removed``, in ``all_squares`` order, handed down minus the
-    squares through the deleted vertex.  The packing bound scans only them,
-    and a node with none left is a solution.
+    Unconstrained calls search the reduction of T (:func:`reduce_instance`),
+    whose survivors are reused when T caches a reduction made at this or,
+    R2 permitting, a lower budget; the answer is lifted to T and checked on
+    T.
+
+    Each node carries its live squares as a bitset over the reduced
+    instance's square index (:func:`structure.square_index`): the squares
+    that miss ``removed``.  A child's live set is its parent's minus the
+    squares through the deleted vertex, the packing bound takes live squares
+    lowest index first, and a node with none left is a solution.
 
     Within one call a node's state is a function of its ``removed`` mask
     alone: every child deletes one vertex not yet deleted, so the budget
@@ -288,56 +338,61 @@ def branch_solve(T: BipartiteTournament,
     lift: dict = {}
     work = T
     if constraints.is_free():
-        red = reduce_instance(T, budget)
+        red = _reduction_at(T, budget)
         work = red.tournament
         lift = red.to_host
 
     forb_mask = work.mask_of(constraints.forbidden)
     removed0 = work.mask_of(base)
-    cover = [(1 << work.gid(u), 1 << work.gid(w))
+    cover = [((1 << work.gid(u)) | (1 << work.gid(w)), (work.gid(u), work.gid(w)))
              for (u, w) in sorted(constraints.cover_edges)]
     full = work.full_mask
+    index = square_index(work)
+    through = index.through
+    every = (1 << index.count) - 1
+    stuck = _avoiding(through, every, full & ~forb_mask) if forb_mask else 0
+    if stuck:  # squares of forbidden vertices only, which no deletion breaks
+        return SolveResult(SolveStatus.NO_SOLUTION, None, SolveStats(0, _ms(t0)))
     dead: set[int] = set()  # removed masks whose subtree holds no solution
     nodes = 0
 
-    packing_bound = _packing_bound  # a local name: one lookup less per node
+    pack, square_gids = _pack, _square_gids  # local names: one lookup less per node
 
-    def branch(removed: int, bits, left: int, cover_idx: int,
-               live: list[int]) -> int | None:
-        """Try deleting each deletable bit of ``bits`` in order."""
-        for b in bits:
+    def branch(removed: int, gids, left: int, cover_idx: int, live: int) -> int | None:
+        """Try deleting each deletable vertex of ``gids`` in order."""
+        for g in gids:
+            b = 1 << g
             child = removed | b
             if b & forb_mask or child in dead:
                 continue
-            result = rec(child, left - 1, cover_idx, [q for q in live if not q & b])
+            result = rec(child, left - 1, cover_idx, live & ~through[g])
             if result is not None:
                 return result
             dead.add(child)
         return None
 
-    def rec(removed: int, left: int, cover_idx: int, live: list[int]) -> int | None:
+    def rec(removed: int, left: int, cover_idx: int, live: int) -> int | None:
         nonlocal nodes
         nodes += 1
         # resolve constraint edges before touching squares
         while cover_idx < len(cover):
-            bu, bw = cover[cover_idx]
-            if removed & (bu | bw):
+            ends, gids = cover[cover_idx]
+            if removed & ends:
                 cover_idx += 1
                 continue
             if left <= 0:
                 return None
-            return branch(removed, (bu, bw), left, cover_idx + 1, live)
+            return branch(removed, gids, left, cover_idx + 1, live)
         if not live:
             return removed
-        bound = packing_bound(live, forb_mask)
-        if bound is None or bound > left:
+        if pack(index, live, left) > left:
             return None
-        sq = find_square(work, full & ~removed)
-        return branch(removed, [1 << work.gid(v) for v in sq.vertices()],
-                      left, cover_idx, live)
+        return branch(removed, square_gids(work, full & ~removed), left, cover_idx, live)
 
-    live0 = [mask for mask in all_squares(work) if not mask & removed0]
-    answer = rec(removed0, remaining, 0, live0)
+    answer = rec(removed0, remaining, 0, _avoiding(through, every, removed0))
+    # the two closures refer to each other; unbind them so the index and the
+    # dead table they hold are freed now, not at the next cycle collection
+    del branch, rec
     stats = SolveStats(nodes, _ms(t0))
     if answer is None:
         return SolveResult(SolveStatus.NO_SOLUTION, None, stats)

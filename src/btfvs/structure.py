@@ -10,6 +10,7 @@ cross-check instead of a tautology.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NotAcyclic
@@ -61,13 +62,9 @@ def _a_pairs(T: BipartiteTournament, alive: int):
                 yield (1 << i) | (1 << i2), d1, d0
 
 
-def find_square(T: BipartiteTournament, within_mask: int | None = None) -> Square | None:
-    """First square of T[within_mask] in lexicographic (a, b, a', b') index
-    order, or None; ``within_mask`` is a gid bitmask (all of V when None).
-
-    The fixed scan order keeps branching trees reproducible.
-    """
-    alive = T.full_mask if within_mask is None else within_mask
+def _square_gids(T: BipartiteTournament, alive: int) -> tuple[int, int, int, int] | None:
+    """The gids (a, b, a', b') of :func:`find_square`'s square of T[alive],
+    or None; the branching search reads them as bits."""
     out = T.out_mask
     rest = alive & ((1 << T.m) - 1)
     while rest:
@@ -88,16 +85,26 @@ def find_square(T: BipartiteTournament, within_mask: int | None = None) -> Squar
                 i2 = bi2.bit_length() - 1
                 closing = out[i2] & back_i
                 if closing:
-                    j2 = (closing & -closing).bit_length() - 1
-                    return Square(*map(T.vertex_of_gid, (i, j, i2, j2)))
+                    return i, j, i2, (closing & -closing).bit_length() - 1
                 tried |= bi2
     return None
+
+
+def find_square(T: BipartiteTournament, within_mask: int | None = None) -> Square | None:
+    """First square of T[within_mask] in lexicographic (a, b, a', b') index
+    order, or None; ``within_mask`` is a gid bitmask (all of V when None).
+
+    The fixed scan order keeps branching trees reproducible.
+    """
+    gids = _square_gids(T, T.full_mask if within_mask is None else within_mask)
+    return None if gids is None else Square(*map(T.vertex_of_gid, gids))
 
 
 def all_squares(T: BipartiteTournament, within_mask: int | None = None) -> list[int]:
     """The gid bitmask of every square of T[within_mask] (all of V when
     None), ordered by (a, a', b, b') with a < a' and b < b'.  Used by the
-    exhaustive solvers and the packing bound.
+    exhaustive oracle; the search and the packing bound read
+    :func:`square_index`.
     """
     alive = T.full_mask if within_mask is None else within_mask
     squares: list[int] = []
@@ -112,6 +119,74 @@ def all_squares(T: BipartiteTournament, within_mask: int | None = None) -> list[
                 other ^= high
                 squares.append(pair | low | high)
     return squares
+
+
+class SquareIndex(NamedTuple):
+    """Every square of a tournament, numbered, with its vertex incidences.
+
+    Squares are numbered A-pair by A-pair, in :func:`_a_pairs` order.  Pair
+    p is ``pairs[p] = (a, a', D1, D0)``, the gids of a < a' and of D1 and
+    D0 ascending; its squares form the D1 x D0 grid, row by row, from index
+    ``starts[p]``.  ``through[g]`` is the bitset of the indices of the
+    squares through vertex g, so the squares missing a vertex set X are
+    ``all & ~(through[x] | ...)`` over x in X.
+
+    The grid is kept instead of one mask per square: on 30 x 30 instances
+    with 9,000 squares those masks alone would hold about 360 KB.
+    """
+
+    count: int
+    starts: list[int]
+    pairs: list[tuple[int, int, list[int], list[int]]]
+    through: list[int]
+
+    def square(self, s: int) -> tuple[int, int, int, int]:
+        """The gids (a, b, a', b') of square s, with a -> b -> a' -> b' -> a."""
+        p = bisect_right(self.starts, s) - 1
+        a, a2, d1, d0 = self.pairs[p]
+        r, c = divmod(s - self.starts[p], len(d0))
+        return a, d1[r], a2, d0[c]
+
+
+def _gids(mask: int) -> list[int]:
+    # a list, not a tuple: freed tuples of each length up to 19 stay on a
+    # free list, and every index would leave its pairs' sizes there
+    return [g for g in range(mask.bit_length()) if mask >> g & 1]
+
+
+def square_index(T: BipartiteTournament) -> SquareIndex:
+    """T's square index, built on first use and cached on T.
+
+    The grid makes the incidences a handful of shifted masks per pair: a
+    and a' get the pair's whole index range, each b in D1 its row, and each
+    b' in D0 its column, a repunit of stride |D0|.
+    """
+    index = T._square_index
+    if index is not None:
+        return index
+    starts: list[int] = []
+    pairs = []
+    through = [0] * T.num_vertices
+    count = 0
+    for pair, d1, d0 in _a_pairs(T, T.full_mask):
+        a, a2 = (pair & -pair).bit_length() - 1, pair.bit_length() - 1
+        rows, cols = _gids(d1), _gids(d0)
+        width = len(cols)
+        row = (1 << width) - 1
+        for r, b in enumerate(rows):
+            through[b] |= row << (count + r * width)
+        grid = (1 << (len(rows) * width)) - 1
+        column = grid // row  # bit r * width for each row r
+        for c, b2 in enumerate(cols):
+            through[b2] |= column << (count + c)
+        through[a] |= grid << count
+        through[a2] |= grid << count
+        starts.append(count)
+        pairs.append((a, a2, rows, cols))
+        count += len(rows) * width
+    index = SquareIndex(count, starts, pairs, through)
+    object.__setattr__(T, "_square_index", index)
+    return index
 
 
 def _peel_layers_mask(T: BipartiteTournament, alive: int) -> list[int] | None:

@@ -483,6 +483,23 @@ class TestHandBuilt:
         assert set(inst.view.block_of) == M
         assert inst.parts == ()
 
+    def test_validation_peels_m_once(self, monkeypatch):
+        # the consistency check's peel of T[M] also gives the layer keys
+        T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2))
+        M = frozenset({a(0), a(1)})
+        m_mask = T.mask_of(M)
+        original = msequence._peel_layers_mask
+        peeled = []
+
+        def recording(tournament, alive):
+            peeled.append(alive)
+            return original(tournament, alive)
+
+        monkeypatch.setattr(msequence, "_peel_layers_mask", recording)
+        inst = CfvsInstance(T, M, frozenset(), frozenset(), 2)
+        assert set(inst.view.block_of) >= M
+        assert peeled.count(m_mask) == 1
+
 
 class TestBlockView:
     def test_view_built_at_most_once_per_instance(self, monkeypatch):
@@ -803,8 +820,7 @@ class TestPipelineSolve:
         # under the paper profile 8x8 seeding overflows, so the fallback
         # answers; it must give branch_solve's own answer on T, node for
         # node, while T is reduced only once (the planted instances shrink
-        # under the reduction, so the fallback's own reduce call gets the
-        # reduced tournament, not T)
+        # under the reduction)
         T = generate(GenSpec(8, 8, GenKind.PLANTED_FVS, seed=seed, k_plant=3))
         opt = len(exact_min_fvs(T))
         original = solvers.reduce_instance
@@ -827,6 +843,34 @@ class TestPipelineSolve:
                 (want.status, want.solution, want.stats.nodes)
             assert res.found == (k == opt)
             assert on_T.count(True) == 1
+
+    def test_fallback_reduces_once_and_checks_once(self, monkeypatch):
+        # the fallback searches the reduction pipeline_solve already made,
+        # and checks a yes answer once, on T itself
+        T = generate(GenSpec(8, 8, GenKind.PLANTED_FVS, seed=1, k_plant=3))
+        opt = len(exact_min_fvs(T))
+        reduce_original = solvers.reduce_instance
+        verify_original = solvers.verify_fvs
+        for k in (opt - 1, opt):
+            T = generate(GenSpec(8, 8, GenKind.PLANTED_FVS, seed=1, k_plant=3))
+            reduced, verified = [], []
+
+            def reducing(tournament, budget):
+                reduced.append(tournament is T)
+                return reduce_original(tournament, budget)
+
+            def verifying(tournament, S):
+                verified.append(tournament is T)
+                return verify_original(tournament, S)
+
+            for mod in (solvers, pipeline):
+                monkeypatch.setattr(mod, "reduce_instance", reducing)
+                monkeypatch.setattr(mod, "verify_fvs", verifying)
+            res = pipeline_solve(T, k)  # the paper profile: the fallback answers
+            monkeypatch.undo()
+            assert res.used_fallback and res.found == (k == opt)
+            assert reduced == [True]
+            assert verified == ([True] if res.found else [])
 
     def test_trace_reports_stage_sizes(self):
         T = generate(GenSpec(3, 3, GenKind.UNIFORM_RANDOM, seed=22))

@@ -7,11 +7,12 @@ import pytest
 from btfvs import solvers
 from btfvs.errors import InstanceTooLarge
 from btfvs.generators import GenKind, GenSpec, SplitMix64, generate
+from btfvs.graph import BipartiteTournament
 from btfvs.reference import brute_squares
 from btfvs.solvers import (Constraints, SolveStatus, approx4, branch_solve,
                            exact_min_fvs, oracle_min_fvs, reduce_instance,
                            satisfies, squares_packing_lower_bound, verify_fvs)
-from btfvs.structure import all_squares, find_square
+from btfvs.structure import all_squares, find_square, square_index
 
 from conftest import a, b, tournament
 
@@ -134,6 +135,72 @@ class TestPackingBound:
             assert squares_packing_lower_bound(T) <= len(oracle_min_fvs(T).solution)
 
 
+def _index_cases(count: int):
+    """(T, alive, forbidden) over seeded tournaments up to 8 per side, with
+    random gid masks: alive drops about one vertex in six, forbidden takes
+    about one in three."""
+    kinds = (GenKind.UNIFORM_RANDOM, GenKind.TWIN_HEAVY, GenKind.PLANTED_FVS)
+    for seed in range(count):
+        rng = SplitMix64(seed + 7000)
+        T = generate(GenSpec(1 + rng.below(8), 1 + rng.below(8), kinds[seed % 3],
+                             seed=seed, k_plant=2, twin_a=2, twin_b=2))
+        alive = forbidden = 0
+        for g in range(T.num_vertices):
+            alive |= (rng.below(6) != 0) << g
+            forbidden |= (rng.below(3) == 0) << g
+        yield T, alive, forbidden
+
+
+def _greedy_packing(masks: list[int]) -> int:
+    used = count = 0
+    for mask in masks:
+        if not mask & used:
+            used |= mask
+            count += 1
+    return count
+
+
+class TestSquareIndex:
+    def test_squares_and_incidences(self):
+        for T, _, _ in _index_cases(150):
+            index = square_index(T)
+            quads = [index.square(s) for s in range(index.count)]
+            squares = [sum(1 << g for g in quad) for quad in quads]
+            assert sorted(squares) == sorted(all_squares(T))
+            for a0, b0, a1, b1 in quads:
+                assert T.out_mask[a0] >> b0 & T.out_mask[b0] >> a1 & 1
+                assert T.out_mask[a1] >> b1 & T.out_mask[b1] >> a0 & 1
+            assert len(index.through) == T.num_vertices
+            for g in range(T.num_vertices):
+                want = sum(1 << s for s, mask in enumerate(squares) if mask >> g & 1)
+                assert index.through[g] == want
+            assert square_index(T) is index  # cached on T
+
+    def test_packing_bound_is_the_list_greedy(self):
+        outcomes = set()
+        for T, alive, forbidden in _index_cases(300):
+            for within in (None, alive):
+                masks = all_squares(T, within)
+                stuck = any(mask & ~forbidden == 0 for mask in masks)
+                got = squares_packing_lower_bound(T, forbidden, within)
+                assert got == (None if stuck else _greedy_packing(masks))
+                outcomes.add((stuck, bool(masks)))
+        assert outcomes == {(False, False), (False, True), (True, True)}
+
+    def test_all_forbidden_square_has_no_solution(self):
+        checked = 0
+        for T, _, forbidden in _index_cases(150):
+            masks = all_squares(T)
+            if not masks:
+                continue
+            forbidden |= masks[len(masks) // 2]
+            cons = Constraints(forbidden=frozenset(T.vertices_of_mask(forbidden)),
+                               budget=T.num_vertices)
+            assert branch_solve(T, cons).status is SolveStatus.NO_SOLUTION
+            checked += 1
+        assert checked > 50
+
+
 class TestReduce:
     def test_acyclic_reduces_to_empty(self):
         T = generate(GenSpec(5, 5, GenKind.ACYCLIC, seed=7))
@@ -176,6 +243,25 @@ class TestReduce:
                 before = oracle_min_fvs(T, Constraints(budget=k)).found
                 after = oracle_min_fvs(red.tournament, Constraints(budget=k)).found
                 assert before == after, f"seed {seed} k {k}"
+
+    def test_cached_reduction_holds_at_higher_budgets(self):
+        # branch_solve reuses T's last reduction at a higher budget when R2
+        # removed nothing; it must equal a fresh reduction at that budget
+        reused = 0
+        for seed in range(60):
+            kind = (GenKind.UNIFORM_RANDOM, GenKind.TWIN_HEAVY)[seed % 2]
+            T = generate(GenSpec(2 + seed % 7, 2 + (seed // 3) % 7, kind, seed=seed,
+                                 twin_a=3, twin_b=2))
+            for k in range(4):
+                for k2 in (k, k + 1, k + 3):
+                    reduce_instance(T, k)
+                    got = solvers._reduction_at(T, k2)
+                    fresh = reduce_instance(BipartiteTournament(T.m, T.n, T.orient), k2)
+                    assert got.k == k2
+                    assert sorted(got.to_host.values()) == sorted(fresh.to_host.values())
+                    assert got.tournament == fresh.tournament
+                    reused += k2 > k and T._reduction[0] == k
+        assert reused > 0
 
     def test_lifted_solutions_stay_valid(self):
         for seed in range(30):
