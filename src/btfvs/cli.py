@@ -304,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int)
     p.add_argument("--emit-families", dest="emit_families",
                    help="directory for per-stage instance dumps")
-    p.add_argument("--trace", help="CSV path for per-stage family sizes")
+    p.add_argument("--trace", help="CSV path for per-stage family sizes (a screened "
+                   "no-instance has the one row screen,<square-packing bound>)")
 
     p = sub.add_parser("gen", help="write generated instances")
     p.set_defaults(fn=cmd_gen)

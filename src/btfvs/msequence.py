@@ -104,9 +104,39 @@ class MSequence:
 
 def cycle_closers(T: BipartiteTournament, m_mask: int, candidates: int) -> list[Vertex]:
     """Candidates v outside M with T[M + v] cyclic, by ascending gid; M and
-    the candidates are bitmasks over global ids."""
-    return [v for v in T.vertices_of_mask(candidates & ~m_mask)
-            if _peel_layers_mask(T, m_mask | 1 << T.gid(v)) is None]
+    the candidates are bitmasks over global ids, and T[M] must be acyclic.
+
+    A cyclic bipartite tournament has a square, and T[M] has none, so T[M + v]
+    is cyclic exactly when a square v -> a -> b -> c -> v has a, b, c in M:
+    when in(v) & M meets the two-step M-reach of some a in out(v) & M.  Each
+    M-vertex's reach is computed once per call.
+    """
+    out = T.out_mask
+    reach: dict[int, int] = {}  # M-vertex a -> ends of a -> b -> c with b in M
+    closers = 0
+    rest = candidates & ~m_mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        g = low.bit_length() - 1
+        back = T.in_mask[g] & m_mask
+        heads = out[g] & m_mask if back else 0
+        while heads:
+            high = heads & -heads
+            heads ^= high
+            a = high.bit_length() - 1
+            r = reach.get(a)
+            if r is None:
+                r, mids = 0, out[a] & m_mask
+                while mids:
+                    mid = mids & -mids
+                    mids ^= mid
+                    r |= out[mid.bit_length() - 1]
+                reach[a] = r
+            if r & back:
+                closers |= low
+                break
+    return T.vertices_of_mask(closers)
 
 
 def _consistency(T: BipartiteTournament, M: frozenset, within: Iterable[Vertex] | None

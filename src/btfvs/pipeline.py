@@ -40,8 +40,9 @@ from .msequence import (BackEdge, _back_edges, _blocks_mask, _closes_m_square,
                         _layer_keys, _layers, cycle_closers)
 from .msequence import m_sequence  # noqa: F401  (a lookup site perfbench's tracer wraps)
 from .samplespace import prime_power_decompose, twise_space, twise_space_size
-from .solvers import (Constraints, SolveStats, SolveStatus, _ms, approx4,
-                      branch_solve, reduce_instance, verify_fvs)
+from .solvers import (Constraints, SolveStats, SolveStatus, _ms, _search, approx4,
+                      reduce_instance, squares_packing_lower_bound, verify_fvs)
+from .solvers import branch_solve  # noqa: F401  (a lookup site perfbench's tracer wraps)
 from .structure import _peel_layers_mask
 
 
@@ -331,8 +332,12 @@ def is_m_homogeneous(T: BipartiteTournament, M: Iterable[Vertex],
 
 def derive_forced_p(T: BipartiteTournament, M: Iterable[Vertex]) -> frozenset:
     """Vertices outside M whose addition to M closes a cycle; any solution
-    avoiding M must delete all of them."""
-    return frozenset(cycle_closers(T, T.mask_of(M), T.full_mask))
+    avoiding M must delete all of them.  When T[M] is cyclic itself, every
+    vertex outside M closes that cycle."""
+    m_mask = T.mask_of(M)
+    if _peel_layers_mask(T, m_mask) is None:
+        return frozenset(T.vertices_of_mask(T.full_mask & ~m_mask))
+    return frozenset(cycle_closers(T, m_mask, T.full_mask))
 
 
 def seed_instances(T: BipartiteTournament, k: int,
@@ -890,8 +895,13 @@ def run_cascade(T: BipartiteTournament, k: int, profile: ConstantsProfile,
 def pipeline_solve(T: BipartiteTournament, k: int,
                    profile: ConstantsProfile | None = None,
                    workers: int = 1, collect=None) -> PipelineResult:
-    """Full composition: reduce, seed, cascade, endgame, verify -- with an
-    unconditional fallback to the branching solver.
+    """Full composition: reduce, screen, seed, cascade, endgame, verify --
+    with an unconditional fallback to the branching solver.
+
+    The screen reads the greedy square-packing bound of the reduction from
+    its square index: more than k vertex-disjoint squares need more than k
+    deletions, so the answer is no, with the trace ``(("screen", bound),)``,
+    no diagnostics, no fallback and ``stats.nodes`` 0; nothing is seeded.
 
     The endgame tries the final family one child at a time, in family
     order: it builds a child's ``to_dfvc`` reduction only when it reaches
@@ -900,10 +910,10 @@ def pipeline_solve(T: BipartiteTournament, k: int,
     returned, so a yes is always a real feedback vertex set of size at most
     k regardless of the profile; when the cascade produces nothing usable
     the fallback answers, so the result is always correct.  The fallback
-    is ``branch_solve`` on T, which reuses the survivors of the reduction
-    made here (cached on T) and checks its answer on T.  ``stats.nodes`` is
-    the size of the final family when the cascade answers, and the
-    fallback's node count otherwise.
+    is ``branch_solve``'s search run on the reduction made here, with the
+    square index the screen built; its answer is lifted to T and checked
+    once, on T.  ``stats.nodes`` is the size of the final family when the
+    cascade answers, and the fallback's node count otherwise.
 
     The search runs in one thread; ``workers`` must be 1 (ValueError
     otherwise).  ``collect`` is forwarded to the cascade for family
@@ -923,6 +933,10 @@ def pipeline_solve(T: BipartiteTournament, k: int,
         # reduction removed everything: the input was square-free
         return PipelineResult(SolveStatus.SOLUTION, frozenset(),
                               SolveStats(0, _ms(t0)), (("reduce", 0),), (), False)
+    bound = squares_packing_lower_bound(work)
+    if bound > k:  # k + 1 vertex-disjoint squares, each needing its own deletion
+        return PipelineResult(SolveStatus.NO_SOLUTION, None, SolveStats(0, _ms(t0)),
+                              (("screen", bound),), (), False)
     family, trace, diagnostics = run_cascade(work, k, profile, collect=collect)
 
     for child in family:
@@ -941,7 +955,7 @@ def pipeline_solve(T: BipartiteTournament, k: int,
                                   SolveStats(len(family), _ms(t0)),
                                   tuple(trace), tuple(diagnostics), False)
 
-    fb = branch_solve(T, Constraints(budget=k))
+    fb = _search(T, work, red.to_host, Constraints(budget=k), t0)
     return PipelineResult(fb.status, fb.solution,
                           SolveStats(fb.stats.nodes, _ms(t0)),
                           tuple(trace), tuple(diagnostics), True)

@@ -166,8 +166,11 @@ def approx4(T: BipartiteTournament, k: int,
     Returns a feedback vertex set of size at most 4k, or None after deleting
     more than k squares -- which certifies that no feedback vertex set of
     size at most k exists (every deleted square is vertex-disjoint from the
-    others, and each needs its own deletion).
+    others, and each needs its own deletion) -- and None for k < 0, as no
+    set has negative size.
     """
+    if k < 0:
+        return None
     alive = start = T.full_mask if within_mask is None else within_mask
     squares = 0
     while True:
@@ -326,21 +329,28 @@ def branch_solve(T: BipartiteTournament,
         constraints = Constraints()
     t0 = time.perf_counter()
     budget = constraints.budget if constraints.budget is not None else T.num_vertices
+    work, lift = T, {}
+    # Reduction rules assume plain FVS semantics; apply them only when no
+    # constraint refers to specific vertices (work == T otherwise, so vertex
+    # coordinates in the constraints stay valid), and only at a budget that
+    # some set meets (the search answers no to a negative one at once).
+    if constraints.is_free() and budget >= 0:
+        red = _reduction_at(T, budget)
+        work, lift = red.tournament, red.to_host
+    return _search(T, work, lift, constraints, t0)
 
+
+def _search(T: BipartiteTournament, work: BipartiteTournament, lift: dict,
+            constraints: Constraints, t0: float) -> SolveResult:
+    """:func:`branch_solve`'s search on ``work``, T itself or a reduction of
+    T that ``lift`` maps back to T (a vertex it does not name is its own
+    image), under constraints in ``work``'s coordinates; a solution is
+    lifted to T and checked on T, and ``t0`` starts the wall clock."""
+    budget = constraints.budget if constraints.budget is not None else T.num_vertices
     base: set = set(constraints.required_in)
     remaining = budget - len(base)
     if remaining < 0:
         return SolveResult(SolveStatus.NO_SOLUTION, None, SolveStats(0, _ms(t0)))
-
-    # Reduction rules assume plain FVS semantics; apply them only when no
-    # constraint refers to specific vertices (work == T otherwise, so vertex
-    # coordinates in the constraints stay valid).
-    lift: dict = {}
-    work = T
-    if constraints.is_free():
-        red = _reduction_at(T, budget)
-        work = red.tournament
-        lift = red.to_host
 
     forb_mask = work.mask_of(constraints.forbidden)
     removed0 = work.mask_of(base)

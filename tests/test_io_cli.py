@@ -245,6 +245,18 @@ class TestCli:
         assert main(["approx", str(square_file)]) == 0
         assert len(json.loads(capsys.readouterr().out)) == 4
 
+    @pytest.mark.parametrize("command,status", [
+        ("solve", "no-solution"), ("pipeline", "no-solution"),
+        ("oracle", "no-solution"), ("approx", "too-big"),
+    ])
+    def test_negative_budget_has_no_solution(self, tmp_path, capsys, command, status):
+        # no feedback vertex set has negative size, not even on an acyclic
+        # instance, whose minimum is empty
+        path = tmp_path / "acyclic.json"
+        path.write_text(serialize_instance(generate(GenSpec(3, 3, GenKind.ACYCLIC, seed=4))))
+        assert main(["--json", command, str(path), "--budget", "-1"]) == 1
+        assert json.loads(capsys.readouterr().out)["status"] == status
+
     def test_structure(self, tmp_path, capsys):
         T = generate(GenSpec(2, 2, GenKind.ACYCLIC, seed=3))
         path = tmp_path / "acyclic.json"

@@ -11,6 +11,7 @@ from btfvs.cli import main
 from btfvs.dfvc import dfvc_solve
 from btfvs.errors import FamilyCapExceeded, NotMConsistent, PreconditionViolated
 from btfvs.generators import GenKind, GenSpec, SplitMix64, generate
+from btfvs.graph import BipartiteTournament
 from btfvs.io import serialize_instance
 from btfvs.msequence import back_edges, is_conflict_back_edge, m_sequence
 from btfvs.pipeline import (STAGES, CfvsInstance, ConstantsProfile,
@@ -21,7 +22,7 @@ from btfvs.pipeline import (STAGES, CfvsInstance, ConstantsProfile,
                             pipeline_solve, run_cascade, seed_instances,
                             stage_decoupled, stage_regular, stage_weak,
                             to_dfvc)
-from btfvs.reference import window_property_brute
+from btfvs.reference import brute_squares, dfs_has_cycle, window_property_brute
 from btfvs.samplespace import twise_space, twise_space_size
 from btfvs.solvers import (Constraints, SolveStatus, branch_solve, exact_min_fvs,
                            oracle_min_fvs, verify_fvs)
@@ -179,6 +180,27 @@ class TestSeeding:
             want = {v for v in T.vertices()
                     if v not in M and not is_acyclic(T, M | {v})}
             assert got == want
+        # the closers come from a square test on adjacency masks, so check
+        # them against plain DFS cycle detection, which neither peels nor
+        # looks for squares; M keeps about 3/4 of the complement of a
+        # minimum solution (so T[M] is acyclic) or of all of V (so T[M] may
+        # be cyclic, and then every vertex outside M closes a cycle)
+        closing = cyclic = 0
+        for seed in range(80):
+            rng = SplitMix64(seed + 500)
+            m, n = 3 + rng.below(4), 3 + rng.below(4)
+            spec = GenSpec(m, n, GenKind.UNIFORM_RANDOM, seed=seed) if seed % 2 else \
+                GenSpec(m, n, GenKind.PLANTED_FVS, seed=seed, k_plant=1 + rng.below(3))
+            T = generate(spec)
+            pool = sorted(set(T.vertices()) - exact_min_fvs(T)) if seed % 4 < 2 \
+                else T.vertices()
+            M = frozenset(v for v in pool if rng.below(4))
+            got = derive_forced_p(T, M)
+            want = {v for v in T.vertices() if v not in M and dfs_has_cycle(T, M | {v})}
+            assert got == want, (spec, sorted(M))
+            closing += bool(want) and not dfs_has_cycle(T, M)
+            cyclic += dfs_has_cycle(T, M)
+        assert closing >= 30 and cyclic >= 10
 
 
 class TestPredicates:
@@ -871,6 +893,55 @@ class TestPipelineSolve:
             assert res.used_fallback and res.found == (k == opt)
             assert reduced == [True]
             assert verified == ([True] if res.found else [])
+
+    def test_packing_bound_screens_before_seeding(self, monkeypatch):
+        # at k=1 the reduction packs 2 vertex-disjoint squares, so the screen
+        # answers no before any seeding, stage, endgame or fallback runs
+        T = generate(GenSpec(5, 5, GenKind.PLANTED_FVS, seed=5, k_plant=2))
+        squares = [frozenset(sq) for sq in brute_squares(T)]
+        assert any(not (s & t) for s in squares for t in squares)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("screened inputs are not seeded")
+
+        monkeypatch.setattr(pipeline, "m_family", unreachable)
+        monkeypatch.setattr(pipeline, "seed_instances", unreachable)
+        monkeypatch.setattr(pipeline, "_search", unreachable)
+        res = pipeline_solve(T, 1, TOY)
+        assert (res.status, res.solution, res.stats.nodes, res.trace,
+                res.diagnostics, res.used_fallback) == \
+            (SolveStatus.NO_SOLUTION, None, 0, (("screen", 2),), (), False)
+
+    def test_unscreened_result_is_pinned(self):
+        # the packing bound is within the budget, so the cascade runs and
+        # answers from its 93-child final family, as before the screen
+        T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2))
+        res = pipeline_solve(T, 2, TOY)
+        assert (res.status, res.solution, res.stats.nodes, res.trace,
+                res.diagnostics, res.used_fallback) == \
+            (SolveStatus.SOLUTION, frozenset({a(3), b(3)}), 93,
+             (("seed", 121), ("regular", 107), ("weak", 107), ("matched", 98),
+              ("lowblockdegree", 96), ("decoupled", 93)), (), False)
+
+    @pytest.mark.parametrize("seed", [1, 3, 4])
+    def test_reduction_induced_once_per_solve(self, seed, monkeypatch):
+        # the screen and the fallback read the one reduced tournament that
+        # reduce_instance induced; nothing induces it again
+        T = generate(GenSpec(8, 8, GenKind.PLANTED_FVS, seed=seed, k_plant=3))
+        opt = len(exact_min_fvs(T))
+        original = BipartiteTournament.induced
+        calls = []
+
+        def counting(self, vertices):
+            calls.append(self is T)
+            return original(self, vertices)
+
+        monkeypatch.setattr(BipartiteTournament, "induced", counting)
+        for k in (opt - 1, opt):
+            calls.clear()
+            res = pipeline_solve(T, k)  # the paper profile
+            assert res.found == (k == opt)
+            assert calls == [True]
 
     def test_trace_reports_stage_sizes(self):
         T = generate(GenSpec(3, 3, GenKind.UNIFORM_RANDOM, seed=22))
