@@ -173,13 +173,16 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    for flag, val in (("--k", args.k), ("--count", args.count)):
+        if val is not None and val < 0:
+            raise ValueError(f"{flag} must be non-negative, got {val}")
     kind = {k.value: k for k in GenKind}[args.kind]
+    specs = [GenSpec(m=args.m, n=args.n, kind=kind, seed=args.seed + i, k_plant=args.k_plant,
+                     twin_a=args.twin_a, twin_b=args.twin_b) for i in range(args.count)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for i in range(args.count):
-        spec = GenSpec(m=args.m, n=args.n, kind=kind, seed=args.seed + i,
-                       k_plant=args.k_plant, twin_a=args.twin_a, twin_b=args.twin_b)
+    for spec in specs:
         T = generate(spec)
         meta = {"generator": {"kind": kind.value, "m": args.m, "n": args.n,
                               "seed": spec.seed, "k_plant": args.k_plant,

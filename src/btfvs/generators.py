@@ -77,7 +77,8 @@ class GenSpec:
     """Deterministic recipe for one instance.
 
     ``k_plant`` applies to PLANTED_FVS; ``twin_a``/``twin_b`` are the
-    row/column duplication factors of TWIN_HEAVY.
+    row/column duplication factors of TWIN_HEAVY.  A negative ``k_plant``
+    or a factor below 1 raises ValueError.
     """
 
     m: int
@@ -87,6 +88,12 @@ class GenSpec:
     k_plant: int = 0
     twin_a: int = 1
     twin_b: int = 1
+
+    def __post_init__(self):
+        if self.k_plant < 0:
+            raise ValueError(f"k_plant must be non-negative, got {self.k_plant}")
+        if self.twin_a < 1 or self.twin_b < 1:
+            raise ValueError(f"twin factors must be at least 1, got {self.twin_a}, {self.twin_b}")
 
     def stream(self) -> SplitMix64:
         base = SplitMix64(self.seed)
@@ -130,8 +137,7 @@ def generate(spec: GenSpec) -> BipartiteTournament:
                 if i in planted_a or j in planted_b:
                     orient[i][j] = rng.coin()
     elif spec.kind is GenKind.TWIN_HEAVY:
-        ta = max(1, spec.twin_a)
-        tb = max(1, spec.twin_b)
+        ta, tb = spec.twin_a, spec.twin_b
         core_m = (m + ta - 1) // ta if m else 0
         core_n = (n + tb - 1) // tb if n else 0
         core = [[rng.coin() for _ in range(core_n)] for _ in range(core_m)]

@@ -49,7 +49,7 @@ def parse_instance(text: str | bytes) -> ParsedInstance:
             raise ParseError(f"orient row {i} is not an array")
         cells = []
         for j, cell in enumerate(row):
-            if cell not in (0, 1) or isinstance(cell, bool):
+            if type(cell) is not int or cell not in (0, 1):
                 raise ParseError(f"orient[{i}][{j}] must be 0 or 1, got {cell!r}")
             cells.append(bool(cell))
         orient.append(cells)

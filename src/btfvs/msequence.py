@@ -102,8 +102,8 @@ class MSequence:
         return out
 
 
-def cycle_closers(T: BipartiteTournament, m_mask: int, candidates: int) -> list[Vertex]:
-    """Candidates v outside M with T[M + v] cyclic, by ascending gid; M and
+def cycle_closers(T: BipartiteTournament, m_mask: int, candidates: int) -> int:
+    """The gid mask of the candidates v outside M with T[M + v] cyclic; M and
     the candidates are bitmasks over global ids, and T[M] must be acyclic.
 
     A cyclic bipartite tournament has a square, and T[M] has none, so T[M + v]
@@ -136,7 +136,7 @@ def cycle_closers(T: BipartiteTournament, m_mask: int, candidates: int) -> list[
             if r & back:
                 closers |= low
                 break
-    return T.vertices_of_mask(closers)
+    return closers
 
 
 def _consistency(T: BipartiteTournament, M: frozenset, within: Iterable[Vertex] | None
@@ -154,7 +154,8 @@ def _consistency(T: BipartiteTournament, M: frozenset, within: Iterable[Vertex] 
     if peeled is None:
         return m_mask, alive, T.vertices_of_mask(m_mask)[0], None
     closers = cycle_closers(T, m_mask, alive)
-    return m_mask, alive, (closers[0] if closers else None), peeled
+    witness = T.vertex_of_gid((closers & -closers).bit_length() - 1) if closers else None
+    return m_mask, alive, witness, peeled
 
 
 def is_m_consistent(T: BipartiteTournament, M: Iterable[Vertex]) -> tuple[bool, Vertex | None]:
@@ -231,7 +232,7 @@ def classify(T: BipartiteTournament, M: Iterable[Vertex], v: Vertex) -> Classifi
 
 
 def _blocks_mask(T: BipartiteTournament, m_mask: int, keys: list[tuple[int, int, int]],
-                 alive: int) -> tuple[list[tuple[int, int]], list[int]]:
+                 alive: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     """The (X_i, Y_i) gid masks of T[alive] relative to M, and gid -> block
     index (-1 outside ``alive``); ``keys`` are T[M]'s layer keys and
     T[alive] must be M-consistent."""
@@ -254,7 +255,7 @@ def _blocks_mask(T: BipartiteTournament, m_mask: int, keys: list[tuple[int, int,
             ys[i] |= low
         block[g] = i
         rest ^= low
-    return list(zip(xs, ys)), block
+    return tuple(zip(xs, ys)), tuple(block)
 
 
 def m_sequence(T: BipartiteTournament, M: Iterable[Vertex],
@@ -272,7 +273,7 @@ def m_sequence(T: BipartiteTournament, M: Iterable[Vertex],
                            for x, y in _blocks_mask(T, m_mask, keys, alive)[0]), M)
 
 
-def _back_edges(T: BipartiteTournament, block: list[int]) -> list[BackEdge]:
+def _back_edges(T: BipartiteTournament, block: Sequence[int]) -> list[BackEdge]:
     """Arcs from a higher-indexed block to a strictly lower one, in
     row-major arc scan order; ``block`` maps gid -> block index, -1 for a
     vertex outside the blocks."""

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
 from itertools import chain, combinations, permutations
@@ -110,10 +111,17 @@ class ConstantsProfile:
 
 
 class BlockView(NamedTuple):
-    """Block structure of T - P relative to M, in host coordinates."""
+    """Block structure of T - P relative to M, as gid masks of the host.
 
-    blocks: tuple[tuple[frozenset, frozenset], ...]  # (X_i, Y_i)
-    block_of: dict  # host vertex -> block index
+    ``block`` maps a gid to its block index (-1 for a vertex P held when
+    the view was built).  A vertex's block depends only on T, M and itself,
+    so one tuple serves a seed or hand-built instance and every descendant;
+    a vertex its P has gained since keeps its index, and readers skip P.
+    """
+
+    m: int  # gid mask of M
+    blocks: tuple[tuple[int, int], ...]  # (X_i, Y_i) of T - P
+    block: tuple[int, ...]  # gid -> block index
     back: tuple[BackEdge, ...]  # row-major arc scan order
     # (tail, head) of each back edge that closes a square with two M-vertices;
     # a child keeps its parent's set, which may name arcs it no longer has
@@ -181,11 +189,9 @@ def live_structure(T: BipartiteTournament, m_mask: int, keys: list[tuple[int, in
     M-consistent, which is not checked here."""
     blocks, block = _blocks_mask(T, m_mask, keys, alive)
     back = tuple(_back_edges(T, block))
-    vs, gid = T.vertices_of_mask, T.gid
+    gid = T.gid
     return BlockView(
-        tuple((frozenset(vs(x)), frozenset(vs(y))) for x, y in blocks),
-        {T.vertex_of_gid(g): i for g, i in enumerate(block) if i >= 0},
-        back,
+        m_mask, blocks, block, back,
         frozenset((e.tail, e.head) for e in back
                   if _closes_m_square(T, m_mask, gid(e.tail), gid(e.head))))
 
@@ -200,11 +206,10 @@ def _child(inst: CfvsInstance, P: frozenset | None = None,
         return None
     gone, view = P - inst.P, inst.view
     if gone:
-        view = BlockView(
-            tuple((x - gone, y - gone) for (x, y) in view.blocks),
-            {v: i for v, i in view.block_of.items() if v not in gone},
-            tuple(e for e in view.back if e.tail not in gone and e.head not in gone),
-            view.conflict)
+        keep = ~inst.T.mask_of(gone)
+        view = view._replace(
+            blocks=tuple((x & keep, y & keep) for (x, y) in view.blocks),
+            back=tuple(e for e in view.back if e.tail not in gone and e.head not in gone))
     return CfvsInstance(inst.T, inst.M, P, inst.F if F is None else F, inst.k, view)
 
 
@@ -218,15 +223,10 @@ def _short_by_pair(inst: CfvsInstance, exclude: frozenset = frozenset()) -> list
     return list(by_pair.values())
 
 
-def _block_incidence(inst: CfvsInstance, edges: Iterable[tuple]) -> dict:
+def _block_incidence(inst: CfvsInstance, edges: Iterable[tuple]) -> Counter:
     """Block index -> number of edge endpoints inside that block."""
-    block_of = inst.view.block_of
-    counts: dict = {}
-    for e in edges:
-        for v in e:
-            if v in block_of:
-                counts[block_of[v]] = counts.get(block_of[v], 0) + 1
-    return counts
+    block, gid, P = inst.view.block, inst.T.gid, inst.P
+    return Counter(block[gid(v)] for e in edges for v in e if v not in P)
 
 
 def _subset_count(size: int, most: int) -> int:
@@ -337,7 +337,7 @@ def derive_forced_p(T: BipartiteTournament, M: Iterable[Vertex]) -> frozenset:
     m_mask = T.mask_of(M)
     if _peel_layers_mask(T, m_mask) is None:
         return frozenset(T.vertices_of_mask(T.full_mask & ~m_mask))
-    return frozenset(cycle_closers(T, m_mask, T.full_mask))
+    return frozenset(T.vertices_of_mask(cycle_closers(T, m_mask, T.full_mask)))
 
 
 def seed_instances(T: BipartiteTournament, k: int,
@@ -359,10 +359,10 @@ def seed_instances(T: BipartiteTournament, k: int,
         peeled = _peel_layers_mask(T, m_mask)
         if peeled is None:
             continue
-        P = cycle_closers(T, m_mask, full)
-        view = live_structure(T, m_mask, _layer_keys(T, m_mask, peeled),
-                              full & ~T.mask_of(P))
-        out.append(CfvsInstance(T, M, frozenset(P), frozenset(), k, view))
+        closers = cycle_closers(T, m_mask, full)
+        view = live_structure(T, m_mask, _layer_keys(T, m_mask, peeled), full & ~closers)
+        out.append(CfvsInstance(T, M, frozenset(T.vertices_of_mask(closers)), frozenset(),
+                                k, view))
     return out
 
 
@@ -373,28 +373,26 @@ def seed_instances(T: BipartiteTournament, k: int,
 def large_sets(inst: CfvsInstance, profile: ConstantsProfile) -> frozenset:
     """Union of oversized sub-blocks: X_i whose size reaches ``large_ratio``
     times its M-count, and Y_i of size at least ``large_ratio``."""
-    ratio = profile.large_ratio
-    picked: set = set()
+    ratio, m = profile.large_ratio, inst.view.m
+    picked = 0
     for (x, y) in inst.view.blocks:
-        m_i = len(x & inst.M)
-        if (m_i == 0 and len(x) >= ratio) or (m_i > 0 and len(x) >= ratio * m_i):
+        if x.bit_count() >= ratio * max(1, (x & m).bit_count()):
             picked |= x
-        if len(y) >= ratio:
+        if y.bit_count() >= ratio:
             picked |= y
-    return frozenset(picked)
+    return frozenset(inst.T.vertices_of_mask(picked))
 
 
 def is_regular(inst: CfvsInstance, profile: ConstantsProfile) -> bool:
     """Every big X_i keeps an M share of at least 1/large_ratio, and every
     Y_i stays below large_ratio."""
-    ratio = profile.large_ratio
+    ratio, m = profile.large_ratio, inst.view.m
     for (x, y) in inst.view.blocks:
-        if len(y) > ratio:
+        if y.bit_count() > ratio:
             return False
-        if len(x) >= ratio:
-            m_i = len(x & inst.M)
-            if m_i * ratio < len(x):
-                return False
+        size = x.bit_count()
+        if size >= ratio and (x & m).bit_count() * ratio < size:
+            return False
     return True
 
 
@@ -579,8 +577,8 @@ def stage_lowblockdegree(inst: CfvsInstance, profile: ConstantsProfile) -> list[
         raise PreconditionViolated("weakly-coupled")
     if not is_matched(inst):
         raise PreconditionViolated("matched")
-    host_blocks = inst.view.blocks
-    hbe = inst.view.back
+    host_blocks, m = inst.view.blocks, inst.view.m
+    hbe, vs = inst.view.back, inst.T.vertices_of_mask
     live_f = sorted(inst.live_f())
     candidates = sorted(i for i, c in _block_incidence(inst, live_f).items()
                         if c >= profile.block_degree)
@@ -600,18 +598,16 @@ def stage_lowblockdegree(inst: CfvsInstance, profile: ConstantsProfile) -> list[
         for fam in combinations(candidates, fam_size):
             bump()
             fam = set(fam)
-            x_union: set = set()
-            y_union: set = set()
-            pool: set = set()
+            x_union = y_union = pool = 0
             for i in fam:
                 x, y = host_blocks[i]
                 x_union |= x
                 y_union |= y
-                pool |= (x - inst.M) | y
+                pool |= (x & ~m) | y
                 for j in (i - 1, i + 1):
                     if 0 <= j < len(host_blocks):
-                        pool |= host_blocks[j][0] - inst.M
-            pool = sorted(pool)
+                        pool |= host_blocks[j][0] & ~m
+            x_union, y_union, pool = frozenset(vs(x_union)), frozenset(vs(y_union)), vs(pool)
             m_cap = 3 * profile.hom_window * max(1, len(fam))
             for fringe_size in range(min(m_cap, len(pool)) + 1):
                 for fringe in combinations(pool, fringe_size):
@@ -655,25 +651,24 @@ def stage_lowblockdegree(inst: CfvsInstance, profile: ConstantsProfile) -> list[
 
 
 def _split_search(inst: CfvsInstance, profile: ConstantsProfile):
-    """The merged blocks X_i | Y_i, ``runs(cuts)``, the memoised
-    ``windows(i, j)`` and the greedy cut mask of one instance.
+    """``parts(cuts)``, ``runs(cuts)``, the memoised ``windows(i, j)`` and
+    the greedy cut mask of one instance.
 
-    Bit i of a cut mask cuts between block i and block i + 1, and
-    ``runs(cuts)`` lists the (first, last) block of each run.  ``windows``
-    gives blocks i..j's 4-approximation size under budget ``part_fvs_f``
-    (None past it) and the number of live constraint edges touching them.
-    The greedy deletes the same squares whatever its budget, so one
-    budget-``part_fvs_f`` pass per block run serves the greedy split and
-    every split's window check.
+    Bit i of a cut mask cuts between block i and block i + 1, ``runs(cuts)``
+    lists the (first, last) block of each run and ``parts(cuts)`` the
+    vertex set of each.  ``windows`` gives blocks i..j's 4-approximation
+    size under budget ``part_fvs_f`` (None past it) and the number of live
+    constraint edges touching them.  The greedy deletes the same squares
+    whatever its budget, so one budget-``part_fvs_f`` pass per block run
+    serves the greedy split and every split's window check.
     """
-    blocks = [x | y for (x, y) in inst.view.blocks]
-    block_of = inst.view.block_of
-    live = [(block_of[u], block_of[w]) for (u, w) in inst.live_f()]
+    blocks = [x | y for (x, y) in inst.view.blocks]  # disjoint: a sum is a union
+    block, gid, vs = inst.view.block, inst.T.gid, inst.T.vertices_of_mask
+    live = [(block[gid(u)], block[gid(w)]) for (u, w) in inst.live_f()]
 
     @cache
     def windows(i: int, j: int) -> tuple[int | None, int]:
-        approx = approx4(inst.T, profile.part_fvs_f,
-                         inst.T.mask_of(frozenset().union(*blocks[i:j + 1])))
+        approx = approx4(inst.T, profile.part_fvs_f, sum(blocks[i:j + 1]))
         deg = sum(1 for (bu, bw) in live if i <= bu <= j or i <= bw <= j)
         return None if approx is None else len(approx), deg
 
@@ -685,13 +680,16 @@ def _split_search(inst: CfvsInstance, profile: ConstantsProfile):
                 first = i + 1
         return out + [(first, len(blocks) - 1)]
 
+    def parts(cuts: int) -> list[frozenset]:
+        return [frozenset(vs(sum(blocks[i:j + 1]))) for (i, j) in runs(cuts)]
+
     greedy, first = 0, 0
     for i in range(len(blocks) - 1):
         size, deg = windows(first, i)
         if size is None or size >= profile.part_fvs_f or deg >= profile.part_degree_d:
             greedy |= 1 << i
             first = i + 1
-    return blocks, runs, windows, greedy
+    return parts, runs, windows, greedy
 
 
 def partition_parts(inst: CfvsInstance, profile: ConstantsProfile) -> list[frozenset]:
@@ -700,8 +698,8 @@ def partition_parts(inst: CfvsInstance, profile: ConstantsProfile) -> list[froze
     budget ``part_fvs_f``) or its live constraint-edge incidence reaches the
     respective window.  The final run may satisfy neither window.  The stage
     predicates are not checked here; :func:`stage_decoupled` checks them."""
-    blocks, runs, _, greedy = _split_search(inst, profile)
-    return [frozenset().union(*blocks[i:j + 1]) for (i, j) in runs(greedy)]
+    parts, _, _, greedy = _split_search(inst, profile)
+    return parts(greedy)
 
 
 def find_decoupling(inst: CfvsInstance, profile: ConstantsProfile) -> list[frozenset] | None:
@@ -713,7 +711,7 @@ def find_decoupling(inst: CfvsInstance, profile: ConstantsProfile) -> list[froze
     other split in cut-mask order; that search is skipped when 2^(blocks-1)
     exceeds the family cap, and the greedy split then decides alone.
     """
-    blocks, runs, windows, greedy = _split_search(inst, profile)
+    parts, runs, windows, greedy = _split_search(inst, profile)
     f, d = profile.part_fvs_f, profile.part_degree_d
     deg_lo = max(1, (200 * d) // 201)
     crossed = 0  # bit i: a short conflict back edge outside F joins blocks i, i + 1
@@ -729,11 +727,11 @@ def find_decoupling(inst: CfvsInstance, profile: ConstantsProfile) -> list[froze
         return all((size is not None and size >= f) or deg_lo <= deg <= d
                    for size, deg in (windows(i, j) for (i, j) in runs(cuts)))
 
-    splits = 2 ** (len(blocks) - 1)
+    splits = 2 ** (len(inst.view.blocks) - 1)
     others = range(splits) if splits <= profile.family_cap else ()
     for cuts in chain([greedy], (c for c in others if c != greedy)):
         if witnesses(cuts):
-            return [frozenset().union(*blocks[i:j + 1]) for (i, j) in runs(cuts)]
+            return parts(cuts)
     return None
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 from btfvs.generators import GenKind, GenSpec, SplitMix64, generate
 from btfvs.solvers import exact_min_fvs
 from btfvs.structure import is_acyclic
@@ -52,6 +54,14 @@ class TestGenerate:
         for kind in GenKind:
             T = generate(GenSpec(3, 5, kind, seed=11, k_plant=1))
             assert (T.m, T.n) == (3, 5)
+
+    @pytest.mark.parametrize("change", [
+        {"k_plant": -3}, {"twin_a": 0}, {"twin_b": -1},
+    ])
+    def test_spec_rejects_what_it_cannot_generate(self, change):
+        # a negative sample size would plant m + n - 3 vertices from the end
+        with pytest.raises(ValueError):
+            GenSpec(5, 5, GenKind.PLANTED_FVS, seed=1, **change)
 
     def test_empty_sides(self):
         for kind in (GenKind.UNIFORM_RANDOM, GenKind.ACYCLIC):

@@ -114,6 +114,7 @@ _BAD_INSTANCES = [
         {"m": 2.0}, {"m": 10 ** 12}, {"k": -1}, {"k": "1"}, {"k": 1.5},
         {"orient": {}}, {"orient": [1, 2]}, {"orient": [[1, 2], [0, 1]]},
         {"orient": [[True, 0], [0, 1]]}, {"orient": [[None, 0], [0, 1]]},
+        {"orient": [[1.0, 0], [0, 1]]}, {"orient": [[1, 0.0], [0, 1]]},
         {"orient": [[[1], 0], [0, 1]]}, {"orient": [[1], [0, 1]]},
         {"orient": [[1, 0]]}, {"labels": [1, 2, 3, 4]}, {"labels": ["a", "b"]},
         {"labels": "abcd"})),
@@ -308,6 +309,18 @@ class TestCli:
         f1 = next((tmp_path / "c1").glob("*.json")).read_text()
         f2 = next((tmp_path / "c2").glob("*.json")).read_text()
         assert f1 == f2
+
+    @pytest.mark.parametrize("flags", [
+        ["--k", "-1"], ["--count", "-1"], ["--kind", "planted", "--k-plant", "-3"],
+        ["--kind", "twinheavy", "--twin-a", "0"], ["--twin-b", "-1"],
+    ])
+    def test_gen_rejects_what_no_command_accepts(self, tmp_path, capsys, flags):
+        out = tmp_path / "corpus"
+        code = main(["gen", "--kind", "uniform", "--m", "3", "--n", "3", "--out", str(out),
+                     *flags])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and "Traceback" not in err, err
+        assert not out.exists()
 
     def test_verify(self, square_file):
         assert main(["verify", str(square_file), "--solution", "a0"]) == 0

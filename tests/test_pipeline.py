@@ -502,7 +502,8 @@ class TestHandBuilt:
             CfvsInstance(square_2x2, M, frozenset(), frozenset(), 1)
         inst = CfvsInstance(square_2x2, M, {b(1)}, [(a(0), b(0))], 1)
         assert inst.P == {b(1)} and inst.F == {(a(0), b(0))}
-        assert set(inst.view.block_of) == M
+        assert inst.view.m == square_2x2.mask_of(M)
+        assert sum(1 << g for g, i in enumerate(inst.view.block) if i >= 0) == inst.view.m
         assert inst.parts == ()
 
     def test_validation_peels_m_once(self, monkeypatch):
@@ -519,7 +520,7 @@ class TestHandBuilt:
 
         monkeypatch.setattr(msequence, "_peel_layers_mask", recording)
         inst = CfvsInstance(T, M, frozenset(), frozenset(), 2)
-        assert set(inst.view.block_of) >= M
+        assert inst.view.m == m_mask and all(inst.view.block[T.gid(v)] >= 0 for v in M)
         assert peeled.count(m_mask) == 1
 
 
@@ -585,8 +586,8 @@ class TestBlockView:
     def test_view_matches_sub_tournament_route(self):
         # hand-built instances and every stage's instances -- seeds building
         # their own views, children inheriting theirs -- hold the partition
-        # of T.remove(P), with its blocks and back edges (in scan order)
-        # mapped back to host vertices
+        # of T.remove(P), with its blocks (as host gid masks), back edges (in
+        # scan order) and block indices mapped back to host vertices
         family = [("hand-built", inst) for inst in
                   (seeded_cfvs(seed, max_side=5) for seed in range(40)) if inst is not None]
         for spec, k in ((GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2), 2),
@@ -596,17 +597,46 @@ class TestBlockView:
                         family.extend((stage, c) for c in children))
         checked = dict.fromkeys(("hand-built",) + STAGES, 0)
         for stage, child in family:
-            live = child.T.remove(child.P)
+            T = child.T
+            live = T.remove(child.P)
             seq = m_sequence(live.tournament, (live.from_host[v] for v in child.M))
             host = live.to_host
-            blocks = tuple((frozenset(host[v] for v in x), frozenset(host[v] for v in y))
+            blocks = tuple((T.mask_of(host[v] for v in x), T.mask_of(host[v] for v in y))
                            for (x, y) in seq.blocks)
             back = [(host[e.tail], host[e.head], e.tail_block, e.head_block)
                     for e in back_edges(live.tournament, seq)]
+            assert child.view.m == T.mask_of(child.M)
             assert child.view.blocks == blocks
             assert [tuple(e) for e in child.view.back] == back
-            assert child.view.block_of == {
-                v: i for i, (x, y) in enumerate(blocks) for v in x | y}
+            assert {v: child.view.block[T.gid(v)] for v in T.vertices() if v not in child.P} \
+                == {host[v]: i for i, (x, y) in enumerate(seq.blocks) for v in x | y}
+            checked[stage] += 1
+        assert all(checked.values()), checked
+
+
+    def test_children_share_their_seeds_block_index(self):
+        # a vertex's block depends only on T, M and itself, so every stage
+        # child reads its seed's gid -> block tuple itself, while its own
+        # blocks partition exactly the vertices outside its P
+        seed_of, family = {}, []
+
+        def collect(stage, parent, children):
+            for c in children:
+                seed_of[id(c)] = c if parent is None else seed_of[id(parent)]
+                family.append((stage, c))
+
+        for spec, k in ((GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2), 2),
+                        (GenSpec(5, 5, GenKind.PLANTED_FVS, seed=5, k_plant=2), 1),
+                        (GenSpec(4, 5, GenKind.PLANTED_FVS, seed=2, k_plant=2), 2)):
+            run_cascade(generate(spec), k, TOY, collect=collect)
+        checked = dict.fromkeys(STAGES, 0)
+        for stage, child in family:
+            assert child.view.block is seed_of[id(child)].view.block
+            T, union = child.T, 0
+            for x, y in child.view.blocks:
+                assert not (x & y) and not (union & (x | y))
+                union |= x | y
+            assert union == T.full_mask & ~T.mask_of(child.P)
             checked[stage] += 1
         assert all(checked.values()), checked
 
