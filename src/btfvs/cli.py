@@ -353,7 +353,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ParseError, DimensionMismatch, NotAcyclic, NotMConsistent, EmptyM,
-            NotAMatching, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+            NotAMatching, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except FamilyCapExceeded as exc:

@@ -46,8 +46,9 @@ class BipartiteTournament:
     """
 
     # The underscored slots are derived caches, filled on first use: the
-    # adjacency masks here, the square index by ``structure.square_index``
-    # and the survivor mask of the last ``solvers.reduce_instance``.
+    # adjacency masks here, the last square index that
+    # ``structure.square_index`` built, with its vertex mask, and the
+    # survivor mask of the last reduction ``solvers._survivors`` made.
     __slots__ = ("m", "n", "orient", "labels", "_out_mask", "_in_mask",
                  "_square_index", "_reduction")
 

@@ -41,9 +41,9 @@ from .msequence import (BackEdge, _back_edges, _blocks_mask, _closes_m_square,
                         _layer_keys, _layers, cycle_closers)
 from .msequence import m_sequence  # noqa: F401  (a lookup site perfbench's tracer wraps)
 from .samplespace import prime_power_decompose, twise_space, twise_space_size
-from .solvers import (Constraints, SolveStats, SolveStatus, _ms, _search, approx4,
-                      reduce_instance, squares_packing_lower_bound, verify_fvs)
-from .solvers import branch_solve  # noqa: F401  (a lookup site perfbench's tracer wraps)
+from .solvers import (Constraints, SolveStats, SolveStatus, _approx4_mask, _ms, _survivors,
+                      branch_solve, reduce_instance, squares_packing_lower_bound,
+                      verify_fvs)
 from .structure import _peel_layers_mask
 
 
@@ -668,9 +668,9 @@ def _split_search(inst: CfvsInstance, profile: ConstantsProfile):
 
     @cache
     def windows(i: int, j: int) -> tuple[int | None, int]:
-        approx = approx4(inst.T, profile.part_fvs_f, sum(blocks[i:j + 1]))
+        approx = _approx4_mask(inst.T, profile.part_fvs_f, sum(blocks[i:j + 1]))
         deg = sum(1 for (bu, bw) in live if i <= bu <= j or i <= bw <= j)
-        return None if approx is None else len(approx), deg
+        return None if approx is None else approx.bit_count(), deg
 
     def runs(cuts: int) -> list[tuple[int, int]]:
         out, first = [], 0
@@ -896,10 +896,12 @@ def pipeline_solve(T: BipartiteTournament, k: int,
     """Full composition: reduce, screen, seed, cascade, endgame, verify --
     with an unconditional fallback to the branching solver.
 
-    The screen reads the greedy square-packing bound of the reduction from
-    its square index: more than k vertex-disjoint squares need more than k
-    deletions, so the answer is no, with the trace ``(("screen", bound),)``,
-    no diagnostics, no fallback and ``stats.nodes`` 0; nothing is seeded.
+    The screen reads the greedy square-packing bound of T[survivors], the
+    vertices the reduction keeps, from its square index: more than k
+    vertex-disjoint squares need more than k deletions, so the answer is no,
+    with the trace ``(("screen", bound),)``, no diagnostics, no fallback and
+    ``stats.nodes`` 0; nothing is induced or seeded.  The reduced tournament
+    is induced only for seeding.
 
     The endgame tries the final family one child at a time, in family
     order: it builds a child's ``to_dfvc`` reduction only when it reaches
@@ -908,10 +910,10 @@ def pipeline_solve(T: BipartiteTournament, k: int,
     returned, so a yes is always a real feedback vertex set of size at most
     k regardless of the profile; when the cascade produces nothing usable
     the fallback answers, so the result is always correct.  The fallback
-    is ``branch_solve``'s search run on the reduction made here, with the
-    square index the screen built; its answer is lifted to T and checked
-    once, on T.  ``stats.nodes`` is the size of the final family when the
-    cascade answers, and the fallback's node count otherwise.
+    is ``branch_solve`` on T, which reuses the survivors and the square
+    index T cached for the screen and checks its answer once, on T.
+    ``stats.nodes`` is the size of the final family when the cascade
+    answers, and the fallback's node count otherwise.
 
     The search runs in one thread; ``workers`` must be 1 (ValueError
     otherwise).  ``collect`` is forwarded to the cascade for family
@@ -925,17 +927,17 @@ def pipeline_solve(T: BipartiteTournament, k: int,
     if k < 0:
         return PipelineResult(SolveStatus.NO_SOLUTION, None,
                               SolveStats(0, _ms(t0)), (), (), False)
-    red = reduce_instance(T, k)
-    work = red.tournament
-    if work.num_vertices == 0:
+    alive = _survivors(T, k)
+    if not alive:
         # reduction removed everything: the input was square-free
         return PipelineResult(SolveStatus.SOLUTION, frozenset(),
                               SolveStats(0, _ms(t0)), (("reduce", 0),), (), False)
-    bound = squares_packing_lower_bound(work)
+    bound = squares_packing_lower_bound(T, alive=alive)
     if bound > k:  # k + 1 vertex-disjoint squares, each needing its own deletion
         return PipelineResult(SolveStatus.NO_SOLUTION, None, SolveStats(0, _ms(t0)),
                               (("screen", bound),), (), False)
-    family, trace, diagnostics = run_cascade(work, k, profile, collect=collect)
+    red = reduce_instance(T, k)
+    family, trace, diagnostics = run_cascade(red.tournament, k, profile, collect=collect)
 
     for child in family:
         try:
@@ -953,7 +955,7 @@ def pipeline_solve(T: BipartiteTournament, k: int,
                                   SolveStats(len(family), _ms(t0)),
                                   tuple(trace), tuple(diagnostics), False)
 
-    fb = _search(T, work, red.to_host, Constraints(budget=k), t0)
+    fb = branch_solve(T, Constraints(budget=k))
     return PipelineResult(fb.status, fb.solution,
                           SolveStats(fb.stats.nodes, _ms(t0)),
                           tuple(trace), tuple(diagnostics), True)

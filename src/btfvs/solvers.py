@@ -169,14 +169,20 @@ def approx4(T: BipartiteTournament, k: int,
     others, and each needs its own deletion) -- and None for k < 0, as no
     set has negative size.
     """
+    deleted = _approx4_mask(T, k, T.full_mask if within_mask is None else within_mask)
+    return None if deleted is None else frozenset(T.vertices_of_mask(deleted))
+
+
+def _approx4_mask(T: BipartiteTournament, k: int, alive: int) -> int | None:
+    """:func:`approx4` on T[alive], answering with the gid mask it deletes."""
     if k < 0:
         return None
-    alive = start = T.full_mask if within_mask is None else within_mask
+    start = alive
     squares = 0
     while True:
         gids = _square_gids(T, alive)
         if gids is None:
-            return frozenset(T.vertices_of_mask(start & ~alive))
+            return start & ~alive
         squares += 1
         if squares > k:
             return None
@@ -215,13 +221,11 @@ def _pack(index: SquareIndex, live: int, cap: int) -> int:
 def squares_packing_lower_bound(T: BipartiteTournament, forbidden: int = 0,
                                 alive: int | None = None) -> int | None:
     """Greedy vertex-disjoint square packing of T[alive] (gid masks; all of
-    V when None), in ``all_squares`` order, read from T's square index; None
-    when a square of T[alive] is made of ``forbidden`` vertices only, which
-    certifies infeasibility."""
-    index = square_index(T)
+    V when None), in ``all_squares`` order, read from the square index of
+    T[alive]; None when a square of T[alive] is made of ``forbidden``
+    vertices only, which certifies infeasibility."""
+    index = square_index(T, alive)
     live = (1 << index.count) - 1
-    if alive is not None:
-        live = _avoiding(index.through, live, T.full_mask & ~alive)
     if forbidden and _avoiding(index.through, live, T.full_mask & ~forbidden):
         return None
     return _pack(index, live, index.count)
@@ -248,11 +252,29 @@ def reduce_instance(T: BipartiteTournament, k: int) -> Reduction:
 
     The budget is unchanged; solutions of the reduced instance are solutions
     of the original verbatim (the mapping records identities).  The rules
-    run on a bitmask of T's survivors, induced once (T itself if all survive).
-    T caches the survivor mask (see :func:`_reduction_at`); only the mask,
-    so a caller that keeps T does not keep the reduced tournament and the
-    square index built on it.
+    run on a bitmask of T's survivors (:func:`_survivors`), induced once (T
+    itself if all survive).
     """
+    alive = _survivors(T, k)
+    if alive == T.full_mask:
+        return Reduction(T, k, {v: v for v in T.vertices()})
+    sub = T.induced(T.vertices_of_mask(alive))
+    return Reduction(sub.tournament, k, sub.to_host)
+
+
+def _survivors(T: BipartiteTournament, k: int) -> int:
+    """The gid mask of the vertices of T that :func:`reduce_instance`'s
+    rules keep at budget k.
+
+    T caches the mask of its last reduction, which also holds at a larger
+    budget when R2 removed nothing: R1 does not depend on k, and R2 only
+    caps twin classes at k + 1.  Only the mask is cached, so a caller that
+    keeps T keeps no reduced tournament.
+    """
+    if T._reduction is not None:
+        k0, truncated, alive = T._reduction
+        if k == k0 or (k > k0 and not truncated):
+            return alive
     alive = T.full_mask
     truncated = False
     while True:
@@ -267,27 +289,7 @@ def reduce_instance(T: BipartiteTournament, k: int) -> Reduction:
             break
         alive = keep
     object.__setattr__(T, "_reduction", (k, truncated, alive))
-    return _induce(T, alive, k)
-
-
-def _induce(T: BipartiteTournament, alive: int, k: int) -> Reduction:
-    """The reduction of T to the gid mask ``alive`` of its survivors."""
-    if alive == T.full_mask:
-        return Reduction(T, k, {v: v for v in T.vertices()})
-    sub = T.induced(T.vertices_of_mask(alive))
-    return Reduction(sub.tournament, k, sub.to_host)
-
-
-def _reduction_at(T: BipartiteTournament, k: int) -> Reduction:
-    """``reduce_instance(T, k)``, induced from the survivors of T's last
-    reduction when those hold at budget k.  R1 does not depend on k and R2
-    only caps twin classes at k + 1, so a reduction in which R2 removed
-    nothing is also the reduction at every larger budget."""
-    if T._reduction is not None:
-        k0, truncated, alive = T._reduction
-        if k == k0 or (k > k0 and not truncated):
-            return _induce(T, alive, k)
-    return reduce_instance(T, k)
+    return alive
 
 
 def branch_solve(T: BipartiteTournament,
@@ -304,16 +306,18 @@ def branch_solve(T: BipartiteTournament,
     at the root.  Single-threaded and deterministic: the first solution in
     branch order is returned.
 
-    Unconstrained calls search the reduction of T (:func:`reduce_instance`),
-    whose survivors are reused when T caches a reduction made at this or,
-    R2 permitting, a lower budget; the answer is lifted to T and checked on
-    T.
+    Unconstrained calls search T[alive], the survivors of
+    :func:`reduce_instance`'s rules (:func:`_survivors`, reused when T
+    caches a reduction made at this or, R2 permitting, a lower budget), in
+    T's own gids; constrained calls search all of T.  Inducing keeps each
+    side's order, so the scan order and the answer are those of a search on
+    the reduced tournament.  The answer is checked on T.
 
-    Each node carries its live squares as a bitset over the reduced
-    instance's square index (:func:`structure.square_index`): the squares
-    that miss ``removed``.  A child's live set is its parent's minus the
-    squares through the deleted vertex, the packing bound takes live squares
-    lowest index first, and a node with none left is a solution.
+    Each node carries its live squares as a bitset over the square index of
+    T[alive] (:func:`structure.square_index`): the squares that miss
+    ``removed``.  A child's live set is its parent's minus the squares
+    through the deleted vertex, the packing bound takes live squares lowest
+    index first, and a node with none left is a solution.
 
     Within one call a node's state is a function of its ``removed`` mask
     alone: every child deletes one vertex not yet deleted, so the budget
@@ -329,38 +333,21 @@ def branch_solve(T: BipartiteTournament,
         constraints = Constraints()
     t0 = time.perf_counter()
     budget = constraints.budget if constraints.budget is not None else T.num_vertices
-    work, lift = T, {}
-    # Reduction rules assume plain FVS semantics; apply them only when no
-    # constraint refers to specific vertices (work == T otherwise, so vertex
-    # coordinates in the constraints stay valid), and only at a budget that
-    # some set meets (the search answers no to a negative one at once).
-    if constraints.is_free() and budget >= 0:
-        red = _reduction_at(T, budget)
-        work, lift = red.tournament, red.to_host
-    return _search(T, work, lift, constraints, t0)
-
-
-def _search(T: BipartiteTournament, work: BipartiteTournament, lift: dict,
-            constraints: Constraints, t0: float) -> SolveResult:
-    """:func:`branch_solve`'s search on ``work``, T itself or a reduction of
-    T that ``lift`` maps back to T (a vertex it does not name is its own
-    image), under constraints in ``work``'s coordinates; a solution is
-    lifted to T and checked on T, and ``t0`` starts the wall clock."""
-    budget = constraints.budget if constraints.budget is not None else T.num_vertices
-    base: set = set(constraints.required_in)
-    remaining = budget - len(base)
+    remaining = budget - len(constraints.required_in)
     if remaining < 0:
         return SolveResult(SolveStatus.NO_SOLUTION, None, SolveStats(0, _ms(t0)))
+    # Reduction rules assume plain FVS semantics; apply them only when no
+    # constraint refers to specific vertices.
+    alive = _survivors(T, budget) if constraints.is_free() else T.full_mask
 
-    forb_mask = work.mask_of(constraints.forbidden)
-    removed0 = work.mask_of(base)
-    cover = [((1 << work.gid(u)) | (1 << work.gid(w)), (work.gid(u), work.gid(w)))
+    forb_mask = T.mask_of(constraints.forbidden)
+    removed0 = T.mask_of(constraints.required_in)
+    cover = [((1 << T.gid(u)) | (1 << T.gid(w)), (T.gid(u), T.gid(w)))
              for (u, w) in sorted(constraints.cover_edges)]
-    full = work.full_mask
-    index = square_index(work)
+    index = square_index(T, alive)
     through = index.through
     every = (1 << index.count) - 1
-    stuck = _avoiding(through, every, full & ~forb_mask) if forb_mask else 0
+    stuck = _avoiding(through, every, alive & ~forb_mask) if forb_mask else 0
     if stuck:  # squares of forbidden vertices only, which no deletion breaks
         return SolveResult(SolveStatus.NO_SOLUTION, None, SolveStats(0, _ms(t0)))
     dead: set[int] = set()  # removed masks whose subtree holds no solution
@@ -397,17 +384,16 @@ def _search(T: BipartiteTournament, work: BipartiteTournament, lift: dict,
             return removed
         if pack(index, live, left) > left:
             return None
-        return branch(removed, square_gids(work, full & ~removed), left, cover_idx, live)
+        return branch(removed, square_gids(T, alive & ~removed), left, cover_idx, live)
 
     answer = rec(removed0, remaining, 0, _avoiding(through, every, removed0))
-    # the two closures refer to each other; unbind them so the index and the
-    # dead table they hold are freed now, not at the next cycle collection
+    # the two closures refer to each other; unbind them so the dead table
+    # they hold is freed now, not at the next cycle collection
     del branch, rec
     stats = SolveStats(nodes, _ms(t0))
     if answer is None:
         return SolveResult(SolveStatus.NO_SOLUTION, None, stats)
-    picked = {lift.get(v, v) for v in work.vertices_of_mask(answer)}
-    solution = frozenset(picked | base)
+    solution = frozenset(T.vertices_of_mask(answer))
     if not satisfies(T, solution, constraints):
         raise AssertionError("internal: invalid solution produced")
     return SolveResult(SolveStatus.SOLUTION, solution, stats)

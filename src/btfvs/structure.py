@@ -122,14 +122,17 @@ def all_squares(T: BipartiteTournament, within_mask: int | None = None) -> list[
 
 
 class SquareIndex(NamedTuple):
-    """Every square of a tournament, numbered, with its vertex incidences.
+    """Every square of T[alive], numbered, with its vertex incidences.
 
     Squares are numbered A-pair by A-pair, in :func:`_a_pairs` order.  Pair
     p is ``pairs[p] = (a, a', D1, D0)``, the gids of a < a' and of D1 and
     D0 ascending; its squares form the D1 x D0 grid, row by row, from index
     ``starts[p]``.  ``through[g]`` is the bitset of the indices of the
     squares through vertex g, so the squares missing a vertex set X are
-    ``all & ~(through[x] | ...)`` over x in X.
+    ``all & ~(through[x] | ...)`` over x in X.  Gids are T's own, and a
+    vertex outside alive is on no square; inducing T[alive] keeps each
+    side's order, so the induced tournament's index numbers the same squares
+    the same way.
 
     The grid is kept instead of one mask per square: on 30 x 30 instances
     with 9,000 squares those masks alone would hold about 360 KB.
@@ -154,21 +157,23 @@ def _gids(mask: int) -> list[int]:
     return [g for g in range(mask.bit_length()) if mask >> g & 1]
 
 
-def square_index(T: BipartiteTournament) -> SquareIndex:
-    """T's square index, built on first use and cached on T.
+def square_index(T: BipartiteTournament, alive: int | None = None) -> SquareIndex:
+    """The square index of T[alive] (a gid bitmask; all of V when None), in
+    T's own gids.  T caches the last one built, with its mask.
 
     The grid makes the incidences a handful of shifted masks per pair: a
     and a' get the pair's whole index range, each b in D1 its row, and each
     b' in D0 its column, a repunit of stride |D0|.
     """
-    index = T._square_index
-    if index is not None:
-        return index
+    alive = T.full_mask if alive is None else alive
+    cached = T._square_index
+    if cached is not None and cached[0] == alive:
+        return cached[1]
     starts: list[int] = []
     pairs = []
     through = [0] * T.num_vertices
     count = 0
-    for pair, d1, d0 in _a_pairs(T, T.full_mask):
+    for pair, d1, d0 in _a_pairs(T, alive):
         a, a2 = (pair & -pair).bit_length() - 1, pair.bit_length() - 1
         rows, cols = _gids(d1), _gids(d0)
         width = len(cols)
@@ -185,7 +190,7 @@ def square_index(T: BipartiteTournament) -> SquareIndex:
         pairs.append((a, a2, rows, cols))
         count += len(rows) * width
     index = SquareIndex(count, starts, pairs, through)
-    object.__setattr__(T, "_square_index", index)
+    object.__setattr__(T, "_square_index", (alive, index))
     return index
 
 

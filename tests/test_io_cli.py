@@ -207,6 +207,22 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("argv", [
+        ["exact", "{dir}"],
+        ["check-lemmas", "--config", "{dir}", "--quick"],
+        ["pipeline", "{file}", "--trace", "{dir}"],
+        ["pipeline", "{file}", "--emit-families", "{file}"],
+        ["bench", "--corpus", "{dir}", "--out", "{dir}"],
+    ])
+    def test_unusable_path_is_usage_error(self, square_file, capsys, argv):
+        # a directory read or written as a file, or a file made a directory:
+        # the OSError is a usage error, not a traceback read as "no solution"
+        paths = {"dir": str(square_file.parent), "file": str(square_file)}
+        code = main(["--profile", "toy", *(arg.format(**paths) for arg in argv)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
         ["verify", "--solution", "zz"],
         ["solve", "--forbidden", "zz"],
         ["solve", "--cover-edges", "a0-zz"],

@@ -924,6 +924,42 @@ class TestPipelineSolve:
             assert reduced == [True]
             assert verified == ([True] if res.found else [])
 
+    @pytest.mark.parametrize("seed", [1, 3, 4])
+    def test_fallback_is_one_branch_solve_on_the_screens_index(self, seed, monkeypatch):
+        # the fallback is branch_solve on T itself, once; it reads the
+        # survivors and the square index the screen cached on T, so it
+        # builds no second index
+        calls = []
+
+        def recording(tournament, constraints):
+            screened = tournament._square_index
+            res = branch_solve(tournament, constraints)
+            calls.append((tournament is T, constraints,
+                          screened is not None and tournament._square_index is screened))
+            return res
+
+        monkeypatch.setattr(pipeline, "branch_solve", recording)
+        opt = len(exact_min_fvs(generate(GenSpec(8, 8, GenKind.PLANTED_FVS, seed=seed,
+                                                 k_plant=3))))
+        for k in (opt - 1, opt):
+            T = generate(GenSpec(8, 8, GenKind.PLANTED_FVS, seed=seed, k_plant=3))
+            calls.clear()
+            res = pipeline_solve(T, k)  # the paper profile: the fallback answers
+            assert res.used_fallback and res.found == (k == opt)
+            assert calls == [(True, Constraints(budget=k), True)]
+
+    def test_screened_solve_induces_nothing(self, monkeypatch):
+        # the screen reads T[survivors] in T's own gids; only seeding
+        # induces the reduced tournament (here 9 of the 12 vertices survive)
+        T = generate(GenSpec(6, 6, GenKind.PLANTED_FVS, seed=3, k_plant=2))
+
+        def unreachable(self, keep):
+            raise AssertionError("screened inputs are not induced")
+
+        monkeypatch.setattr(BipartiteTournament, "induced", unreachable)
+        assert pipeline_solve(T, 1, TOY).trace == (("screen", 2),)
+        assert solvers._survivors(T, 1) != T.full_mask
+
     def test_packing_bound_screens_before_seeding(self, monkeypatch):
         # at k=1 the reduction packs 2 vertex-disjoint squares, so the screen
         # answers no before any seeding, stage, endgame or fallback runs
@@ -936,7 +972,7 @@ class TestPipelineSolve:
 
         monkeypatch.setattr(pipeline, "m_family", unreachable)
         monkeypatch.setattr(pipeline, "seed_instances", unreachable)
-        monkeypatch.setattr(pipeline, "_search", unreachable)
+        monkeypatch.setattr(pipeline, "branch_solve", unreachable)
         res = pipeline_solve(T, 1, TOY)
         assert (res.status, res.solution, res.stats.nodes, res.trace,
                 res.diagnostics, res.used_fallback) == \

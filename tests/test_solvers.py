@@ -176,6 +176,27 @@ class TestSquareIndex:
                 assert index.through[g] == want
             assert square_index(T) is index  # cached on T
 
+    def test_masked_index_is_the_induced_index(self):
+        # the index of T[alive], in T's gids, is the index of the induced
+        # tournament mapped through to_host: the same squares in the same
+        # order, and the same incidences (none for a vertex outside alive)
+        checked = 0
+        for T, alive, _ in _index_cases(150):
+            sub = T.induced(T.vertices_of_mask(alive))
+            want = square_index(sub.tournament)
+            host = [T.gid(sub.to_host[v]) for v in sub.tournament.vertices()]
+            got = square_index(T, alive)
+            assert got.count == want.count
+            assert [got.square(s) for s in range(got.count)] == \
+                [tuple(host[g] for g in want.square(s)) for s in range(want.count)]
+            through = [0] * T.num_vertices
+            for g, h in enumerate(host):
+                through[h] = want.through[g]
+            assert got.through == through
+            assert square_index(T, alive) is got  # cached on T with its mask
+            checked += got.count > 0 and alive != T.full_mask
+        assert checked > 40
+
     def test_packing_bound_is_the_list_greedy(self):
         outcomes = set()
         for T, alive, forbidden in _index_cases(300):
@@ -255,7 +276,7 @@ class TestReduce:
             for k in range(4):
                 for k2 in (k, k + 1, k + 3):
                     reduce_instance(T, k)
-                    got = solvers._reduction_at(T, k2)
+                    got = reduce_instance(T, k2)
                     fresh = reduce_instance(BipartiteTournament(T.m, T.n, T.orient), k2)
                     assert got.k == k2
                     assert sorted(got.to_host.values()) == sorted(fresh.to_host.values())
@@ -479,6 +500,26 @@ class TestSquareLayerPinned:
         T = generate(spec)
         opt = len(exact_min_fvs(T))
         assert budgets == list(range(squares_packing_lower_bound(T), opt + 1))
+
+    def test_search_induces_nothing(self, monkeypatch):
+        # exact_min_fvs and free branch_solve search T[survivors] in T's own
+        # gids, so no tournament is induced, however much the rules remove
+        kinds = (GenKind.UNIFORM_RANDOM, GenKind.TWIN_HEAVY, GenKind.PLANTED_FVS)
+        cases = [generate(GenSpec(3 + seed % 5, 3 + (seed // 2) % 5, kinds[seed % 3],
+                                  seed=seed, k_plant=2, twin_a=3, twin_b=2))
+                 for seed in range(30)]
+
+        def unreachable(self, keep):
+            raise AssertionError("the search induced a tournament")
+
+        monkeypatch.setattr(BipartiteTournament, "induced", unreachable)
+        shrunk = 0
+        for T in cases:
+            opt = len(exact_min_fvs(T))
+            for k in (opt - 1, opt):
+                assert solvers.branch_solve(T, Constraints(budget=k)).found == (k == opt)
+            shrunk += solvers._survivors(T, opt) != T.full_mask
+        assert shrunk > 10
 
     def test_mask_inputs_match_induced_route(self):
         # approx4 and false_twin_classes on a vertex mask of T equal the same
