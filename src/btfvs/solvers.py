@@ -7,7 +7,7 @@ Four routes with very different trust stories:
 * ``approx4``         -- greedy square deletion, factor-4 approximation.
 * ``branch_solve``    -- budgeted branching over squares and constraint
   edges, with safe reduction, a packing lower bound read from the square
-  index and a per-call table of dead ``removed`` masks.
+  index, and each failed sibling kept out of the later ones.
 * ``exact_min_fvs``   -- ascending-budget iteration over ``branch_solve``,
   from the square-packing lower bound up.
 
@@ -319,15 +319,12 @@ def branch_solve(T: BipartiteTournament,
     through the deleted vertex, the packing bound takes live squares lowest
     index first, and a node with none left is a solution.
 
-    Within one call a node's state is a function of its ``removed`` mask
-    alone: every child deletes one vertex not yet deleted, so the budget
-    left is the budget minus ``popcount(removed)``; every constraint edge
-    before the node's index is covered, so the next uncovered one follows
-    from ``removed``; and so do the live squares.  A mask whose subtree
-    found nothing is therefore recorded as dead, and a child reaching a dead
-    mask again (by another order of the same deletions) is skipped.  Only
-    subtrees without a solution are skipped, so the first solution in
-    branch order is the one returned without the table.
+    Each node also carries a forbidden gid mask ``forb``, the constraint's
+    to start with.  When the child that deletes g finds nothing, no solution
+    within budget contains ``removed | 1 << g`` and avoids ``forb``, so the
+    later siblings forbid g too: every leaf below them that deletes g holds
+    no solution.  Only subtrees without a solution are cut, in unchanged
+    branch order, so the first solution is the unpruned search's.
     """
     if constraints is None:
         constraints = Constraints()
@@ -350,25 +347,24 @@ def branch_solve(T: BipartiteTournament,
     stuck = _avoiding(through, every, alive & ~forb_mask) if forb_mask else 0
     if stuck:  # squares of forbidden vertices only, which no deletion breaks
         return SolveResult(SolveStatus.NO_SOLUTION, None, SolveStats(0, _ms(t0)))
-    dead: set[int] = set()  # removed masks whose subtree holds no solution
     nodes = 0
 
     pack, square_gids = _pack, _square_gids  # local names: one lookup less per node
 
-    def branch(removed: int, gids, left: int, cover_idx: int, live: int) -> int | None:
-        """Try deleting each deletable vertex of ``gids`` in order."""
+    def branch(removed: int, gids, left: int, cover_idx: int, live: int,
+               forb: int) -> int | None:
+        """Try deleting each vertex of ``gids`` not in ``forb``, in order."""
         for g in gids:
             b = 1 << g
-            child = removed | b
-            if b & forb_mask or child in dead:
+            if b & forb:
                 continue
-            result = rec(child, left - 1, cover_idx, live & ~through[g])
+            result = rec(removed | b, left - 1, cover_idx, live & ~through[g], forb)
             if result is not None:
                 return result
-            dead.add(child)
+            forb |= b
         return None
 
-    def rec(removed: int, left: int, cover_idx: int, live: int) -> int | None:
+    def rec(removed: int, left: int, cover_idx: int, live: int, forb: int) -> int | None:
         nonlocal nodes
         nodes += 1
         # resolve constraint edges before touching squares
@@ -379,16 +375,16 @@ def branch_solve(T: BipartiteTournament,
                 continue
             if left <= 0:
                 return None
-            return branch(removed, gids, left, cover_idx + 1, live)
+            return branch(removed, gids, left, cover_idx + 1, live, forb)
         if not live:
             return removed
         if pack(index, live, left) > left:
             return None
-        return branch(removed, square_gids(T, alive & ~removed), left, cover_idx, live)
+        return branch(removed, square_gids(T, alive & ~removed), left, cover_idx, live, forb)
 
-    answer = rec(removed0, remaining, 0, _avoiding(through, every, removed0))
-    # the two closures refer to each other; unbind them so the dead table
-    # they hold is freed now, not at the next cycle collection
+    answer = rec(removed0, remaining, 0, _avoiding(through, every, removed0), forb_mask)
+    # the two closures refer to each other; unbind them so the cycle they
+    # form is freed now, not at the next cycle collection
     del branch, rec
     stats = SolveStats(nodes, _ms(t0))
     if answer is None:

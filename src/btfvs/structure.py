@@ -154,7 +154,12 @@ class SquareIndex(NamedTuple):
 def _gids(mask: int) -> list[int]:
     # a list, not a tuple: freed tuples of each length up to 19 stay on a
     # free list, and every index would leave its pairs' sizes there
-    return [g for g in range(mask.bit_length()) if mask >> g & 1]
+    gids = []
+    while mask:
+        low = mask & -mask
+        gids.append(low.bit_length() - 1)
+        mask ^= low
+    return gids
 
 
 def square_index(T: BipartiteTournament, alive: int | None = None) -> SquareIndex:

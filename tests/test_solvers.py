@@ -333,9 +333,9 @@ class TestBranchSolve:
         assert res.found and res.solution == {a(0), b(0)}
 
     def test_pruning_keeps_the_first_solution(self):
-        # the packing bound and the dead-mask table only cut subtrees without
-        # a solution, so the unpruned search in the same order finds the same
-        # first one; cover edges are where a dead mask could hide state
+        # the packing bound and the failed-sibling exclusion only cut subtrees
+        # without a solution, so the unpruned search in the same order finds
+        # the same first one; cover edges branch with the exclusion too
         outcomes = set()
         for seed in range(200):
             T = generate(GenSpec(2 + seed % 4, 2 + (seed // 4) % 4,
@@ -348,6 +348,36 @@ class TestBranchSolve:
                 outcomes.add((bool(c.cover_edges), got.found))
         assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
+    @pytest.mark.parametrize("size, seed", [(9, 11), (10, 12), (10, 13), (11, 14)])
+    def test_failed_siblings_stay_out(self, size, seed, monkeypatch):
+        # at opt - 1 every branch fails, so no node below a sibling deletes
+        # a vertex that an earlier sibling of it deleted
+        T = generate(GenSpec(size, size, GenKind.UNIFORM_RANDOM, seed=seed))
+        k = len(exact_min_fvs(T)) - 1
+        alive = solvers._survivors(T, k)
+        square_gids = solvers._square_gids
+        log = []  # (removed, gids of the square branched on) per branching node
+
+        def recording(T, mask):
+            gids = square_gids(T, mask)
+            log.append((alive & ~mask, gids))
+            return gids
+
+        monkeypatch.setattr(solvers, "_square_gids", recording)
+        assert not branch_solve(T, Constraints(budget=k)).found
+        assert log[0][0] == 0
+        # a node's parent is the latest earlier node one deletion short of it
+        banned = [0]  # per node: the vertices its and its ancestors' earlier siblings deleted
+        for i in range(1, len(log)):
+            removed = log[i][0]
+            p = next(j for j in range(i - 1, -1, -1)
+                     if log[j][0] & ~removed == 0 and (removed ^ log[j][0]).bit_count() == 1)
+            g = (removed ^ log[p][0]).bit_length() - 1
+            earlier = log[p][1][:log[p][1].index(g)]
+            banned.append(banned[p] | sum(1 << h for h in earlier))
+            assert removed & banned[i] == 0, f"node {i} deletes a failed sibling"
+        assert any(banned), "no node had an earlier sibling"
+
     def test_cover_edges_enforced(self, chain_2x2):
         edge = (a(0), b(1))
         cons = Constraints(cover_edges=frozenset({edge}), budget=1)
@@ -357,11 +387,11 @@ class TestBranchSolve:
 
 
 def _unpruned_branch(T, cons):
-    """branch_solve's search with neither the packing bound nor the dead
-    table: on the same ``work`` (reduced only when ``cons`` is free), cover
-    edges in sorted order first, then the deletable vertices of
-    find_square's square.  Returns the first solution in that order, or
-    None."""
+    """branch_solve's search with neither the packing bound nor the
+    failed-sibling exclusion: on the same ``work`` (reduced only when
+    ``cons`` is free), cover edges in sorted order first, then the deletable
+    vertices of find_square's square.  Returns the first solution in that
+    order, or None."""
     base = cons.required_in
     left = cons.budget - len(base)
     if left < 0:
@@ -460,7 +490,7 @@ PINNED_SPECS = [
 
 class TestSquareLayerPinned:
     """The square layer's answers, pinned to values recorded before the
-    branching search gained its live square lists and dead-mask table; a
+    branching search gained its live square lists and its pruning; a
     change of scan order or branch order shows here.  Node counts are
     pinned apart, in ``test_node_counts``."""
 
@@ -477,8 +507,8 @@ class TestSquareLayerPinned:
 
     @pytest.mark.parametrize("spec, nodes", list(zip(PINNED_SPECS, [
         (1, 10, 5),
-        (98, 8, 4),
-        (131, 186, 23),
+        (63, 8, 4),
+        (80, 124, 20),
         (1, 5, 1),
         (1, 6, 3),
         (0, 1, 1),
