@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, fields, replace
 from functools import cache
 from itertools import chain, combinations, permutations
 from math import comb
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .dfvc import DfvcInstance, dfvc_solve
 from .errors import FamilyCapExceeded, NotAcyclic, NotPrimePower, PreconditionViolated
@@ -260,13 +260,13 @@ def next_prime_power(q: int) -> int:
             x += 1
 
 
-def m_family(T: BipartiteTournament, k: int, profile: ConstantsProfile) -> list[frozenset]:
+def m_family(T: BipartiteTournament, k: int, profile: ConstantsProfile) -> Iterator[frozenset]:
     """Candidate undeletable sets: one selection per sample-space function,
     minus every exemption subset of size up to ``budget_slack``;
-    deduplicated, deterministic order."""
+    deduplicated, deterministic order, yielded lazily after both size checks."""
     n = T.num_vertices
     if n == 0:
-        return []
+        return iter(())
     q = next_prime_power(profile.sample_q)
     t = profile.hom_window
     space_size = twise_space_size(n, t, q)
@@ -282,15 +282,16 @@ def m_family(T: BipartiteTournament, k: int, profile: ConstantsProfile) -> list[
     if would_be > profile.family_cap:
         raise FamilyCapExceeded("undeletable-set family", would_be, profile.family_cap)
 
-    out: list[frozenset] = []
-    seen: set = set()
-    for z in selections:
-        for combo in _small_subsets(sorted(z), slack, "undeletable-set family", profile):
-            m_set = z - frozenset(combo)
-            if m_set not in seen:
-                seen.add(m_set)
-                out.append(m_set)
-    return out
+    def exempted() -> Iterator[frozenset]:
+        seen: set = set()
+        for z in selections:
+            for r in range(min(slack, len(z)) + 1):
+                for combo in combinations(sorted(z), r):
+                    m_set = z - frozenset(combo)
+                    if m_set not in seen:
+                        seen.add(m_set)
+                        yield m_set
+    return exempted()
 
 
 def is_m_homogeneous(T: BipartiteTournament, M: Iterable[Vertex],
@@ -340,6 +341,21 @@ def derive_forced_p(T: BipartiteTournament, M: Iterable[Vertex]) -> frozenset:
     return frozenset(T.vertices_of_mask(cycle_closers(T, m_mask, T.full_mask)))
 
 
+def _seeds(T: BipartiteTournament, k: int, family: Iterable[frozenset]) -> Iterator[CfvsInstance]:
+    """The seeds of :func:`seed_instances` from the guesses ``family``, lazily."""
+    full = T.full_mask
+    for M in family:
+        if not M:
+            continue
+        m_mask = T.mask_of(M)
+        peeled = _peel_layers_mask(T, m_mask)
+        if peeled is None:
+            continue
+        closers = cycle_closers(T, m_mask, full)
+        view = live_structure(T, m_mask, _layer_keys(T, m_mask, peeled), full & ~closers)
+        yield CfvsInstance(T, M, frozenset(T.vertices_of_mask(closers)), frozenset(), k, view)
+
+
 def seed_instances(T: BipartiteTournament, k: int,
                    profile: ConstantsProfile) -> list[CfvsInstance]:
     """One constrained instance per viable undeletable-set guess.
@@ -350,20 +366,7 @@ def seed_instances(T: BipartiteTournament, k: int,
     holds every cycle closer, so T - P is M-consistent, and T[M] is peeled
     once for both the acyclicity test and the seed's view.
     """
-    out = []
-    full = T.full_mask
-    for M in m_family(T, k, profile):
-        if not M:
-            continue
-        m_mask = T.mask_of(M)
-        peeled = _peel_layers_mask(T, m_mask)
-        if peeled is None:
-            continue
-        closers = cycle_closers(T, m_mask, full)
-        view = live_structure(T, m_mask, _layer_keys(T, m_mask, peeled), full & ~closers)
-        out.append(CfvsInstance(T, M, frozenset(T.vertices_of_mask(closers)), frozenset(),
-                                k, view))
-    return out
+    return list(_seeds(T, k, m_family(T, k, profile)))
 
 
 # ---------------------------------------------------------------------------
@@ -844,50 +847,62 @@ class PipelineResult(NamedTuple):
         return self.status is SolveStatus.SOLUTION
 
 
+def _walk(T: BipartiteTournament, k: int, profile: ConstantsProfile, sizes: list,
+          notes: list, records: list | None) -> Iterator[CfvsInstance]:
+    """The final family in family order by a depth-first walk, which meets
+    each depth of the tree in breadth-first order and builds a seed when it
+    reaches it.  ``sizes`` counts each stage's children (``[0]`` alone if
+    seeding overflows) and ``notes`` gets (stage index, diagnostic); only a
+    ``records`` list, which keeps every instance alive, gets expansions."""
+    try:
+        family = m_family(T, k, profile)
+    except FamilyCapExceeded as exc:
+        notes.append((0, str(exc)))
+        return
+    sizes[1:] = [0] * (len(STAGES) - 1)
+    fns = (stage_regular, stage_weak, stage_matched, stage_lowblockdegree, stage_decoupled)
+
+    def expand(inst: CfvsInstance, depth: int) -> Iterator[CfvsInstance]:
+        if depth == len(STAGES):
+            yield inst
+            return
+        try:
+            children = fns[depth - 1](inst, profile)
+        except (FamilyCapExceeded, PreconditionViolated) as exc:
+            notes.append((depth, f"{STAGES[depth]}: {exc}"))
+            return
+        sizes[depth] += len(children)
+        if records is not None:
+            records.append((depth, STAGES[depth], inst, children))
+        for child in children:
+            yield from expand(child, depth + 1)
+
+    for seed in _seeds(T, k, family):
+        sizes[0] += 1
+        if records is not None:
+            records.append((0, "seed", None, [seed]))
+        yield from expand(seed, 1)
+
+
+def _replay(sizes: list, notes: list, records: list | None, collect) -> tuple[list, list]:
+    """A walk's trace and diagnostics, and its records to ``collect``, in breadth-first order."""
+    for _, name, parent, children in sorted(records or (), key=lambda r: r[0]):
+        collect(name, parent, children)
+    return list(zip(STAGES, sizes)), [note for _, note in sorted(notes, key=lambda n: n[0])]
+
+
 def run_cascade(T: BipartiteTournament, k: int, profile: ConstantsProfile,
                 collect=None) -> tuple[list[CfvsInstance], list[tuple[str, int]], list[str]]:
-    """Run all six stages, returning the final family, a per-stage size
-    trace, and diagnostics for stages that overflowed their caps.
+    """Walk all six stages to the end, returning the final family, a
+    per-stage size trace, and diagnostics for stages that overflowed.
 
-    ``collect(stage_name, parent, children)`` is invoked per expansion when
-    given; parents whose expansion overflows are skipped (their subtree is
-    lost, which only costs completeness, never soundness).
+    ``collect(stage_name, parent, children)`` is invoked per expansion and
+    seed when given, stage by stage; parents whose expansion overflows are
+    skipped (their subtree is lost, which only costs completeness).
     """
-    trace: list[tuple[str, int]] = []
-    diagnostics: list[str] = []
-    try:
-        family = seed_instances(T, k, profile)
-    except FamilyCapExceeded as exc:
-        return [], [("seed", 0)], [str(exc)]
-    if collect is not None:
-        collect("seed", None, family)
-    trace.append(("seed", len(family)))
-    stage_fns = (("regular", stage_regular), ("weak", stage_weak),
-                 ("matched", stage_matched),
-                 ("lowblockdegree", stage_lowblockdegree),
-                 ("decoupled", stage_decoupled))
-    for name, fn in stage_fns:
-        nxt: list[CfvsInstance] = []
-        for parent in family:
-            try:
-                children = fn(parent, profile)
-            except FamilyCapExceeded as exc:
-                diagnostics.append(f"{name}: {exc}")
-                continue
-            except PreconditionViolated as exc:
-                diagnostics.append(f"{name}: {exc}")
-                continue
-            if collect is not None:
-                collect(name, parent, children)
-            nxt.extend(children)
-            if len(nxt) > profile.family_cap:
-                diagnostics.append(
-                    f"{name}: accumulated family exceeds cap {profile.family_cap}; "
-                    "remaining parents skipped")
-                break
-        family = nxt
-        trace.append((name, len(family)))
-    return family, trace, diagnostics
+    sizes, notes, records = [0], [], None if collect is None else []
+    family = list(_walk(T, k, profile, sizes, notes, records))
+    return (family, *_replay(sizes, notes, records, collect))
 
 
 def pipeline_solve(T: BipartiteTournament, k: int,
@@ -903,21 +918,21 @@ def pipeline_solve(T: BipartiteTournament, k: int,
     ``stats.nodes`` 0; nothing is induced or seeded.  The reduced tournament
     is induced only for seeding.
 
-    The endgame tries the final family one child at a time, in family
-    order: it builds a child's ``to_dfvc`` reduction only when it reaches
-    that child and stops at the first answer that verifies.  Every candidate
-    answer is re-verified against the original tournament before being
-    returned, so a yes is always a real feedback vertex set of size at most
-    k regardless of the profile; when the cascade produces nothing usable
-    the fallback answers, so the result is always correct.  The fallback
-    is ``branch_solve`` on T, which reuses the survivors and the square
-    index T cached for the screen and checks its answer once, on T.
-    ``stats.nodes`` is the size of the final family when the cascade
-    answers, and the fallback's node count otherwise.
+    The endgame reduces each final-family leaf with ``to_dfvc`` as the
+    depth-first walk of :func:`run_cascade` reaches it, and stops the walk
+    at the first answer that verifies; the trace then counts the children
+    each stage emitted before the answer.  Every candidate is re-verified
+    on T, so a yes is always a real feedback vertex set of size at most k
+    whatever the profile; when the cascade yields nothing usable the
+    fallback answers, so the result is always correct.  The fallback is
+    ``branch_solve`` on T, which reuses the survivors and the square index
+    T cached for the screen and checks its answer once, on T.
+    ``stats.nodes`` is the number of leaves the endgame tried when the
+    cascade answers, and the fallback's node count otherwise.
 
     The search runs in one thread; ``workers`` must be 1 (ValueError
-    otherwise).  ``collect`` is forwarded to the cascade for family
-    inspection.
+    otherwise).  ``collect`` sees the cascade's expansions as in
+    :func:`run_cascade`, up to where the walk stopped.
     """
     if workers != 1:
         raise ValueError(f"pipeline_solve runs one worker, got workers={workers}")
@@ -937,13 +952,12 @@ def pipeline_solve(T: BipartiteTournament, k: int,
         return PipelineResult(SolveStatus.NO_SOLUTION, None, SolveStats(0, _ms(t0)),
                               (("screen", bound),), (), False)
     red = reduce_instance(T, k)
-    family, trace, diagnostics = run_cascade(red.tournament, k, profile, collect=collect)
-
-    for child in family:
+    sizes, notes, records = [0], [], None if collect is None else []
+    for tried, child in enumerate(_walk(red.tournament, k, profile, sizes, notes, records), 1):
         try:
             reduction = to_dfvc(child, profile)
         except (PreconditionViolated, FamilyCapExceeded) as exc:
-            diagnostics.append(f"endgame: {exc}")
+            notes.append((len(STAGES), f"endgame: {exc}"))
             continue
         res = dfvc_solve(reduction.instance)
         if not res.found:
@@ -951,10 +965,11 @@ def pipeline_solve(T: BipartiteTournament, k: int,
         lifted_work = child.P | {reduction.to_host[gv] for gv in res.solution}
         lifted = frozenset(red.to_host[v] for v in lifted_work)
         if len(lifted) <= k and verify_fvs(T, lifted):
-            return PipelineResult(SolveStatus.SOLUTION, lifted,
-                                  SolveStats(len(family), _ms(t0)),
+            trace, diagnostics = _replay(sizes, notes, records, collect)
+            return PipelineResult(SolveStatus.SOLUTION, lifted, SolveStats(tried, _ms(t0)),
                                   tuple(trace), tuple(diagnostics), False)
 
+    trace, diagnostics = _replay(sizes, notes, records, collect)
     fb = branch_solve(T, Constraints(budget=k))
     return PipelineResult(fb.status, fb.solution,
                           SolveStats(fb.stats.nodes, _ms(t0)),

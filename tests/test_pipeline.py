@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -12,7 +13,7 @@ from btfvs.dfvc import dfvc_solve
 from btfvs.errors import FamilyCapExceeded, NotMConsistent, PreconditionViolated
 from btfvs.generators import GenKind, GenSpec, SplitMix64, generate
 from btfvs.graph import BipartiteTournament
-from btfvs.io import serialize_instance
+from btfvs.io import serialize_cfvs, serialize_instance
 from btfvs.msequence import back_edges, is_conflict_back_edge, m_sequence
 from btfvs.pipeline import (STAGES, CfvsInstance, ConstantsProfile,
                             derive_forced_p, find_decoupling, is_low_block_degree,
@@ -76,7 +77,7 @@ class TestMFamily:
         prof = ConstantsProfile(hom_window=1, large_ratio=3, weak_matching=2,
                                 block_degree=3, part_fvs_f=1, part_degree_d=2,
                                 budget_slack=1, sample_q=2)
-        fam = m_family(T, 2, prof)
+        fam = list(m_family(T, 2, prof))
         # slack 1 still allows the bare selections; all must be present
         space_size = twise_space_size(4, 1, 2)
         assert len(fam) <= space_size * (1 + 4)
@@ -117,7 +118,7 @@ class TestMFamily:
 
     def test_deterministic(self):
         T = generate(GenSpec(3, 2, GenKind.UNIFORM_RANDOM, seed=7))
-        assert m_family(T, 2, TOY) == m_family(T, 2, TOY)
+        assert list(m_family(T, 2, TOY)) == list(m_family(T, 2, TOY))
 
 
 class TestHomogeneity:
@@ -479,6 +480,172 @@ class TestEndgamePinned:
         assert _endgame_digest(generate(spec), k) == want
 
 
+def _breadth_first(T, k, profile):
+    """The cascade run stage by stage over whole families through the
+    public stage functions, as an independent reference for run_cascade's
+    depth-first walk: (final family, trace, diagnostics, and the
+    (stage, parent, child) triples its collect calls pass)."""
+    try:
+        family = seed_instances(T, k, profile)
+    except FamilyCapExceeded as exc:
+        return [], [("seed", 0)], [str(exc)], []
+    pairs = [("seed", None, seed) for seed in family]
+    trace, diagnostics = [("seed", len(family))], []
+    for name in STAGES[1:]:
+        nxt = []
+        for parent in family:
+            try:
+                children = getattr(pipeline, f"stage_{name}")(parent, profile)
+            except (FamilyCapExceeded, PreconditionViolated) as exc:
+                diagnostics.append(f"{name}: {exc}")
+                continue
+            pairs.extend((name, parent, child) for child in children)
+            nxt.extend(children)
+        family = nxt
+        trace.append((name, len(family)))
+    return family, trace, diagnostics, pairs
+
+
+def _walked(T, k, profile):
+    """run_cascade's (final family, trace, diagnostics, collected triples)."""
+    pairs = []
+
+    def collect(stage, parent, children):
+        pairs.extend((stage, parent, child) for child in children)
+
+    family, trace, diagnostics = run_cascade(T, k, profile, collect=collect)
+    return family, trace, diagnostics, pairs
+
+
+def _p_weight(inst):
+    return sum(inst.T.gid(v) for v in inst.P)
+
+
+class TestDepthFirstWalk:
+    """The cascade is one depth-first walk; run to its end, it gives what a
+    breadth-first run gives, and the pipeline stops it at the answer."""
+
+    @pytest.mark.parametrize("spec, k", [
+        (GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2), 2),
+        (GenSpec(5, 5, GenKind.UNIFORM_RANDOM, seed=1), 2),
+        (GenSpec(4, 5, GenKind.PLANTED_FVS, seed=2, k_plant=2), 2),
+        (GenSpec(5, 5, GenKind.PLANTED_FVS, seed=5, k_plant=2), 1),
+        (GenSpec(3, 4, GenKind.UNIFORM_RANDOM, seed=701), 1),
+        (GenSpec(4, 3, GenKind.UNIFORM_RANDOM, seed=702), 3),
+        (GenSpec(5, 4, GenKind.PLANTED_FVS, seed=703, k_plant=1), 1),
+        (GenSpec(4, 4, GenKind.TWIN_HEAVY, seed=704, twin_a=2), 2),
+    ])
+    def test_matches_the_breadth_first_reference(self, spec, k):
+        T = generate(spec)
+        walked, reference = _walked(T, k, TOY), _breadth_first(T, k, TOY)
+        assert walked == reference
+        assert [c.parts for c in walked[0]] == [c.parts for c in reference[0]]
+        assert walked[1][0][1] > 0
+
+    def test_diagnostics_come_out_in_stage_order(self, monkeypatch):
+        # stages that fail on some parents, chosen by the parent itself so
+        # both runs fail on the same ones: the walk meets the failures
+        # interleaved, yet reports them stage by stage like the reference
+        for name, fails, error in (
+                ("weak", lambda inst: _p_weight(inst) % 3 == 0,
+                 FamilyCapExceeded("back-edge coupling stage", 1, 0)),
+                ("lowblockdegree", lambda inst: _p_weight(inst) % 4 == 1,
+                 PreconditionViolated("matched")),
+                ("decoupled", lambda inst: _p_weight(inst) % 5 == 2,
+                 FamilyCapExceeded("decoupling stage", 2, 1))):
+            original = getattr(pipeline, f"stage_{name}")
+
+            def failing(inst, profile, _original=original, _fails=fails, _error=error):
+                if _fails(inst):
+                    raise _error
+                return _original(inst, profile)
+
+            monkeypatch.setattr(pipeline, f"stage_{name}", failing)
+        T = generate(GenSpec(4, 5, GenKind.PLANTED_FVS, seed=2, k_plant=2))
+        walked, reference = _walked(T, 2, TOY), _breadth_first(T, 2, TOY)
+        assert walked == reference
+        stages = [d.split(":")[0] for d in walked[2]]
+        assert stages == sorted(stages, key=STAGES.index)
+        assert set(stages) == {"weak", "lowblockdegree", "decoupled"}
+
+        # endgame diagnostics come after every stage's
+        def unpackable(inst, profile):
+            raise PreconditionViolated("decoupled")
+
+        monkeypatch.setattr(pipeline, "to_dfvc", unpackable)
+        res = pipeline_solve(T, 2, TOY)
+        family, _, diagnostics, _ = _breadth_first(
+            solvers.reduce_instance(T, 2).tournament, 2, TOY)
+        assert res.used_fallback and family
+        assert list(res.diagnostics) == \
+            diagnostics + ["endgame: precondition failed: decoupled"] * len(family)
+
+    def test_seeding_overflow(self):
+        T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2))
+        small = dataclasses.replace(TOY, family_cap=50)
+        assert _walked(T, 2, small) == _breadth_first(T, 2, small) == \
+            ([], [("seed", 0)], ["sample space: family of size >= 256 exceeds cap 50"], [])
+
+    def test_walk_stops_at_the_answer(self, monkeypatch):
+        # the answering dfvc_solve is the last thing the solve runs, and
+        # only the seeds the walk reached built a view
+        T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2))
+        seeds = seed_instances(solvers.reduce_instance(T, 2).tournament, 2, TOY)
+        events, builds = [], []
+        for name in STAGES[1:]:
+            original = getattr(pipeline, f"stage_{name}")
+
+            def stage(inst, profile, _name=name, _original=original):
+                events.append(_name)
+                return _original(inst, profile)
+
+            monkeypatch.setattr(pipeline, f"stage_{name}", stage)
+
+        def solving(instance, _original=pipeline.dfvc_solve):
+            res = _original(instance)
+            events.append(("dfvc_solve", res.found))
+            return res
+
+        def building(T, m_mask, keys, alive, _original=pipeline.live_structure):
+            builds.append(m_mask)
+            return _original(T, m_mask, keys, alive)
+
+        monkeypatch.setattr(pipeline, "dfvc_solve", solving)
+        monkeypatch.setattr(pipeline, "live_structure", building)
+        res = pipeline_solve(T, 2, TOY)
+        monkeypatch.undo()
+        assert res.found and not res.used_fallback
+        assert events[-1] == ("dfvc_solve", True)
+        assert res.stats.nodes == sum(isinstance(e, tuple) for e in events)
+        assert len(builds) == dict(res.trace)["seed"] < len(seeds) == 121
+
+    def test_emit_families_writes_the_breadth_first_files(self, tmp_path):
+        # at k=1 the cascade answers nothing, so the walk runs to its end
+        # and the fallback answers no; the files are those a breadth-first
+        # run's collect calls imply, numbered in order
+        T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2))
+        assert pipeline_solve(T, 1, TOY).used_fallback
+        path, out = tmp_path / "inst.json", tmp_path / "families"
+        path.write_text(serialize_instance(T, k=1))
+        assert main(["--profile", "toy", "pipeline", str(path),
+                     "--emit-families", str(out)]) == 1
+        _, _, _, pairs = _breadth_first(solvers.reduce_instance(T, 1).tournament, 1, TOY)
+        assert {f.name: f.read_text() for f in out.iterdir()} == \
+            {f"{stage}-{i:05d}.json": serialize_cfvs(c) for i, (stage, _, c) in enumerate(pairs)}
+        assert len(pairs) == 259
+
+    @pytest.mark.parametrize("seed, k, found, nodes",
+                             [(1, 2, False, 7), (3, 1, False, 5), (3, 2, True, 13)])
+    def test_paper_profile_seeding_overflow_is_pinned(self, seed, k, found, nodes):
+        # 8x8 under the paper profile: m_family's up-front check overflows,
+        # so the walk yields nothing and the fallback answers
+        T = generate(GenSpec(8, 8, GenKind.PLANTED_FVS, seed=seed, k_plant=3))
+        res = pipeline_solve(T, k)
+        assert (res.found, res.stats.nodes, res.trace, res.diagnostics, res.used_fallback) == \
+            (found, nodes, (("seed", 0),),
+             ("sample space: family of size >= 1099511627776 exceeds cap 50000",), True)
+
+
 class TestHandBuilt:
     """An instance built without a parent is validated, and derives its
     view, when it is constructed."""
@@ -539,8 +706,8 @@ class TestBlockView:
         work = solvers.reduce_instance(T, 2).tournament
         seeds = seed_instances(work, 2, TOY)
         monkeypatch.setattr(pipeline, "live_structure", counting)
-        res = pipeline_solve(T, 2, TOY)
-        assert dict(res.trace).get("decoupled", 0) > 0
+        _, trace, _ = run_cascade(work, 2, TOY)
+        assert dict(trace)["decoupled"] > 0
         assert builds == [(work.mask_of(s.M), work.full_mask & ~work.mask_of(s.P))
                           for s in seeds]
 
@@ -548,8 +715,9 @@ class TestBlockView:
         # a seed's P holds every cycle closer, so T - P is M-consistent by
         # construction: seeding runs one closer scan per seed and never the
         # consistency check of hand-built instances
-        T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2))
-        seeds = seed_instances(solvers.reduce_instance(T, 2).tournament, 2, TOY)
+        work = solvers.reduce_instance(generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM,
+                                                        seed=2)), 2).tournament
+        seeds = seed_instances(work, 2, TOY)
         calls = dict.fromkeys(("cycle_closers", "_consistency"), 0)
         for name in calls:
             original = getattr(msequence, name)
@@ -561,8 +729,8 @@ class TestBlockView:
             for mod in (msequence, pipeline):
                 if getattr(mod, name, None) is original:
                     monkeypatch.setattr(mod, name, counting)
-        res = pipeline_solve(T, 2, TOY)
-        assert dict(res.trace)["seed"] == len(seeds) > 0
+        _, trace, _ = run_cascade(work, 2, TOY)
+        assert dict(trace)["seed"] == len(seeds) > 0
         assert calls == {"cycle_closers": len(seeds), "_consistency": 0}
 
     def test_view_conflict_arcs_match_the_square_test(self):
@@ -839,9 +1007,9 @@ class TestPipelineSolve:
         assert main(["--workers", "2", "--profile", "toy", "pipeline", str(path)]) == 2
 
     def test_endgame_reduces_only_the_children_it_tries(self, monkeypatch):
-        # the cascade answers from a 93-child final family; the endgame
-        # packages the children one at a time, in family order, and stops
-        # at the first whose answer verifies
+        # the cascade's final family has 93 children; the endgame packages
+        # them one at a time, in family order, as the walk reaches them, and
+        # stops at the first whose answer verifies
         T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2))
         red = solvers.reduce_instance(T, 2)
         family, _, _ = run_cascade(red.tournament, 2, TOY)
@@ -856,7 +1024,7 @@ class TestPipelineSolve:
         res = pipeline_solve(T, 2, TOY)
         monkeypatch.undo()
         assert res.found and not res.used_fallback
-        assert res.stats.nodes == len(family) == 93
+        assert len(family) == 93 and res.stats.nodes == len(tried) == 3
 
         def key(inst):
             return (inst.M, inst.P, inst.F)
@@ -979,15 +1147,16 @@ class TestPipelineSolve:
             (SolveStatus.NO_SOLUTION, None, 0, (("screen", 2),), (), False)
 
     def test_unscreened_result_is_pinned(self):
-        # the packing bound is within the budget, so the cascade runs and
-        # answers from its 93-child final family, as before the screen
+        # the packing bound is within the budget, so the cascade runs; it
+        # answers at the third leaf it tries, four seeds into the walk, and
+        # the trace counts what each stage emitted up to then
         T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2))
         res = pipeline_solve(T, 2, TOY)
         assert (res.status, res.solution, res.stats.nodes, res.trace,
                 res.diagnostics, res.used_fallback) == \
-            (SolveStatus.SOLUTION, frozenset({a(3), b(3)}), 93,
-             (("seed", 121), ("regular", 107), ("weak", 107), ("matched", 98),
-              ("lowblockdegree", 96), ("decoupled", 93)), (), False)
+            (SolveStatus.SOLUTION, frozenset({a(3), b(3)}), 3,
+             (("seed", 4), ("regular", 5), ("weak", 5), ("matched", 5),
+              ("lowblockdegree", 5), ("decoupled", 6)), (), False)
 
     @pytest.mark.parametrize("seed", [1, 3, 4])
     def test_reduction_induced_once_per_solve(self, seed, monkeypatch):
