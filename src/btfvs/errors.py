@@ -33,16 +33,27 @@ class NotPrimePower(ValueError):
     """Sample space alphabet size must be a prime power."""
 
 
+def _size_text(n: int) -> str:
+    """n in decimal, or as the largest power of two not above it when it has
+    too many digits for ``str``."""
+    try:
+        return str(n)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return f"2**{n.bit_length() - 1}"
+
+
 class FamilyCapExceeded(RuntimeError):
     """An instance-family enumeration would exceed its configured cap.
 
     Raised instead of silently truncating the family, so that completeness
     claims stay honest.  ``would_be`` carries the size the enumeration was
-    heading for (a lower bound if the count was aborted early).
+    heading for (a lower bound if the count was aborted early).  The message
+    writes its numbers with :func:`_size_text`.
     """
 
     def __init__(self, where: str, would_be: int, cap: int):
-        super().__init__(f"{where}: family of size >= {would_be} exceeds cap {cap}")
+        super().__init__(f"{where}: family of size >= {_size_text(would_be)} "
+                         f"exceeds cap {_size_text(cap)}")
         self.where = where
         self.would_be = would_be
         self.cap = cap

@@ -270,13 +270,24 @@ class BipartiteTournament:
         their smallest member.
         """
         alive = self.full_mask if within_mask is None else within_mask
-        groups: dict[tuple, list[Vertex]] = {}
+        return [frozenset(map(self.vertex_of_gid, gids)) for gids in self.twin_gids(alive)]
+
+    def twin_gids(self, alive: int) -> Iterable[list[int]]:
+        """The false-twin classes of the gid bitmask ``alive``, each as its
+        gids ascending, ordered by smallest member: the vertices grouped by
+        ``(out & alive, in & alive)``.  Two vertices of opposite sides never
+        share that key: an A vertex's key covers every live B vertex, and a
+        B vertex's key none.
+        """
+        groups: dict[tuple[int, int], list[int]] = {}
         out, inc = self._adjacency_masks()
-        for v in self.vertices_of_mask(alive):
-            g = self.gid(v)
-            groups.setdefault((v.side, out[g] & alive, inc[g] & alive), []).append(v)
-        classes = [frozenset(vs) for vs in groups.values()]
-        return sorted(classes, key=lambda c: min(c))
+        rest = alive
+        while rest:
+            low = rest & -rest
+            g = low.bit_length() - 1
+            groups.setdefault((out[g] & alive, inc[g] & alive), []).append(g)
+            rest ^= low
+        return groups.values()
 
 
 class MixedMultigraph:

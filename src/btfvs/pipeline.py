@@ -260,16 +260,26 @@ def next_prime_power(q: int) -> int:
             x += 1
 
 
+SIZE_BITS = 1 << 16  # a sample space known to exceed 2 ** SIZE_BITS is not sized exactly
+
+
 def m_family(T: BipartiteTournament, k: int, profile: ConstantsProfile) -> Iterator[frozenset]:
     """Candidate undeletable sets: one selection per sample-space function,
     minus every exemption subset of size up to ``budget_slack``;
-    deduplicated, deterministic order, yielded lazily after both size checks."""
+    deduplicated, deterministic order, yielded lazily after both size checks.
+    A sample space of more than 2 ** SIZE_BITS members (and more than the
+    cap) overflows with that power of two as its size, so a huge
+    ``hom_window`` costs no huge power."""
     n = T.num_vertices
     if n == 0:
         return iter(())
     q = next_prime_power(profile.sample_q)
     t = profile.hom_window
-    space_size = twise_space_size(n, t, q)
+    unit = twise_space_size(n, 1, q)  # the space has unit ** t members
+    bits = max(SIZE_BITS, profile.family_cap.bit_length())
+    if (unit.bit_length() - 1) * t > bits:  # over 2 ** bits: report that, do not compute it
+        raise FamilyCapExceeded("sample space", 1 << bits, profile.family_cap)
+    space_size = unit ** t
     if space_size > profile.family_cap:
         raise FamilyCapExceeded("sample space", space_size, profile.family_cap)
     space = twise_space(n, t, q)
@@ -912,11 +922,11 @@ def pipeline_solve(T: BipartiteTournament, k: int,
     with an unconditional fallback to the branching solver.
 
     The screen reads the greedy square-packing bound of T[survivors], the
-    vertices the reduction keeps, from its square index: more than k
+    vertices the reduction keeps, from one scan of its A-pairs: more than k
     vertex-disjoint squares need more than k deletions, so the answer is no,
     with the trace ``(("screen", bound),)``, no diagnostics, no fallback and
-    ``stats.nodes`` 0; nothing is induced or seeded.  The reduced tournament
-    is induced only for seeding.
+    ``stats.nodes`` 0; nothing is induced, indexed or seeded.  The reduced
+    tournament is induced only for seeding.
 
     The endgame reduces each final-family leaf with ``to_dfvc`` as the
     depth-first walk of :func:`run_cascade` reaches it, and stops the walk
@@ -925,8 +935,9 @@ def pipeline_solve(T: BipartiteTournament, k: int,
     on T, so a yes is always a real feedback vertex set of size at most k
     whatever the profile; when the cascade yields nothing usable the
     fallback answers, so the result is always correct.  The fallback is
-    ``branch_solve`` on T, which reuses the survivors and the square index
-    T cached for the screen and checks its answer once, on T.
+    ``branch_solve`` on T, which reuses the survivors T cached for the
+    screen, builds the one square index of the solve, and checks its answer
+    once, on T.
     ``stats.nodes`` is the number of leaves the endgame tried when the
     cascade answers, and the fallback's node count otherwise.
 

@@ -26,8 +26,8 @@ from typing import Iterable, NamedTuple
 
 from .errors import InstanceTooLarge
 from .graph import BipartiteTournament, Vertex
-from .structure import (SquareIndex, _a_pairs, _square_gids, all_squares, find_square,
-                        square_index)
+from .structure import (SquareIndex, _a_pairs, _on_cycles, _square_gids, all_squares,
+                        find_square, square_index)
 
 
 class SolveStatus(Enum):
@@ -209,26 +209,39 @@ def _pack(index: SquareIndex, live: int, cap: int) -> int:
     packed, and the first live one in grid order ({min live D1, min live
     D0}) is also the first in ``all_squares`` order: the packing is the
     greedy one over ``all_squares``."""
-    through, square = index.through, index.square
+    through, grids = index.through, index.grids
     count = 0
     while live and count <= cap:
         count += 1
-        a, b, a2, b2 = square((live & -live).bit_length() - 1)
-        live &= ~(through[a] | through[b] | through[a2] | through[b2])
+        s = (live & -live).bit_length() - 1
+        a, a2, rows, cols, start, width = grids[s]
+        r, c = divmod(s - start, width)
+        live &= ~(through[a] | through[rows[r]] | through[a2] | through[cols[c]])
     return count
 
 
 def squares_packing_lower_bound(T: BipartiteTournament, forbidden: int = 0,
                                 alive: int | None = None) -> int | None:
     """Greedy vertex-disjoint square packing of T[alive] (gid masks; all of
-    V when None), in ``all_squares`` order, read from the square index of
-    T[alive]; None when a square of T[alive] is made of ``forbidden``
-    vertices only, which certifies infeasibility."""
-    index = square_index(T, alive)
-    live = (1 << index.count) - 1
-    if forbidden and _avoiding(index.through, live, T.full_mask & ~forbidden):
-        return None
-    return _pack(index, live, index.count)
+    V when None), in ``all_squares`` order; None when a square of T[alive]
+    is made of ``forbidden`` vertices only, which certifies infeasibility.
+
+    Read from one :func:`structure._a_pairs` scan, with no square index: as
+    in :func:`_pack`, the greedy takes at most one square per A-pair, the
+    pair's {min live D1, min live D0} when a and a' are unused.
+    """
+    used = count = 0
+    for pair, d1, d0 in _a_pairs(T, T.full_mask if alive is None else alive):
+        if not pair & ~forbidden and d1 & forbidden and d0 & forbidden:
+            return None
+        if pair & used:
+            continue
+        d1 &= ~used
+        d0 &= ~used
+        if d1 and d0:
+            count += 1
+            used |= pair | (d1 & -d1) | (d0 & -d0)
+    return count
 
 
 class Reduction(NamedTuple):
@@ -240,10 +253,16 @@ class Reduction(NamedTuple):
 def reduce_instance(T: BipartiteTournament, k: int) -> Reduction:
     """Two safe reduction rules, applied to a fixpoint.
 
-    R1 deletes every vertex contained in no square: such a vertex lies on no
-    4-cycle, hence on no cycle at all that a minimum solution would need it
-    for, and its removal changes no square.  It lists no square: the squares
-    through an A-pair cover exactly the pair and its masks D1 | D0.
+    R1 deletes every vertex contained in no square, which removes no square.
+    It lists no square: in a bipartite tournament the vertices on a square
+    are exactly those on a cycle, the vertices whose strong component has
+    more than one vertex (:func:`structure._on_cycles`).  Proof: a square is
+    a cycle.  Conversely, take a shortest cycle v = x0 -> x1 -> ... -> v
+    through v.  If it has length 4 it is a square.  Otherwise its length is
+    at least 6, and v and x3 are on opposite sides, hence adjacent.  If
+    x3 -> v, then v x1 x2 x3 is a square; if v -> x3, then v -> x3 -> ... -> v
+    is a shorter cycle through v.  So R1 keeps every cycle, and a second
+    pass of it removes nothing.
 
     R2 truncates every false-twin class to k+1 representatives: a square
     contains at most one vertex per class and twins are interchangeable in
@@ -275,19 +294,17 @@ def _survivors(T: BipartiteTournament, k: int) -> int:
         k0, truncated, alive = T._reduction
         if k == k0 or (k > k0 and not truncated):
             return alive
-    alive = T.full_mask
+    alive = _on_cycles(T, T.full_mask)  # R1, which a second pass would not change
     truncated = False
     while True:
-        keep = 0
-        for pair, d1, d0 in _a_pairs(T, alive):  # R1
-            keep |= pair | d1 | d0
-        if keep == alive:  # R2, once R1 removes nothing
-            for cls in T.false_twin_classes(alive):
-                keep &= ~T.mask_of(sorted(cls)[k + 1:])
-            truncated = truncated or keep != alive
+        keep = alive
+        for gids in T.twin_gids(alive):  # R2
+            for g in gids[k + 1:]:
+                keep &= ~(1 << g)
         if keep == alive:
             break
-        alive = keep
+        truncated = True
+        alive = _on_cycles(T, keep)
     object.__setattr__(T, "_reduction", (k, truncated, alive))
     return alive
 

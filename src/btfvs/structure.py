@@ -10,7 +10,6 @@ cross-check instead of a tautology.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NotAcyclic
@@ -103,8 +102,8 @@ def find_square(T: BipartiteTournament, within_mask: int | None = None) -> Squar
 def all_squares(T: BipartiteTournament, within_mask: int | None = None) -> list[int]:
     """The gid bitmask of every square of T[within_mask] (all of V when
     None), ordered by (a, a', b, b') with a < a' and b < b'.  Used by the
-    exhaustive oracle; the search and the packing bound read
-    :func:`square_index`.
+    exhaustive oracle; the search reads :func:`square_index`, and the
+    packing bound reads :func:`_a_pairs` directly.
     """
     alive = T.full_mask if within_mask is None else within_mask
     squares: list[int] = []
@@ -124,11 +123,15 @@ def all_squares(T: BipartiteTournament, within_mask: int | None = None) -> list[
 class SquareIndex(NamedTuple):
     """Every square of T[alive], numbered, with its vertex incidences.
 
-    Squares are numbered A-pair by A-pair, in :func:`_a_pairs` order.  Pair
-    p is ``pairs[p] = (a, a', D1, D0)``, the gids of a < a' and of D1 and
-    D0 ascending; its squares form the D1 x D0 grid, row by row, from index
-    ``starts[p]``.  ``through[g]`` is the bitset of the indices of the
-    squares through vertex g, so the squares missing a vertex set X are
+    Squares are numbered A-pair by A-pair, in :func:`_a_pairs` order.  The
+    squares of a pair form the D1 x D0 grid, row by row, from the pair's
+    first index ``start``.  ``grids[s]`` is the grid of square s's pair,
+    ``(a, a', rows, cols, start, width)``: the gids of a < a', of D1 and of
+    D0 ascending, the first index, and the row width |D0|.  Every square of
+    a pair refers to the one tuple, so the table costs a pointer per square,
+    and square s is at row and column ``divmod(s - start, width)`` of it.
+    ``through[g]`` is the bitset of the indices of the squares through
+    vertex g, so the squares missing a vertex set X are
     ``all & ~(through[x] | ...)`` over x in X.  Gids are T's own, and a
     vertex outside alive is on no square; inducing T[alive] keeps each
     side's order, so the induced tournament's index numbers the same squares
@@ -139,16 +142,14 @@ class SquareIndex(NamedTuple):
     """
 
     count: int
-    starts: list[int]
-    pairs: list[tuple[int, int, list[int], list[int]]]
+    grids: list[tuple[int, int, list[int], list[int], int, int]]
     through: list[int]
 
     def square(self, s: int) -> tuple[int, int, int, int]:
         """The gids (a, b, a', b') of square s, with a -> b -> a' -> b' -> a."""
-        p = bisect_right(self.starts, s) - 1
-        a, a2, d1, d0 = self.pairs[p]
-        r, c = divmod(s - self.starts[p], len(d0))
-        return a, d1[r], a2, d0[c]
+        a, a2, rows, cols, start, width = self.grids[s]
+        r, c = divmod(s - start, width)
+        return a, rows[r], a2, cols[c]
 
 
 def _gids(mask: int) -> list[int]:
@@ -174,8 +175,7 @@ def square_index(T: BipartiteTournament, alive: int | None = None) -> SquareInde
     cached = T._square_index
     if cached is not None and cached[0] == alive:
         return cached[1]
-    starts: list[int] = []
-    pairs = []
+    grids: list[tuple[int, int, list[int], list[int], int, int]] = []
     through = [0] * T.num_vertices
     count = 0
     for pair, d1, d0 in _a_pairs(T, alive):
@@ -191,10 +191,10 @@ def square_index(T: BipartiteTournament, alive: int | None = None) -> SquareInde
             through[b2] |= column << (count + c)
         through[a] |= grid << count
         through[a2] |= grid << count
-        starts.append(count)
-        pairs.append((a, a2, rows, cols))
-        count += len(rows) * width
-    index = SquareIndex(count, starts, pairs, through)
+        size = len(rows) * width
+        grids += [(a, a2, rows, cols, count, width)] * size
+        count += size
+    index = SquareIndex(count, grids, through)
     object.__setattr__(T, "_square_index", (alive, index))
     return index
 
@@ -221,6 +221,42 @@ def _peel_layers_mask(T: BipartiteTournament, alive: int) -> list[int] | None:
         layers.append(peel)
         alive &= ~peel
     return layers
+
+
+def _closure(adj: list[int], start: int, within: int) -> int:
+    """The vertices of the gid mask ``within`` that the bit ``start`` (in
+    ``within``) reaches along the adjacency masks ``adj``, start included."""
+    reach = frontier = start
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & within & ~reach
+        reach |= frontier
+    return reach
+
+
+def _on_cycles(T: BipartiteTournament, alive: int) -> int:
+    """The gid mask of the vertices of T[alive] that lie on a cycle: those
+    whose strong component has more than one vertex.
+
+    Components come lowest vertex first, each the backward closure of v
+    inside its forward closure, both over the vertices not yet placed: a
+    path between two vertices of one component stays inside it, so the
+    components already taken out cut none.
+    """
+    out, inc = T.out_mask, T.in_mask
+    cyclic = 0
+    rest = alive
+    while rest:
+        v = rest & -rest
+        component = _closure(inc, v, _closure(out, v, rest))
+        if component != v:
+            cyclic |= component
+        rest &= ~component
+    return cyclic
 
 
 def is_acyclic(T: BipartiteTournament, within: Iterable[Vertex] | None = None) -> bool:

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import btfvs
 from btfvs.dfvc import DfvcInstance
 from btfvs.errors import ParseError
 from btfvs.generators import GenKind, GenSpec, generate
@@ -353,6 +358,28 @@ class TestCli:
     def test_usage_error(self):
         assert main(["solve"]) == 2
         assert main(["not-a-command"]) == 2
+
+    def test_pipeline_overflow_past_printable_sizes_answers(self, tmp_path, capsys):
+        # the paper profile at k = 33 sizes a sample space of over 6,000
+        # digits: a diagnostic and the fallback's answer, not a usage error
+        path = tmp_path / "big.json"
+        path.write_text(serialize_instance(generate(GenSpec(30, 30, GenKind.UNIFORM_RANDOM, 1)),
+                                           k=33))
+        assert main(["pipeline", str(path)]) == 0
+        assert capsys.readouterr().err == \
+            "sample space: family of size >= 2**22504 exceeds cap 50000\n"
+
+    def test_python_dash_m(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(btfvs.__file__).parent.parent))
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "btfvs", *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+
+        shown = run("--help")
+        assert shown.returncode == 0 and "usage: btfvs" in shown.stdout
+        missing = run("solve", str(tmp_path / "missing.json"))
+        assert missing.returncode == 2 and missing.stderr.startswith("error: ")
 
     def test_bool_budget_in_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bool.json"

@@ -27,7 +27,7 @@ from btfvs.reference import brute_squares, dfs_has_cycle, window_property_brute
 from btfvs.samplespace import twise_space, twise_space_size
 from btfvs.solvers import (Constraints, SolveStatus, branch_solve, exact_min_fvs,
                            oracle_min_fvs, verify_fvs)
-from btfvs.structure import is_acyclic
+from btfvs.structure import is_acyclic, square_index
 
 from conftest import a, b, tournament
 
@@ -645,6 +645,28 @@ class TestDepthFirstWalk:
             (found, nodes, (("seed", 0),),
              ("sample space: family of size >= 1099511627776 exceeds cap 50000",), True)
 
+    def test_paper_profile_overflow_past_printable_sizes(self):
+        # at k = 33 the paper profile's sample space has over 6,000 digits,
+        # more than str() writes: the overflow is still the one diagnostic,
+        # its size given as a power of two, and the fallback answers
+        T = generate(GenSpec(30, 30, GenKind.UNIFORM_RANDOM, 1))
+        res = pipeline_solve(T, 33)
+        assert (res.trace, res.diagnostics, res.used_fallback) == \
+            ((("seed", 0),), ("sample space: family of size >= 2**22504 exceeds cap 50000",),
+             True)
+        assert res.found and len(res.solution) <= 33 and verify_fvs(T, res.solution)
+
+    def test_huge_window_is_not_sized_exactly(self):
+        # a window of 10**9 would make the sample space's size a number of
+        # billions of bits; it overflows past 2 ** SIZE_BITS without one
+        profile = dataclasses.replace(TOY, hom_window=10 ** 9)
+        T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=21))
+        opt = len(exact_min_fvs(T))
+        res = pipeline_solve(T, opt, profile)
+        assert res.diagnostics == (f"sample space: family of size >= 2**{pipeline.SIZE_BITS} "
+                                   f"exceeds cap {TOY.family_cap}",)
+        assert res.used_fallback and res.found and len(res.solution) == opt
+
 
 class TestHandBuilt:
     """An instance built without a parent is validated, and derives its
@@ -1093,28 +1115,38 @@ class TestPipelineSolve:
             assert verified == ([True] if res.found else [])
 
     @pytest.mark.parametrize("seed", [1, 3, 4])
-    def test_fallback_is_one_branch_solve_on_the_screens_index(self, seed, monkeypatch):
-        # the fallback is branch_solve on T itself, once; it reads the
-        # survivors and the square index the screen cached on T, so it
-        # builds no second index
-        calls = []
+    def test_fallback_is_one_branch_solve_that_builds_the_one_index(self, seed, monkeypatch):
+        # the fallback is branch_solve on T itself, once; the screen reads
+        # the A-pairs, so the solve builds one square index, the fallback's
+        calls, builds = [], []
+        searching = [False]
 
         def recording(tournament, constraints):
-            screened = tournament._square_index
+            searching[0] = True
             res = branch_solve(tournament, constraints)
-            calls.append((tournament is T, constraints,
-                          screened is not None and tournament._square_index is screened))
+            searching[0] = False
+            calls.append((tournament is T, constraints))
             return res
 
-        monkeypatch.setattr(pipeline, "branch_solve", recording)
+        def indexing(tournament, alive=None):
+            cached = tournament._square_index
+            index = square_index(tournament, alive)
+            if tournament._square_index is not cached:
+                builds.append((tournament is T, searching[0]))
+            return index
+
         opt = len(exact_min_fvs(generate(GenSpec(8, 8, GenKind.PLANTED_FVS, seed=seed,
                                                  k_plant=3))))
+        monkeypatch.setattr(pipeline, "branch_solve", recording)
+        monkeypatch.setattr(solvers, "square_index", indexing)
         for k in (opt - 1, opt):
             T = generate(GenSpec(8, 8, GenKind.PLANTED_FVS, seed=seed, k_plant=3))
             calls.clear()
+            builds.clear()
             res = pipeline_solve(T, k)  # the paper profile: the fallback answers
             assert res.used_fallback and res.found == (k == opt)
-            assert calls == [(True, Constraints(budget=k), True)]
+            assert calls == [(True, Constraints(budget=k))]
+            assert builds == [(True, True)]
 
     def test_screened_solve_induces_nothing(self, monkeypatch):
         # the screen reads T[survivors] in T's own gids; only seeding
@@ -1127,6 +1159,18 @@ class TestPipelineSolve:
         monkeypatch.setattr(BipartiteTournament, "induced", unreachable)
         assert pipeline_solve(T, 1, TOY).trace == (("screen", 2),)
         assert solvers._survivors(T, 1) != T.full_mask
+
+    def test_screened_solve_builds_no_square_index(self, monkeypatch):
+        # the screen's packing bound comes from one scan of the A-pairs;
+        # only a search builds a square index
+        T = generate(GenSpec(6, 6, GenKind.PLANTED_FVS, seed=3, k_plant=2))
+
+        def unreachable(*args):
+            raise AssertionError("screened inputs are not indexed")
+
+        monkeypatch.setattr(solvers, "square_index", unreachable)
+        assert pipeline_solve(T, 1, TOY).trace == (("screen", 2),)
+        assert T._square_index is None
 
     def test_packing_bound_screens_before_seeding(self, monkeypatch):
         # at k=1 the reduction packs 2 vertex-disjoint squares, so the screen

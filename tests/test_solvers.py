@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btfvs import solvers
 from btfvs.errors import InstanceTooLarge
@@ -12,7 +14,7 @@ from btfvs.reference import brute_squares
 from btfvs.solvers import (Constraints, SolveStatus, approx4, branch_solve,
                            exact_min_fvs, oracle_min_fvs, reduce_instance,
                            satisfies, squares_packing_lower_bound, verify_fvs)
-from btfvs.structure import all_squares, find_square, square_index
+from btfvs.structure import _a_pairs, _on_cycles, all_squares, find_square, square_index
 
 from conftest import a, b, tournament
 
@@ -176,6 +178,17 @@ class TestSquareIndex:
                 assert index.through[g] == want
             assert square_index(T) is index  # cached on T
 
+    def test_one_shared_grid_entry_per_square(self):
+        # square s points at its pair's (a, a', rows, cols, start, width),
+        # one tuple shared by the pair's squares, which start at ``start``
+        for T, alive, _ in _index_cases(150):
+            index = square_index(T, alive)
+            assert len(index.grids) == index.count
+            for s, entry in enumerate(index.grids):
+                _, _, rows, cols, start, width = entry
+                assert width == len(cols) and start <= s < start + len(rows) * width
+                assert index.grids[start] is entry
+
     def test_masked_index_is_the_induced_index(self):
         # the index of T[alive], in T's gids, is the index of the induced
         # tournament mapped through to_host: the same squares in the same
@@ -220,6 +233,65 @@ class TestSquareIndex:
             assert branch_solve(T, cons).status is SolveStatus.NO_SOLUTION
             checked += 1
         assert checked > 50
+
+
+@st.composite
+def twinned_tournaments(draw, max_side: int = 7):
+    """Tournaments whose rows and columns are drawn from a small base matrix,
+    so false twins are common, with gid masks ``alive`` and ``forbidden``."""
+    rows, cols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    base = draw(st.lists(st.lists(st.booleans(), min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    a_rows = draw(st.lists(st.integers(0, rows - 1), max_size=max_side))
+    b_cols = draw(st.lists(st.integers(0, cols - 1), max_size=max_side))
+    T = tournament([[base[r][c] for c in b_cols] for r in a_rows]) if a_rows else \
+        BipartiteTournament(0, len(b_cols), [])
+    masks = st.integers(0, T.full_mask)
+    return T, draw(masks), draw(masks)
+
+
+def _pair_scan_survivors(T, k: int) -> int:
+    """The reduction's fixpoint as the A-pairs give it: R1 keeps the pairs
+    and their D1 | D0 until nothing changes, then R2 truncates twin classes."""
+    alive = T.full_mask
+    while True:
+        keep = 0
+        for pair, d1, d0 in _a_pairs(T, alive):
+            keep |= pair | d1 | d0
+        if keep == alive:
+            for cls in T.false_twin_classes(alive):
+                keep &= ~T.mask_of(sorted(cls)[k + 1:])
+        if keep == alive:
+            return alive
+        alive = keep
+
+
+class TestStrongComponentEquivalences:
+    @given(twinned_tournaments())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_on_cycles_is_the_union_of_squares(self, case):
+        T, alive, _ = case
+        union = 0
+        for mask in all_squares(T, alive):
+            union |= mask
+        assert _on_cycles(T, alive) == union
+
+    @given(twinned_tournaments(), st.integers(0, 3))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_survivors_are_the_pair_scan_fixpoint(self, case, k):
+        T, _, _ = case
+        assert solvers._survivors(T, k) == _pair_scan_survivors(T, k)
+        # a second budget reads T's cached reduction, or redoes it
+        assert solvers._survivors(T, k + 1) == _pair_scan_survivors(T, k + 1)
+
+    @given(twinned_tournaments())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_pair_bound_is_the_index_packing(self, case):
+        T, alive, forbidden = case
+        stuck = any(not mask & ~forbidden for mask in all_squares(T, alive))
+        index = square_index(T, alive)
+        want = None if stuck else solvers._pack(index, (1 << index.count) - 1, index.count)
+        assert squares_packing_lower_bound(T, forbidden, alive) == want
 
 
 class TestReduce:
