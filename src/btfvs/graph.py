@@ -38,6 +38,14 @@ class SubTournament(NamedTuple):
     from_host: dict  # Vertex in host -> Vertex in sub
 
 
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _bits(flags: Sequence[bool]) -> int:
+    """The int whose bit j is ``flags[j]``."""
+    return int(b"0" + bytes(flags[::-1]).translate(_DIGITS), 2)
+
+
 class BipartiteTournament:
     """Immutable bipartite tournament with an orientation-matrix encoding.
 
@@ -46,11 +54,9 @@ class BipartiteTournament:
     """
 
     # The underscored slots are derived caches, filled on first use: the
-    # adjacency masks here, the last square index that
-    # ``structure.square_index`` built, with its vertex mask, and the
-    # survivor mask of the last reduction ``solvers._survivors`` made.
-    __slots__ = ("m", "n", "orient", "labels", "_out_mask", "_in_mask",
-                 "_square_index", "_reduction")
+    # adjacency masks here, and the survivor mask of the last reduction
+    # ``solvers._survivors`` made.
+    __slots__ = ("m", "n", "orient", "labels", "_out_mask", "_in_mask", "_reduction")
 
     def __init__(self, m: int, n: int, orient: Sequence[Sequence[object]],
                  labels: Sequence[str] | None = None):
@@ -77,7 +83,6 @@ class BipartiteTournament:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_out_mask", None)
         object.__setattr__(self, "_in_mask", None)
-        object.__setattr__(self, "_square_index", None)
         object.__setattr__(self, "_reduction", None)
 
     def __setattr__(self, name, value):
@@ -168,19 +173,17 @@ class BipartiteTournament:
         return (1 << self.num_vertices) - 1
 
     def _adjacency_masks(self) -> tuple[list[int], list[int]]:
+        """Out- and in-neighbour gid masks, one per vertex.  Each row of the
+        matrix, and each column, is packed into one int at C speed: its
+        bools, last first, as the digits of a binary numeral."""
         if self._out_mask is None:
             m, n = self.m, self.n
-            out = [0] * (m + n)
-            inc = [0] * (m + n)
-            for i in range(m):
-                row = self.orient[i]
-                for j in range(n):
-                    if row[j]:
-                        out[i] |= 1 << (m + j)
-                        inc[m + j] |= 1 << i
-                    else:
-                        out[m + j] |= 1 << i
-                        inc[i] |= 1 << (m + j)
+            a_side, b_side = (1 << m) - 1, ((1 << n) - 1) << m
+            rows = [_bits(row) << m for row in self.orient]  # bit m + j: a_i -> b_j
+            # bit i: a_i -> b_j; with m == 0 the zip yields no column at all
+            cols = [_bits(col) for col in zip(*self.orient)] or [0] * n
+            out = rows + [a_side ^ col for col in cols]
+            inc = [b_side ^ row for row in rows] + cols
             object.__setattr__(self, "_out_mask", out)
             object.__setattr__(self, "_in_mask", inc)
         return self._out_mask, self._in_mask

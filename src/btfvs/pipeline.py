@@ -263,6 +263,21 @@ def next_prime_power(q: int) -> int:
 SIZE_BITS = 1 << 16  # a sample space known to exceed 2 ** SIZE_BITS is not sized exactly
 
 
+def _sample_space(n: int, profile: ConstantsProfile) -> tuple[int, int]:
+    """The field size q and window t of :func:`m_family`'s sample space over
+    n vertices, once both its size checks pass; they read n alone."""
+    q = next_prime_power(profile.sample_q)
+    t = profile.hom_window
+    unit = twise_space_size(n, 1, q)  # the space has unit ** t members
+    bits = max(SIZE_BITS, profile.family_cap.bit_length())
+    if (unit.bit_length() - 1) * t > bits:  # over 2 ** bits: report that, do not compute it
+        raise FamilyCapExceeded("sample space", 1 << bits, profile.family_cap)
+    space_size = unit ** t
+    if space_size > profile.family_cap:
+        raise FamilyCapExceeded("sample space", space_size, profile.family_cap)
+    return q, t
+
+
 def m_family(T: BipartiteTournament, k: int, profile: ConstantsProfile) -> Iterator[frozenset]:
     """Candidate undeletable sets: one selection per sample-space function,
     minus every exemption subset of size up to ``budget_slack``;
@@ -273,15 +288,7 @@ def m_family(T: BipartiteTournament, k: int, profile: ConstantsProfile) -> Itera
     n = T.num_vertices
     if n == 0:
         return iter(())
-    q = next_prime_power(profile.sample_q)
-    t = profile.hom_window
-    unit = twise_space_size(n, 1, q)  # the space has unit ** t members
-    bits = max(SIZE_BITS, profile.family_cap.bit_length())
-    if (unit.bit_length() - 1) * t > bits:  # over 2 ** bits: report that, do not compute it
-        raise FamilyCapExceeded("sample space", 1 << bits, profile.family_cap)
-    space_size = unit ** t
-    if space_size > profile.family_cap:
-        raise FamilyCapExceeded("sample space", space_size, profile.family_cap)
+    q, t = _sample_space(n, profile)
     space = twise_space(n, t, q)
     verts = T.vertices()
     slack = profile.budget_slack
@@ -925,8 +932,10 @@ def pipeline_solve(T: BipartiteTournament, k: int,
     vertices the reduction keeps, from one scan of its A-pairs: more than k
     vertex-disjoint squares need more than k deletions, so the answer is no,
     with the trace ``(("screen", bound),)``, no diagnostics, no fallback and
-    ``stats.nodes`` 0; nothing is induced, indexed or seeded.  The reduced
-    tournament is induced only for seeding.
+    ``stats.nodes`` 0; nothing is induced or seeded.  The reduced
+    tournament is induced only for seeding, once the sample space's size
+    checks, which read the survivor count alone, have passed: a solve whose
+    seeding overflows induces nothing.
 
     The endgame reduces each final-family leaf with ``to_dfvc`` as the
     depth-first walk of :func:`run_cascade` reaches it, and stops the walk
@@ -936,8 +945,8 @@ def pipeline_solve(T: BipartiteTournament, k: int,
     whatever the profile; when the cascade yields nothing usable the
     fallback answers, so the result is always correct.  The fallback is
     ``branch_solve`` on T, which reuses the survivors T cached for the
-    screen, builds the one square index of the solve, and checks its answer
-    once, on T.
+    screen, searches one list of the A-pairs of T[survivors], and checks
+    its answer once, on T.
     ``stats.nodes`` is the number of leaves the endgame tried when the
     cascade answers, and the fallback's node count otherwise.
 
@@ -962,9 +971,16 @@ def pipeline_solve(T: BipartiteTournament, k: int,
     if bound > k:  # k + 1 vertex-disjoint squares, each needing its own deletion
         return PipelineResult(SolveStatus.NO_SOLUTION, None, SolveStats(0, _ms(t0)),
                               (("screen", bound),), (), False)
-    red = reduce_instance(T, k)
     sizes, notes, records = [0], [], None if collect is None else []
-    for tried, child in enumerate(_walk(red.tournament, k, profile, sizes, notes, records), 1):
+    try:  # the sample space is sized by the vertex count alone: check it before inducing
+        _sample_space(alive.bit_count(), profile)
+    except FamilyCapExceeded as exc:
+        notes.append((0, str(exc)))
+        leaves = iter(())
+    else:
+        red = reduce_instance(T, k)
+        leaves = _walk(red.tournament, k, profile, sizes, notes, records)
+    for tried, child in enumerate(leaves, 1):
         try:
             reduction = to_dfvc(child, profile)
         except (PreconditionViolated, FamilyCapExceeded) as exc:

@@ -6,8 +6,9 @@ Four routes with very different trust stories:
   other solver is tested against; capped at small instances.
 * ``approx4``         -- greedy square deletion, factor-4 approximation.
 * ``branch_solve``    -- budgeted branching over squares and constraint
-  edges, with safe reduction, a packing lower bound read from the square
-  index, and each failed sibling kept out of the later ones.
+  edges, with safe reduction, a packing lower bound read at each node from
+  one list of the A-pairs, and each failed sibling kept out of the later
+  ones.
 * ``exact_min_fvs``   -- ascending-budget iteration over ``branch_solve``,
   from the square-packing lower bound up.
 
@@ -21,13 +22,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, NamedTuple
 
 from .errors import InstanceTooLarge
 from .graph import BipartiteTournament, Vertex
-from .structure import (SquareIndex, _a_pairs, _on_cycles, _square_gids, all_squares,
-                        find_square, square_index)
+from .structure import _a_pairs, _on_cycles, _square_gids, all_squares, find_square
 
 
 class SolveStatus(Enum):
@@ -75,6 +75,11 @@ class Constraints:
     def is_free(self) -> bool:
         return not self.forbidden and not self.required_in and not self.cover_edges
 
+    def check_vertices(self, T: BipartiteTournament) -> None:
+        """Raise ValueError unless every vertex named here is a vertex of T."""
+        for v in chain(self.forbidden, self.required_in, *self.cover_edges):
+            T.check_vertex(v)
+
 
 def verify_fvs(T: BipartiteTournament, S: Iterable[Vertex]) -> bool:
     """Is T - S acyclic?  Decided by square-freeness of the remainder."""
@@ -114,6 +119,7 @@ def oracle_min_fvs(T: BipartiteTournament, constraints: Constraints | None = Non
         raise InstanceTooLarge(f"{T.num_vertices} vertices exceeds oracle cap {cap}")
     if constraints is None:
         constraints = Constraints()
+    constraints.check_vertices(T)
     t0 = time.perf_counter()
     nodes = 0
 
@@ -190,33 +196,54 @@ def _approx4_mask(T: BipartiteTournament, k: int, alive: int) -> int | None:
             alive &= ~(1 << g)
 
 
-def _avoiding(through: list[int], live: int, mask: int) -> int:
-    """The squares of the index bitset ``live`` that miss every vertex of
-    the gid mask ``mask``."""
-    while mask:
-        low = mask & -mask
-        live &= ~through[low.bit_length() - 1]
-        mask ^= low
-    return live
+_PairGroups = list[tuple[int, list[tuple[int, int, int]]]]  # (a, [(a', D1, D0), ...])
 
 
-def _pack(index: SquareIndex, live: int, cap: int) -> int:
-    """Greedy vertex-disjoint packing of the squares of the index bitset
-    ``live``, lowest index first: each packed square needs its own deletion,
-    so the count lower-bounds the deletions left.  Stops at cap + 1.
+def _pair_groups(T: BipartiteTournament, alive: int, forbidden: int = 0) -> _PairGroups | None:
+    """The A-pairs of T[alive] (:func:`structure._a_pairs`, gid masks),
+    grouped by their lower vertex in scan order: ``(a, [(a', D1, D0), ...])``
+    with a and a' as bits.  None when a square of T[alive] is made of
+    ``forbidden`` vertices only, which certifies infeasibility."""
+    groups: _PairGroups = []
+    last = 0
+    for pair, d1, d0 in _a_pairs(T, alive):
+        if not pair & ~forbidden and d1 & forbidden and d0 & forbidden:
+            return None
+        a = pair & -pair
+        if a != last:
+            last, pairs = a, []
+            groups.append((a, pairs))
+        pairs.append((pair ^ a, d1, d0))
+    return groups
+
+
+def _packing(groups: _PairGroups, used: int, cap: int) -> int:
+    """Greedy vertex-disjoint packing, in ``all_squares`` order, of the
+    squares of the pair groups that miss the gid mask ``used``: each packed
+    square needs its own deletion, so the count lower-bounds the deletions
+    left.  Stops at cap + 1.
 
     All squares of an A-pair share a and a', so at most one per pair is
-    packed, and the first live one in grid order ({min live D1, min live
-    D0}) is also the first in ``all_squares`` order: the packing is the
-    greedy one over ``all_squares``."""
-    through, grids = index.through, index.grids
+    packed, the first in ``all_squares`` order: {min live D1, min live D0}.
+    Once one is packed, a is used and the rest of its group is skipped."""
     count = 0
-    while live and count <= cap:
-        count += 1
-        s = (live & -live).bit_length() - 1
-        a, a2, rows, cols, start, width = grids[s]
-        r, c = divmod(s - start, width)
-        live &= ~(through[a] | through[rows[r]] | through[a2] | through[cols[c]])
+    free = ~used
+    for a, pairs in groups:
+        if a & used:
+            continue
+        for a2, d1, d0 in pairs:
+            if a2 & used:
+                continue
+            d1 &= free
+            if d1:
+                d0 &= free
+                if d0:
+                    count += 1
+                    if count > cap:
+                        return count
+                    used |= a | a2 | (d1 & -d1) | (d0 & -d0)
+                    free = ~used
+                    break
     return count
 
 
@@ -226,22 +253,12 @@ def squares_packing_lower_bound(T: BipartiteTournament, forbidden: int = 0,
     V when None), in ``all_squares`` order; None when a square of T[alive]
     is made of ``forbidden`` vertices only, which certifies infeasibility.
 
-    Read from one :func:`structure._a_pairs` scan, with no square index: as
-    in :func:`_pack`, the greedy takes at most one square per A-pair, the
-    pair's {min live D1, min live D0} when a and a' are unused.
+    Read from one :func:`structure._a_pairs` scan (:func:`_pair_groups`),
+    with no square listed: the packing :func:`branch_solve` makes at a node
+    that has deleted nothing.
     """
-    used = count = 0
-    for pair, d1, d0 in _a_pairs(T, T.full_mask if alive is None else alive):
-        if not pair & ~forbidden and d1 & forbidden and d0 & forbidden:
-            return None
-        if pair & used:
-            continue
-        d1 &= ~used
-        d0 &= ~used
-        if d1 and d0:
-            count += 1
-            used |= pair | (d1 & -d1) | (d0 & -d0)
-    return count
+    groups = _pair_groups(T, T.full_mask if alive is None else alive, forbidden)
+    return None if groups is None else _packing(groups, 0, T.num_vertices)
 
 
 class Reduction(NamedTuple):
@@ -321,7 +338,8 @@ def branch_solve(T: BipartiteTournament,
     or when the greedy square-packing bound exceeds the remaining budget; a
     square of forbidden vertices only, which no deletion breaks, answers no
     at the root.  Single-threaded and deterministic: the first solution in
-    branch order is returned.
+    branch order is returned.  A required, forbidden or cover-edge vertex
+    that is not a vertex of T raises ValueError.
 
     Unconstrained calls search T[alive], the survivors of
     :func:`reduce_instance`'s rules (:func:`_survivors`, reused when T
@@ -330,11 +348,11 @@ def branch_solve(T: BipartiteTournament,
     side's order, so the scan order and the answer are those of a search on
     the reduced tournament.  The answer is checked on T.
 
-    Each node carries its live squares as a bitset over the square index of
-    T[alive] (:func:`structure.square_index`): the squares that miss
-    ``removed``.  A child's live set is its parent's minus the squares
-    through the deleted vertex, the packing bound takes live squares lowest
-    index first, and a node with none left is a solution.
+    The search reads one list, the A-pairs of T[alive] grouped by their
+    lower vertex (:func:`_pair_groups`), built once.  Each node packs it
+    greedily from ``removed`` (:func:`_packing`): a count above the budget
+    left prunes the node, and a count of 0 means no square misses
+    ``removed``, which is then a solution.
 
     Each node also carries a forbidden gid mask ``forb``, the constraint's
     to start with.  When the child that deletes g finds nothing, no solution
@@ -345,6 +363,7 @@ def branch_solve(T: BipartiteTournament,
     """
     if constraints is None:
         constraints = Constraints()
+    constraints.check_vertices(T)
     t0 = time.perf_counter()
     budget = constraints.budget if constraints.budget is not None else T.num_vertices
     remaining = budget - len(constraints.required_in)
@@ -358,30 +377,26 @@ def branch_solve(T: BipartiteTournament,
     removed0 = T.mask_of(constraints.required_in)
     cover = [((1 << T.gid(u)) | (1 << T.gid(w)), (T.gid(u), T.gid(w)))
              for (u, w) in sorted(constraints.cover_edges)]
-    index = square_index(T, alive)
-    through = index.through
-    every = (1 << index.count) - 1
-    stuck = _avoiding(through, every, alive & ~forb_mask) if forb_mask else 0
-    if stuck:  # squares of forbidden vertices only, which no deletion breaks
+    groups = _pair_groups(T, alive, forb_mask)
+    if groups is None:  # a square of forbidden vertices only, which no deletion breaks
         return SolveResult(SolveStatus.NO_SOLUTION, None, SolveStats(0, _ms(t0)))
     nodes = 0
 
-    pack, square_gids = _pack, _square_gids  # local names: one lookup less per node
+    packing, square_gids = _packing, _square_gids  # local names: one lookup less per node
 
-    def branch(removed: int, gids, left: int, cover_idx: int, live: int,
-               forb: int) -> int | None:
+    def branch(removed: int, gids, left: int, cover_idx: int, forb: int) -> int | None:
         """Try deleting each vertex of ``gids`` not in ``forb``, in order."""
         for g in gids:
             b = 1 << g
             if b & forb:
                 continue
-            result = rec(removed | b, left - 1, cover_idx, live & ~through[g], forb)
+            result = rec(removed | b, left - 1, cover_idx, forb)
             if result is not None:
                 return result
             forb |= b
         return None
 
-    def rec(removed: int, left: int, cover_idx: int, live: int, forb: int) -> int | None:
+    def rec(removed: int, left: int, cover_idx: int, forb: int) -> int | None:
         nonlocal nodes
         nodes += 1
         # resolve constraint edges before touching squares
@@ -392,14 +407,15 @@ def branch_solve(T: BipartiteTournament,
                 continue
             if left <= 0:
                 return None
-            return branch(removed, gids, left, cover_idx + 1, live, forb)
-        if not live:
+            return branch(removed, gids, left, cover_idx + 1, forb)
+        count = packing(groups, removed, left)
+        if not count:
             return removed
-        if pack(index, live, left) > left:
+        if count > left:
             return None
-        return branch(removed, square_gids(T, alive & ~removed), left, cover_idx, live, forb)
+        return branch(removed, square_gids(T, alive & ~removed), left, cover_idx, forb)
 
-    answer = rec(removed0, remaining, 0, _avoiding(through, every, removed0), forb_mask)
+    answer = rec(removed0, remaining, 0, forb_mask)
     # the two closures refer to each other; unbind them so the cycle they
     # form is freed now, not at the next cycle collection
     del branch, rec

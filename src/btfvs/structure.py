@@ -102,8 +102,8 @@ def find_square(T: BipartiteTournament, within_mask: int | None = None) -> Squar
 def all_squares(T: BipartiteTournament, within_mask: int | None = None) -> list[int]:
     """The gid bitmask of every square of T[within_mask] (all of V when
     None), ordered by (a, a', b, b') with a < a' and b < b'.  Used by the
-    exhaustive oracle; the search reads :func:`square_index`, and the
-    packing bound reads :func:`_a_pairs` directly.
+    exhaustive oracle; the search and the packing bound read
+    :func:`_a_pairs` directly, with no square listed.
     """
     alive = T.full_mask if within_mask is None else within_mask
     squares: list[int] = []
@@ -118,85 +118,6 @@ def all_squares(T: BipartiteTournament, within_mask: int | None = None) -> list[
                 other ^= high
                 squares.append(pair | low | high)
     return squares
-
-
-class SquareIndex(NamedTuple):
-    """Every square of T[alive], numbered, with its vertex incidences.
-
-    Squares are numbered A-pair by A-pair, in :func:`_a_pairs` order.  The
-    squares of a pair form the D1 x D0 grid, row by row, from the pair's
-    first index ``start``.  ``grids[s]`` is the grid of square s's pair,
-    ``(a, a', rows, cols, start, width)``: the gids of a < a', of D1 and of
-    D0 ascending, the first index, and the row width |D0|.  Every square of
-    a pair refers to the one tuple, so the table costs a pointer per square,
-    and square s is at row and column ``divmod(s - start, width)`` of it.
-    ``through[g]`` is the bitset of the indices of the squares through
-    vertex g, so the squares missing a vertex set X are
-    ``all & ~(through[x] | ...)`` over x in X.  Gids are T's own, and a
-    vertex outside alive is on no square; inducing T[alive] keeps each
-    side's order, so the induced tournament's index numbers the same squares
-    the same way.
-
-    The grid is kept instead of one mask per square: on 30 x 30 instances
-    with 9,000 squares those masks alone would hold about 360 KB.
-    """
-
-    count: int
-    grids: list[tuple[int, int, list[int], list[int], int, int]]
-    through: list[int]
-
-    def square(self, s: int) -> tuple[int, int, int, int]:
-        """The gids (a, b, a', b') of square s, with a -> b -> a' -> b' -> a."""
-        a, a2, rows, cols, start, width = self.grids[s]
-        r, c = divmod(s - start, width)
-        return a, rows[r], a2, cols[c]
-
-
-def _gids(mask: int) -> list[int]:
-    # a list, not a tuple: freed tuples of each length up to 19 stay on a
-    # free list, and every index would leave its pairs' sizes there
-    gids = []
-    while mask:
-        low = mask & -mask
-        gids.append(low.bit_length() - 1)
-        mask ^= low
-    return gids
-
-
-def square_index(T: BipartiteTournament, alive: int | None = None) -> SquareIndex:
-    """The square index of T[alive] (a gid bitmask; all of V when None), in
-    T's own gids.  T caches the last one built, with its mask.
-
-    The grid makes the incidences a handful of shifted masks per pair: a
-    and a' get the pair's whole index range, each b in D1 its row, and each
-    b' in D0 its column, a repunit of stride |D0|.
-    """
-    alive = T.full_mask if alive is None else alive
-    cached = T._square_index
-    if cached is not None and cached[0] == alive:
-        return cached[1]
-    grids: list[tuple[int, int, list[int], list[int], int, int]] = []
-    through = [0] * T.num_vertices
-    count = 0
-    for pair, d1, d0 in _a_pairs(T, alive):
-        a, a2 = (pair & -pair).bit_length() - 1, pair.bit_length() - 1
-        rows, cols = _gids(d1), _gids(d0)
-        width = len(cols)
-        row = (1 << width) - 1
-        for r, b in enumerate(rows):
-            through[b] |= row << (count + r * width)
-        grid = (1 << (len(rows) * width)) - 1
-        column = grid // row  # bit r * width for each row r
-        for c, b2 in enumerate(cols):
-            through[b2] |= column << (count + c)
-        through[a] |= grid << count
-        through[a2] |= grid << count
-        size = len(rows) * width
-        grids += [(a, a2, rows, cols, count, width)] * size
-        count += size
-    index = SquareIndex(count, grids, through)
-    object.__setattr__(T, "_square_index", (alive, index))
-    return index
 
 
 def _peel_layers_mask(T: BipartiteTournament, alive: int) -> list[int] | None:

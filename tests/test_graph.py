@@ -80,6 +80,32 @@ class TestArcs:
         assert square_2x2.out_neighbors(a(0), within={b(1)}) == frozenset()
 
 
+def _cell_masks(m: int, n: int, orient) -> tuple[list[int], list[int]]:
+    """Out- and in-neighbour gid masks, one matrix cell at a time."""
+    out, inc = [0] * (m + n), [0] * (m + n)
+    for i in range(m):
+        for j in range(n):
+            tail, head = (i, m + j) if orient[i][j] else (m + j, i)
+            out[tail] |= 1 << head
+            inc[head] |= 1 << tail
+    return out, inc
+
+
+class TestAdjacencyMasks:
+    @pytest.mark.parametrize("m,n", [(0, 0), (0, 3), (3, 0), (1, 1)])
+    def test_empty_and_single_shapes(self, m, n):
+        orient = [[(i + j) % 2 == 0 for j in range(n)] for i in range(m)]
+        T = BipartiteTournament(m, n, orient)
+        assert (T.out_mask, T.in_mask) == _cell_masks(m, n, orient)
+
+    @given(orient_matrices(max_side=9))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_match_the_per_cell_masks(self, orient):
+        m, n = len(orient), len(orient[0]) if orient else 0
+        T = BipartiteTournament(m, n, orient)
+        assert (T.out_mask, T.in_mask) == _cell_masks(m, n, orient)
+
+
 class TestInduced:
     def test_remove_breaks_square(self, square_2x2):
         sub = square_2x2.remove({a(0)})

@@ -27,7 +27,7 @@ from btfvs.reference import brute_squares, dfs_has_cycle, window_property_brute
 from btfvs.samplespace import twise_space, twise_space_size
 from btfvs.solvers import (Constraints, SolveStatus, branch_solve, exact_min_fvs,
                            oracle_min_fvs, verify_fvs)
-from btfvs.structure import is_acyclic, square_index
+from btfvs.structure import is_acyclic
 
 from conftest import a, b, tournament
 
@@ -1061,8 +1061,9 @@ class TestPipelineSolve:
     def test_fallback_runs_on_the_reduction(self, seed, monkeypatch):
         # under the paper profile 8x8 seeding overflows, so the fallback
         # answers; it must give branch_solve's own answer on T, node for
-        # node, while T is reduced only once (the planted instances shrink
-        # under the reduction)
+        # node, while the reduction is never induced: the sample space
+        # overflows on the survivor count alone (the planted instances
+        # shrink under the reduction)
         T = generate(GenSpec(8, 8, GenKind.PLANTED_FVS, seed=seed, k_plant=3))
         opt = len(exact_min_fvs(T))
         original = solvers.reduce_instance
@@ -1084,11 +1085,12 @@ class TestPipelineSolve:
             assert (res.status, res.solution, res.stats.nodes) == \
                 (want.status, want.solution, want.stats.nodes)
             assert res.found == (k == opt)
-            assert on_T.count(True) == 1
+            assert on_T == []
 
     def test_fallback_reduces_once_and_checks_once(self, monkeypatch):
-        # the fallback searches the reduction pipeline_solve already made,
-        # and checks a yes answer once, on T itself
+        # the fallback searches the survivors pipeline_solve's screen
+        # cached, with no reduced tournament induced, and checks a yes
+        # answer once, on T itself
         T = generate(GenSpec(8, 8, GenKind.PLANTED_FVS, seed=1, k_plant=3))
         opt = len(exact_min_fvs(T))
         reduce_original = solvers.reduce_instance
@@ -1111,42 +1113,44 @@ class TestPipelineSolve:
             res = pipeline_solve(T, k)  # the paper profile: the fallback answers
             monkeypatch.undo()
             assert res.used_fallback and res.found == (k == opt)
-            assert reduced == [True]
+            assert reduced == []
             assert verified == ([True] if res.found else [])
 
     @pytest.mark.parametrize("seed", [1, 3, 4])
     def test_fallback_is_one_branch_solve_that_builds_the_one_index(self, seed, monkeypatch):
-        # the fallback is branch_solve on T itself, once; the screen reads
-        # the A-pairs, so the solve builds one square index, the fallback's
-        calls, builds = [], []
-        searching = [False]
+        # the fallback is branch_solve on T itself, once
+        calls = []
 
         def recording(tournament, constraints):
-            searching[0] = True
-            res = branch_solve(tournament, constraints)
-            searching[0] = False
             calls.append((tournament is T, constraints))
-            return res
-
-        def indexing(tournament, alive=None):
-            cached = tournament._square_index
-            index = square_index(tournament, alive)
-            if tournament._square_index is not cached:
-                builds.append((tournament is T, searching[0]))
-            return index
+            return branch_solve(tournament, constraints)
 
         opt = len(exact_min_fvs(generate(GenSpec(8, 8, GenKind.PLANTED_FVS, seed=seed,
                                                  k_plant=3))))
         monkeypatch.setattr(pipeline, "branch_solve", recording)
-        monkeypatch.setattr(solvers, "square_index", indexing)
         for k in (opt - 1, opt):
             T = generate(GenSpec(8, 8, GenKind.PLANTED_FVS, seed=seed, k_plant=3))
             calls.clear()
-            builds.clear()
             res = pipeline_solve(T, k)  # the paper profile: the fallback answers
             assert res.used_fallback and res.found == (k == opt)
             assert calls == [(True, Constraints(budget=k))]
-            assert builds == [(True, True)]
+
+    def test_overflowing_seeding_induces_nothing(self, monkeypatch):
+        # the paper profile's sample space overflows on the survivor count
+        # alone, so the fallback answers and the reduction is never induced
+        T = generate(GenSpec(8, 8, GenKind.PLANTED_FVS, seed=1, k_plant=3))
+        k = len(exact_min_fvs(T))
+        assert solvers._survivors(T, k) != T.full_mask
+
+        def unreachable(self, keep):
+            raise AssertionError("an overflowing seeding induces nothing")
+
+        monkeypatch.setattr(BipartiteTournament, "induced", unreachable)
+        res = pipeline_solve(T, k)
+        assert res.used_fallback and res.found
+        assert res.trace == (("seed", 0),)
+        assert len(res.diagnostics) == 1
+        assert res.diagnostics[0].startswith("sample space: family of size >= ")
 
     def test_screened_solve_induces_nothing(self, monkeypatch):
         # the screen reads T[survivors] in T's own gids; only seeding
@@ -1159,18 +1163,6 @@ class TestPipelineSolve:
         monkeypatch.setattr(BipartiteTournament, "induced", unreachable)
         assert pipeline_solve(T, 1, TOY).trace == (("screen", 2),)
         assert solvers._survivors(T, 1) != T.full_mask
-
-    def test_screened_solve_builds_no_square_index(self, monkeypatch):
-        # the screen's packing bound comes from one scan of the A-pairs;
-        # only a search builds a square index
-        T = generate(GenSpec(6, 6, GenKind.PLANTED_FVS, seed=3, k_plant=2))
-
-        def unreachable(*args):
-            raise AssertionError("screened inputs are not indexed")
-
-        monkeypatch.setattr(solvers, "square_index", unreachable)
-        assert pipeline_solve(T, 1, TOY).trace == (("screen", 2),)
-        assert T._square_index is None
 
     def test_packing_bound_screens_before_seeding(self, monkeypatch):
         # at k=1 the reduction packs 2 vertex-disjoint squares, so the screen
@@ -1204,8 +1196,9 @@ class TestPipelineSolve:
 
     @pytest.mark.parametrize("seed", [1, 3, 4])
     def test_reduction_induced_once_per_solve(self, seed, monkeypatch):
-        # the screen and the fallback read the one reduced tournament that
-        # reduce_instance induced; nothing induces it again
+        # under the toy profile seeding starts, and T is induced once, for
+        # it: the screen and the fallback read T's survivor mask, and the
+        # stages induce only their own instances' tournaments
         T = generate(GenSpec(8, 8, GenKind.PLANTED_FVS, seed=seed, k_plant=3))
         opt = len(exact_min_fvs(T))
         original = BipartiteTournament.induced
@@ -1218,9 +1211,9 @@ class TestPipelineSolve:
         monkeypatch.setattr(BipartiteTournament, "induced", counting)
         for k in (opt - 1, opt):
             calls.clear()
-            res = pipeline_solve(T, k)  # the paper profile
-            assert res.found == (k == opt)
-            assert calls == [True]
+            res = pipeline_solve(T, k, TOY)
+            assert res.found == (k == opt) and res.trace[0][1] > 0
+            assert calls.count(True) == 1
 
     def test_trace_reports_stage_sizes(self):
         T = generate(GenSpec(3, 3, GenKind.UNIFORM_RANDOM, seed=22))

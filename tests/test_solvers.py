@@ -14,7 +14,7 @@ from btfvs.reference import brute_squares
 from btfvs.solvers import (Constraints, SolveStatus, approx4, branch_solve,
                            exact_min_fvs, oracle_min_fvs, reduce_instance,
                            satisfies, squares_packing_lower_bound, verify_fvs)
-from btfvs.structure import _a_pairs, _on_cycles, all_squares, find_square, square_index
+from btfvs.structure import _a_pairs, _on_cycles, all_squares, find_square
 
 from conftest import a, b, tournament
 
@@ -163,63 +163,30 @@ def _greedy_packing(masks: list[int]) -> int:
 
 
 class TestSquareIndex:
-    def test_squares_and_incidences(self):
-        for T, _, _ in _index_cases(150):
-            index = square_index(T)
-            quads = [index.square(s) for s in range(index.count)]
-            squares = [sum(1 << g for g in quad) for quad in quads]
-            assert sorted(squares) == sorted(all_squares(T))
-            for a0, b0, a1, b1 in quads:
-                assert T.out_mask[a0] >> b0 & T.out_mask[b0] >> a1 & 1
-                assert T.out_mask[a1] >> b1 & T.out_mask[b1] >> a0 & 1
-            assert len(index.through) == T.num_vertices
-            for g in range(T.num_vertices):
-                want = sum(1 << s for s, mask in enumerate(squares) if mask >> g & 1)
-                assert index.through[g] == want
-            assert square_index(T) is index  # cached on T
-
-    def test_one_shared_grid_entry_per_square(self):
-        # square s points at its pair's (a, a', rows, cols, start, width),
-        # one tuple shared by the pair's squares, which start at ``start``
-        for T, alive, _ in _index_cases(150):
-            index = square_index(T, alive)
-            assert len(index.grids) == index.count
-            for s, entry in enumerate(index.grids):
-                _, _, rows, cols, start, width = entry
-                assert width == len(cols) and start <= s < start + len(rows) * width
-                assert index.grids[start] is entry
-
-    def test_masked_index_is_the_induced_index(self):
-        # the index of T[alive], in T's gids, is the index of the induced
-        # tournament mapped through to_host: the same squares in the same
-        # order, and the same incidences (none for a vertex outside alive)
-        checked = 0
-        for T, alive, _ in _index_cases(150):
-            sub = T.induced(T.vertices_of_mask(alive))
-            want = square_index(sub.tournament)
-            host = [T.gid(sub.to_host[v]) for v in sub.tournament.vertices()]
-            got = square_index(T, alive)
-            assert got.count == want.count
-            assert [got.square(s) for s in range(got.count)] == \
-                [tuple(host[g] for g in want.square(s)) for s in range(want.count)]
-            through = [0] * T.num_vertices
-            for g, h in enumerate(host):
-                through[h] = want.through[g]
-            assert got.through == through
-            assert square_index(T, alive) is got  # cached on T with its mask
-            checked += got.count > 0 and alive != T.full_mask
-        assert checked > 40
-
     def test_packing_bound_is_the_list_greedy(self):
-        outcomes = set()
-        for T, alive, forbidden in _index_cases(300):
+        # the bound, and each branch_solve node's packing of the grouped
+        # A-pairs from its removed mask: the greedy over the squares that
+        # miss it, stopped at cap + 1
+        outcomes, packed = set(), set()
+        for seed, (T, alive, forbidden) in enumerate(_index_cases(300)):
             for within in (None, alive):
                 masks = all_squares(T, within)
                 stuck = any(mask & ~forbidden == 0 for mask in masks)
                 got = squares_packing_lower_bound(T, forbidden, within)
                 assert got == (None if stuck else _greedy_packing(masks))
                 outcomes.add((stuck, bool(masks)))
+            rng = SplitMix64(seed + 9000)
+            groups = solvers._pair_groups(T, alive)
+            for _ in range(4):
+                removed = 0
+                for g in range(T.num_vertices):
+                    removed |= (rng.below(5) == 0) << g
+                cap = rng.below(4)
+                want = _greedy_packing([q for q in all_squares(T, alive) if not q & removed])
+                assert solvers._packing(groups, removed, cap) == min(want, cap + 1)
+                packed.add((want == 0, want > cap))
         assert outcomes == {(False, False), (False, True), (True, True)}
+        assert packed == {(True, False), (False, False), (False, True)}
 
     def test_all_forbidden_square_has_no_solution(self):
         checked = 0
@@ -283,15 +250,6 @@ class TestStrongComponentEquivalences:
         assert solvers._survivors(T, k) == _pair_scan_survivors(T, k)
         # a second budget reads T's cached reduction, or redoes it
         assert solvers._survivors(T, k + 1) == _pair_scan_survivors(T, k + 1)
-
-    @given(twinned_tournaments())
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_pair_bound_is_the_index_packing(self, case):
-        T, alive, forbidden = case
-        stuck = any(not mask & ~forbidden for mask in all_squares(T, alive))
-        index = square_index(T, alive)
-        want = None if stuck else solvers._pack(index, (1 << index.count) - 1, index.count)
-        assert squares_packing_lower_bound(T, forbidden, alive) == want
 
 
 class TestReduce:
@@ -396,6 +354,14 @@ class TestBranchSolve:
             assert want.status == got.status
             if got.found:
                 assert satisfies(T, got.solution, cons)
+
+    @pytest.mark.parametrize("solver", [branch_solve, oracle_min_fvs])
+    @pytest.mark.parametrize("field", ["forbidden", "required_in", "cover_edges"])
+    def test_constraint_vertex_outside_t_raises(self, square_2x2, solver, field):
+        stray = b(99)
+        named = {"cover_edges": {(a(0), stray)}}.get(field, {stray})
+        with pytest.raises(ValueError, match="not a vertex"):
+            solver(square_2x2, Constraints(**{field: named}, budget=3))
 
     def test_required_counts_against_budget(self, square_2x2):
         cons = Constraints(required_in=frozenset({a(0), b(0)}), budget=1)
