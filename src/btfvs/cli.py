@@ -75,14 +75,15 @@ def _budget(args, parsed) -> int:
     raise ParseError("no budget: pass --budget or store k in the instance file")
 
 
-def _report_solve(args, T, res) -> int:
+def _report_solve(args, T, res, **extra) -> int:
+    """Print a solver's answer; ``extra`` fields join the --json envelope."""
     if res.status is SolveStatus.SOLUTION:
         labels = labels_of(T, res.solution)
         _emit(args, {"status": "solution", "size": len(labels),
-                     "solution": labels, "nodes": res.stats.nodes},
+                     "solution": labels, "nodes": res.stats.nodes, **extra},
               json.dumps(labels))
         return 0
-    _emit(args, {"status": "no-solution"}, "no solution within budget")
+    _emit(args, {"status": "no-solution", **extra}, "no solution within budget")
     return 1
 
 
@@ -169,7 +170,9 @@ def cmd_pipeline(args) -> int:
                 fh.write(f"{stage},{size}\n")
     for d in res.diagnostics:
         print(d, file=sys.stderr)
-    return _report_solve(args, parsed.tournament, res)
+    return _report_solve(args, parsed.tournament, res, nodes=res.stats.nodes,
+                         trace=[list(row) for row in res.trace],
+                         diagnostics=list(res.diagnostics), used_fallback=res.used_fallback)
 
 
 def cmd_gen(args) -> int:
@@ -309,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory for per-stage instance dumps")
     p.add_argument("--trace", help="CSV path for the children each stage emitted, up to "
                    "the cascade's answer (a screened no-instance has the one row "
-                   "screen,<square-packing bound>)")
+                   "screen,<square-packing bound>, a searched one the one row "
+                   "search,<nodes>)")
 
     p = sub.add_parser("gen", help="write generated instances")
     p.set_defaults(fn=cmd_gen)

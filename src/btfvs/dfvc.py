@@ -102,7 +102,10 @@ def dfvc_solve(inst: DfvcInstance) -> SolveResult:
 
     Returns the minimum-total deletion set when it fits the budget.  The
     reported solution is deterministic: branches are explored in sorted edge
-    order and only strict improvements replace the incumbent.
+    order and only strict improvements replace the incumbent.  A branch
+    returns once its endpoint deletions alone exceed the budget or reach the
+    incumbent's size: no leaf below it is a strict minimum within budget, so
+    only leaves that cannot be the answer are dropped.
     """
     t0 = time.perf_counter()
     g = inst.graph
@@ -133,6 +136,9 @@ def dfvc_solve(inst: DfvcInstance) -> SolveResult:
     def rec(i: int, deleted: frozenset):
         nonlocal nodes
         nodes += 1
+        if len(deleted) > inst.budget or (best["size"] is not None
+                                          and len(deleted) >= best["size"]):
+            return
         if i == len(edges):
             finish(deleted)
             return

@@ -15,9 +15,10 @@ Two properties shape the implementation:
 * Completeness is relative to the constants profile.  The published
   constants make the families astronomically large (or empty) at desk
   scale, so every constant is a named knob; when an enumeration would
-  overflow its cap the stage raises instead of silently truncating, and the
-  driver falls back to the branching solver so the final answer is always
-  correct.
+  overflow its cap the stage raises instead of silently truncating.
+  ``pipeline_solve`` decides the question with the bounded branching search
+  before the cascade runs, and answers with that search's result when the
+  cascade yields nothing, so the final answer is always correct.
 """
 
 from __future__ import annotations
@@ -41,9 +42,8 @@ from .msequence import (BackEdge, _back_edges, _blocks_mask, _closes_m_square,
                         _layer_keys, _layers, cycle_closers)
 from .msequence import m_sequence  # noqa: F401  (a lookup site perfbench's tracer wraps)
 from .samplespace import prime_power_decompose, twise_space, twise_space_size
-from .solvers import (Constraints, SolveStats, SolveStatus, _approx4_mask, _ms, _survivors,
-                      branch_solve, reduce_instance, squares_packing_lower_bound,
-                      verify_fvs)
+from .solvers import (Constraints, SolveStats, SolveStatus, _approx4_mask, _ms, _packing,
+                      _pair_groups, _survivors, branch_solve, reduce_instance, verify_fvs)
 from .structure import _peel_layers_mask
 
 
@@ -261,20 +261,34 @@ def next_prime_power(q: int) -> int:
 
 
 SIZE_BITS = 1 << 16  # a sample space known to exceed 2 ** SIZE_BITS is not sized exactly
+EXACT_Q_BITS = 32  # a sample_q this short is rounded up to a prime power in milliseconds
 
 
 def _sample_space(n: int, profile: ConstantsProfile) -> tuple[int, int]:
     """The field size q and window t of :func:`m_family`'s sample space over
-    n vertices, once both its size checks pass; they read n alone."""
+    n vertices, once both its size checks pass; they read n alone.
+
+    The space has unit ** t members, unit >= q >= sample_q.  A sample_q
+    longer than EXACT_Q_BITS bits, whose prime-power search by trial
+    division could take hours, is checked first by the lower bound
+    sample_q ** t; an overflow then reports that bound.  Any other reports
+    the exact size, or 2 ** SIZE_BITS past that."""
+    t, cap = profile.hom_window, profile.family_cap
+    bits = max(SIZE_BITS, cap.bit_length())
+
+    def at_least(unit: int) -> int:  # unit ** t, unless that is over 2 ** bits
+        if (unit.bit_length() - 1) * t > bits:  # report that, do not compute it
+            raise FamilyCapExceeded("sample space", 1 << bits, cap)
+        return unit ** t
+
+    if profile.sample_q.bit_length() > EXACT_Q_BITS:
+        low = at_least(profile.sample_q)
+        if low > cap:
+            raise FamilyCapExceeded("sample space", low, cap)
     q = next_prime_power(profile.sample_q)
-    t = profile.hom_window
-    unit = twise_space_size(n, 1, q)  # the space has unit ** t members
-    bits = max(SIZE_BITS, profile.family_cap.bit_length())
-    if (unit.bit_length() - 1) * t > bits:  # over 2 ** bits: report that, do not compute it
-        raise FamilyCapExceeded("sample space", 1 << bits, profile.family_cap)
-    space_size = unit ** t
-    if space_size > profile.family_cap:
-        raise FamilyCapExceeded("sample space", space_size, profile.family_cap)
+    space_size = at_least(twise_space_size(n, 1, q))
+    if space_size > cap:
+        raise FamilyCapExceeded("sample space", space_size, cap)
     return q, t
 
 
@@ -925,30 +939,34 @@ def run_cascade(T: BipartiteTournament, k: int, profile: ConstantsProfile,
 def pipeline_solve(T: BipartiteTournament, k: int,
                    profile: ConstantsProfile | None = None,
                    workers: int = 1, collect=None) -> PipelineResult:
-    """Full composition: reduce, screen, seed, cascade, endgame, verify --
-    with an unconditional fallback to the branching solver.
+    """Full composition: reduce, screen, decide, seed, cascade, endgame,
+    verify.  The bounded search decides; the cascade only constructs.
 
     The screen reads the greedy square-packing bound of T[survivors], the
     vertices the reduction keeps, from one scan of its A-pairs: more than k
     vertex-disjoint squares need more than k deletions, so the answer is no,
     with the trace ``(("screen", bound),)``, no diagnostics, no fallback and
-    ``stats.nodes`` 0; nothing is induced or seeded.  The reduced
-    tournament is induced only for seeding, once the sample space's size
-    checks, which read the survivor count alone, have passed: a solve whose
-    seeding overflows induces nothing.
+    ``stats.nodes`` 0; nothing is induced or seeded.
 
-    The endgame reduces each final-family leaf with ``to_dfvc`` as the
-    depth-first walk of :func:`run_cascade` reaches it, and stops the walk
-    at the first answer that verifies; the trace then counts the children
-    each stage emitted before the answer.  Every candidate is re-verified
-    on T, so a yes is always a real feedback vertex set of size at most k
-    whatever the profile; when the cascade yields nothing usable the
-    fallback answers, so the result is always correct.  The fallback is
-    ``branch_solve`` on T, which reuses the survivors T cached for the
-    screen, searches one list of the A-pairs of T[survivors], and checks
-    its answer once, on T.
-    ``stats.nodes`` is the number of leaves the endgame tried when the
-    cascade answers, and the fallback's node count otherwise.
+    An unscreened solve then runs ``branch_solve`` on T once, on the
+    screen's A-pair list.  Hitting every square is 4-Hitting Set, which
+    that bounded search decides, so its no is final: the trace is
+    ``(("search", nodes),)``, with no diagnostics, no fallback and
+    ``stats.nodes`` the search's nodes; nothing is induced or seeded.
+
+    On a yes, the cascade constructs.  The reduced tournament is induced
+    only for seeding, once the sample space's size checks, which read the
+    survivor count alone, have passed: a solve whose seeding overflows
+    induces nothing.  The endgame reduces each final-family leaf with
+    ``to_dfvc`` as the depth-first walk of :func:`run_cascade` reaches it,
+    and stops the walk at the first answer that verifies; the trace then
+    counts the children each stage emitted before the answer, and
+    ``stats.nodes`` is the number of leaves the endgame tried.  Every
+    candidate is re-verified on T, so a yes is always a real feedback vertex
+    set of size at most k whatever the profile.  When the cascade yields
+    nothing usable, the search's own answer is the fallback answer, with the
+    cascade's trace and diagnostics and the search's node count; the search
+    does not run again.
 
     The search runs in one thread; ``workers`` must be 1 (ValueError
     otherwise).  ``collect`` sees the cascade's expansions as in
@@ -967,10 +985,16 @@ def pipeline_solve(T: BipartiteTournament, k: int,
         # reduction removed everything: the input was square-free
         return PipelineResult(SolveStatus.SOLUTION, frozenset(),
                               SolveStats(0, _ms(t0)), (("reduce", 0),), (), False)
-    bound = squares_packing_lower_bound(T, alive=alive)
+    groups = _pair_groups(T, alive)
+    bound = _packing(groups, 0, T.num_vertices)
     if bound > k:  # k + 1 vertex-disjoint squares, each needing its own deletion
         return PipelineResult(SolveStatus.NO_SOLUTION, None, SolveStats(0, _ms(t0)),
                               (("screen", bound),), (), False)
+    search = branch_solve(T, Constraints(budget=k), groups=groups)
+    if not search.found:
+        return PipelineResult(SolveStatus.NO_SOLUTION, None,
+                              SolveStats(search.stats.nodes, _ms(t0)),
+                              (("search", search.stats.nodes),), (), False)
     sizes, notes, records = [0], [], None if collect is None else []
     try:  # the sample space is sized by the vertex count alone: check it before inducing
         _sample_space(alive.bit_count(), profile)
@@ -997,7 +1021,6 @@ def pipeline_solve(T: BipartiteTournament, k: int,
                                   tuple(trace), tuple(diagnostics), False)
 
     trace, diagnostics = _replay(sizes, notes, records, collect)
-    fb = branch_solve(T, Constraints(budget=k))
-    return PipelineResult(fb.status, fb.solution,
-                          SolveStats(fb.stats.nodes, _ms(t0)),
+    return PipelineResult(search.status, search.solution,
+                          SolveStats(search.stats.nodes, _ms(t0)),
                           tuple(trace), tuple(diagnostics), True)

@@ -326,8 +326,8 @@ def _survivors(T: BipartiteTournament, k: int) -> int:
     return alive
 
 
-def branch_solve(T: BipartiteTournament,
-                 constraints: Constraints | None = None) -> SolveResult:
+def branch_solve(T: BipartiteTournament, constraints: Constraints | None = None, *,
+                 groups: _PairGroups | None = None) -> SolveResult:
     """Budgeted branching solver, sound and complete within its budget.
 
     Uncovered constraint edges are resolved first by two-way branching on
@@ -349,10 +349,12 @@ def branch_solve(T: BipartiteTournament,
     the reduced tournament.  The answer is checked on T.
 
     The search reads one list, the A-pairs of T[alive] grouped by their
-    lower vertex (:func:`_pair_groups`), built once.  Each node packs it
-    greedily from ``removed`` (:func:`_packing`): a count above the budget
-    left prunes the node, and a count of 0 means no square misses
-    ``removed``, which is then a solution.
+    lower vertex (:func:`_pair_groups`), built once.  A caller that has
+    already built it for an unconstrained call at this budget, that is
+    ``_pair_groups(T, _survivors(T, budget))``, passes it as ``groups``.
+    Each node packs the list greedily from ``removed`` (:func:`_packing`):
+    a count above the budget left prunes the node, and a count of 0 means
+    no square misses ``removed``, which is then a solution.
 
     Each node also carries a forbidden gid mask ``forb``, the constraint's
     to start with.  When the child that deletes g finds nothing, no solution
@@ -377,9 +379,10 @@ def branch_solve(T: BipartiteTournament,
     removed0 = T.mask_of(constraints.required_in)
     cover = [((1 << T.gid(u)) | (1 << T.gid(w)), (T.gid(u), T.gid(w)))
              for (u, w) in sorted(constraints.cover_edges)]
-    groups = _pair_groups(T, alive, forb_mask)
-    if groups is None:  # a square of forbidden vertices only, which no deletion breaks
-        return SolveResult(SolveStatus.NO_SOLUTION, None, SolveStats(0, _ms(t0)))
+    if groups is None:
+        groups = _pair_groups(T, alive, forb_mask)
+        if groups is None:  # a square of forbidden vertices only, which no deletion breaks
+            return SolveResult(SolveStatus.NO_SOLUTION, None, SolveStats(0, _ms(t0)))
     nodes = 0
 
     packing, square_gids = _packing, _square_gids  # local names: one lookup less per node

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
+from btfvs import dfvc
 from btfvs.dfvc import (DfvcInstance, _part_min_fvs, dfvc_solve, validate_class,
                         verify_dfvc)
 from btfvs.errors import NotAMatching
@@ -19,6 +22,13 @@ def square_part():
 
 def acyclic_part(seed=0):
     return generate(GenSpec(2, 2, GenKind.ACYCLIC, seed=seed))
+
+
+def matched_acyclic_parts(edges: int) -> MixedMultigraph:
+    """Two acyclic parts of ``edges`` x 1 vertices joined by the matching
+    a_i -- a_i of ``edges`` undirected edges."""
+    part = tournament([[True]] * edges)
+    return MixedMultigraph([part, part], [((0, a(i)), (1, a(i))) for i in range(edges)])
 
 
 def random_mixed(seed: int, max_parts=3, max_side=2, max_edges=3):
@@ -107,6 +117,31 @@ class TestDfvcSolve:
                             [((0, a(0)), (1, b(0)))])
         res = dfvc_solve(DfvcInstance(g, frozenset({(0, a(0)), (1, b(0))}), 5))
         assert res.status is SolveStatus.NO_SOLUTION
+
+    def test_budget_prunes_a_matching_it_cannot_cover(self):
+        # 16 matched edges need 16 deletions: at budget 0 the first
+        # deletion on each side of the root already exceeds the budget
+        inst = DfvcInstance(matched_acyclic_parts(16), frozenset(), 0)
+        t0 = time.perf_counter()
+        res = dfvc_solve(inst)
+        assert time.perf_counter() - t0 < 0.1
+        assert res.status is SolveStatus.NO_SOLUTION and res.stats.nodes == 3
+
+    def test_incumbent_prunes_leaves_that_cannot_improve(self, monkeypatch):
+        # every leaf deletes one endpoint per edge, 4 in all, and the parts
+        # are acyclic: the first leaf is the answer, and every later one
+        # ties it, so only the first leaf's parts are solved
+        inst = DfvcInstance(matched_acyclic_parts(4), frozenset(), 4)
+        solved = []
+
+        def solving(part, removed, forbidden, _original=dfvc._part_min_fvs):
+            solved.append(part)
+            return _original(part, removed, forbidden)
+
+        monkeypatch.setattr(dfvc, "_part_min_fvs", solving)
+        res = dfvc_solve(inst)
+        assert res.found and res.solution == {(0, a(i)) for i in range(4)}
+        assert len(solved) == 2
 
     def test_non_matching_rejected(self):
         g = MixedMultigraph(

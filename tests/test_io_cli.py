@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -369,6 +370,41 @@ class TestCli:
         assert capsys.readouterr().err == \
             "sample space: family of size >= 2**22504 exceeds cap 50000\n"
 
+    def test_pipeline_json_names_the_route(self, tmp_path, capsys):
+        # --json carries nodes, trace, diagnostics and used_fallback, on a
+        # no as on a yes
+        T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2))
+        path = tmp_path / "inst.json"
+        routes = {}
+        for k in (1, 2):
+            path.write_text(serialize_instance(T, k=k))
+            main(["--json", "--profile", "toy", "pipeline", str(path)])
+            routes[k] = json.loads(capsys.readouterr().out)
+        no, yes = routes[1], routes[2]
+        assert no == {"status": "no-solution", "nodes": 5, "trace": [["search", 5]],
+                      "diagnostics": [], "used_fallback": False}
+        assert yes["status"] == "solution" and yes["nodes"] == 3
+        assert yes["trace"] == [["seed", 4], ["regular", 5], ["weak", 5], ["matched", 5],
+                                ["lowblockdegree", 5], ["decoupled", 6]]
+        assert (yes["diagnostics"], yes["used_fallback"]) == ([], False)
+
+    def test_huge_sample_q_overflows_before_the_prime_power_search(self, tmp_path, capsys):
+        # a sample_q of 10**18 has no prime power found by trial division
+        # in any reasonable time; its sample space has at least 10**36
+        # members, over the cap, so the overflow and the fallback answer
+        # come at once
+        T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2))
+        knobs, path = tmp_path / "knobs.json", tmp_path / "inst.json"
+        knobs.write_text(json.dumps({**_KNOBS, "sample_q": 10 ** 18}))
+        path.write_text(serialize_instance(T, k=2))
+        t0 = time.perf_counter()
+        code = main(["--json", "--profile", f"file:{knobs}", "pipeline", str(path)])
+        assert time.perf_counter() - t0 < 1.0
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["status"] == "solution" and out["used_fallback"]
+        assert (out["trace"], out["diagnostics"]) == \
+            ([["seed", 0]], [f"sample space: family of size >= {10 ** 36} exceeds cap 50000"])
+
     def test_python_dash_m(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(Path(btfvs.__file__).parent.parent))
 
@@ -425,6 +461,18 @@ class TestCli:
         assert main(["dfvc", str(path)]) == 0
         path.write_text(serialize_dfvc(DfvcInstance(g, frozenset(), 1)))
         assert main(["dfvc", str(path)]) == 1
+
+    def test_dfvc_long_matching_over_budget_answers_no(self, tmp_path, capsys):
+        # 1,200 matched edges at budget 0: a plain no, exit 1, whatever the
+        # recursion limit
+        part = BipartiteTournament(1200, 1, [[True]] * 1200)
+        g = MixedMultigraph([part, part], [((0, a(i)), (1, a(i))) for i in range(1200)])
+        path = tmp_path / "mixed.json"
+        path.write_text(serialize_dfvc(DfvcInstance(g, frozenset(), 0)))
+        assert main(["dfvc", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "no solution within budget\n"
+        assert "Traceback" not in captured.err
 
     def test_check_lemmas_smoke(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -620,30 +620,44 @@ class TestDepthFirstWalk:
         assert len(builds) == dict(res.trace)["seed"] < len(seeds) == 121
 
     def test_emit_families_writes_the_breadth_first_files(self, tmp_path):
-        # at k=1 the cascade answers nothing, so the walk runs to its end
-        # and the fallback answers no; the files are those a breadth-first
-        # run's collect calls imply, numbered in order
+        # a yes-instance whose cascade answers nothing, so the walk runs to
+        # its end and the fallback answers yes; the files are those a
+        # breadth-first run's collect calls imply, numbered in order
+        T = generate(GenSpec(5, 5, GenKind.UNIFORM_RANDOM, seed=25, k_plant=2))
+        res = pipeline_solve(T, 2, TOY)
+        assert res.found and res.used_fallback
+        path, out = tmp_path / "inst.json", tmp_path / "families"
+        path.write_text(serialize_instance(T, k=2))
+        assert main(["--profile", "toy", "pipeline", str(path),
+                     "--emit-families", str(out)]) == 0
+        _, _, _, pairs = _breadth_first(solvers.reduce_instance(T, 2).tournament, 2, TOY)
+        assert {f.name: f.read_text() for f in out.iterdir()} == \
+            {f"{stage}-{i:05d}.json": serialize_cfvs(c) for i, (stage, _, c) in enumerate(pairs)}
+        assert len(pairs) == 397
+
+    def test_emit_families_writes_nothing_for_a_searched_no(self, tmp_path):
+        # at k=1 the search answers no before any seeding: no file is written
         T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2))
-        assert pipeline_solve(T, 1, TOY).used_fallback
         path, out = tmp_path / "inst.json", tmp_path / "families"
         path.write_text(serialize_instance(T, k=1))
         assert main(["--profile", "toy", "pipeline", str(path),
                      "--emit-families", str(out)]) == 1
-        _, _, _, pairs = _breadth_first(solvers.reduce_instance(T, 1).tournament, 1, TOY)
-        assert {f.name: f.read_text() for f in out.iterdir()} == \
-            {f"{stage}-{i:05d}.json": serialize_cfvs(c) for i, (stage, _, c) in enumerate(pairs)}
-        assert len(pairs) == 259
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("seed, k, found, nodes",
                              [(1, 2, False, 7), (3, 1, False, 5), (3, 2, True, 13)])
     def test_paper_profile_seeding_overflow_is_pinned(self, seed, k, found, nodes):
-        # 8x8 under the paper profile: m_family's up-front check overflows,
-        # so the walk yields nothing and the fallback answers
+        # 8x8 under the paper profile: a no-instance is the search's no, in
+        # its node count; on a yes-instance m_family's up-front check
+        # overflows, so the walk yields nothing and the search's answer is
+        # the fallback answer
         T = generate(GenSpec(8, 8, GenKind.PLANTED_FVS, seed=seed, k_plant=3))
         res = pipeline_solve(T, k)
+        route = ((("seed", 0),),
+                 ("sample space: family of size >= 1099511627776 exceeds cap 50000",),
+                 True) if found else ((("search", nodes),), (), False)
         assert (res.found, res.stats.nodes, res.trace, res.diagnostics, res.used_fallback) == \
-            (found, nodes, (("seed", 0),),
-             ("sample space: family of size >= 1099511627776 exceeds cap 50000",), True)
+            (found, nodes, *route)
 
     def test_paper_profile_overflow_past_printable_sizes(self):
         # at k = 33 the paper profile's sample space has over 6,000 digits,
@@ -1059,11 +1073,12 @@ class TestPipelineSolve:
 
     @pytest.mark.parametrize("seed", [1, 3, 4])
     def test_fallback_runs_on_the_reduction(self, seed, monkeypatch):
-        # under the paper profile 8x8 seeding overflows, so the fallback
-        # answers; it must give branch_solve's own answer on T, node for
-        # node, while the reduction is never induced: the sample space
-        # overflows on the survivor count alone (the planted instances
-        # shrink under the reduction)
+        # under the paper profile 8x8 the search answers no at k = opt - 1;
+        # at k = opt seeding overflows, so the fallback answers.  Either way
+        # the answer is branch_solve's own on T, node for node, while the
+        # reduction is never induced: the sample space overflows on the
+        # survivor count alone (the planted instances shrink under the
+        # reduction)
         T = generate(GenSpec(8, 8, GenKind.PLANTED_FVS, seed=seed, k_plant=3))
         opt = len(exact_min_fvs(T))
         original = solvers.reduce_instance
@@ -1081,16 +1096,16 @@ class TestPipelineSolve:
             on_T.clear()
             res = pipeline_solve(T, k)  # the paper profile
             monkeypatch.undo()
-            assert res.used_fallback
+            assert res.used_fallback == (k == opt)
             assert (res.status, res.solution, res.stats.nodes) == \
                 (want.status, want.solution, want.stats.nodes)
             assert res.found == (k == opt)
             assert on_T == []
 
     def test_fallback_reduces_once_and_checks_once(self, monkeypatch):
-        # the fallback searches the survivors pipeline_solve's screen
-        # cached, with no reduced tournament induced, and checks a yes
-        # answer once, on T itself
+        # the search searches the survivors pipeline_solve's screen cached,
+        # with no reduced tournament induced, and checks a yes answer once,
+        # on T itself; at k = opt it is the fallback answer
         T = generate(GenSpec(8, 8, GenKind.PLANTED_FVS, seed=1, k_plant=3))
         opt = len(exact_min_fvs(T))
         reduce_original = solvers.reduce_instance
@@ -1110,20 +1125,22 @@ class TestPipelineSolve:
             for mod in (solvers, pipeline):
                 monkeypatch.setattr(mod, "reduce_instance", reducing)
                 monkeypatch.setattr(mod, "verify_fvs", verifying)
-            res = pipeline_solve(T, k)  # the paper profile: the fallback answers
+            res = pipeline_solve(T, k)  # the paper profile: the search answers
             monkeypatch.undo()
-            assert res.used_fallback and res.found == (k == opt)
+            assert res.used_fallback == res.found == (k == opt)
             assert reduced == []
             assert verified == ([True] if res.found else [])
 
     @pytest.mark.parametrize("seed", [1, 3, 4])
     def test_fallback_is_one_branch_solve_that_builds_the_one_index(self, seed, monkeypatch):
-        # the fallback is branch_solve on T itself, once
+        # the search is branch_solve on T itself, once: its no answers at
+        # k = opt - 1, and at k = opt, where seeding overflows, its yes is
+        # the fallback answer
         calls = []
 
-        def recording(tournament, constraints):
+        def recording(tournament, constraints, **kwargs):
             calls.append((tournament is T, constraints))
-            return branch_solve(tournament, constraints)
+            return branch_solve(tournament, constraints, **kwargs)
 
         opt = len(exact_min_fvs(generate(GenSpec(8, 8, GenKind.PLANTED_FVS, seed=seed,
                                                  k_plant=3))))
@@ -1131,9 +1148,64 @@ class TestPipelineSolve:
         for k in (opt - 1, opt):
             T = generate(GenSpec(8, 8, GenKind.PLANTED_FVS, seed=seed, k_plant=3))
             calls.clear()
-            res = pipeline_solve(T, k)  # the paper profile: the fallback answers
-            assert res.used_fallback and res.found == (k == opt)
+            res = pipeline_solve(T, k)  # the paper profile
+            assert res.used_fallback == res.found == (k == opt)
             assert calls == [(True, Constraints(budget=k))]
+
+    def test_every_unscreened_no_is_the_search(self):
+        # below the optimum the screen or the search answers no; the
+        # search's no carries its node count as the one trace row, under
+        # either profile
+        searched = 0
+        for seed in range(30):
+            T = generate(GenSpec(3 + seed % 4, 3 + (seed // 4) % 4,
+                                 GenKind.UNIFORM_RANDOM, seed=seed + 900))
+            opt = len(exact_min_fvs(T))
+            for k in range(opt):
+                want = branch_solve(T, Constraints(budget=k))
+                for profile in (TOY, None):
+                    res = pipeline_solve(T, k, profile)
+                    assert not res.found and not res.used_fallback and res.diagnostics == ()
+                    if res.trace[0][0] == "screen":
+                        continue
+                    searched += 1
+                    assert (res.trace, res.stats.nodes) == \
+                        ((("search", want.stats.nodes),), want.stats.nodes)
+        assert searched > 10
+
+    @pytest.mark.parametrize("spec, k, profile, route", [
+        (GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2), 1, TOY, "search"),
+        (GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2), 2, TOY, "cascade"),
+        (GenSpec(5, 5, GenKind.UNIFORM_RANDOM, seed=25, k_plant=2), 2, TOY, "fallback"),
+        (GenSpec(8, 8, GenKind.PLANTED_FVS, seed=3, k_plant=3), 1, None, "search"),
+        (GenSpec(8, 8, GenKind.PLANTED_FVS, seed=3, k_plant=3), 2, None, "fallback"),
+        (GenSpec(5, 5, GenKind.PLANTED_FVS, seed=5, k_plant=2), 1, TOY, "screen"),
+    ])
+    def test_one_search_and_one_pair_scan_per_solve(self, spec, k, profile, route, monkeypatch):
+        # an unscreened solve runs branch_solve once, whichever route
+        # answers, and T's A-pairs are scanned once: the search reads the
+        # screen's list; a screened solve scans once and searches nothing
+        T = generate(spec)
+        searches, scans = [], []
+
+        def searching(tournament, constraints, **kwargs):
+            searches.append((tournament is T, constraints))
+            return branch_solve(tournament, constraints, **kwargs)
+
+        def scanning(tournament, *args, _original=solvers._pair_groups):
+            scans.append(tournament is T)
+            return _original(tournament, *args)
+
+        monkeypatch.setattr(pipeline, "branch_solve", searching)
+        for mod in (solvers, pipeline):
+            monkeypatch.setattr(mod, "_pair_groups", scanning)
+        res = pipeline_solve(T, k, profile)
+        monkeypatch.undo()
+        name = "fallback" if res.used_fallback else "cascade" if res.found \
+            else res.trace[0][0]
+        assert name == route
+        assert searches == ([] if route == "screen" else [(True, Constraints(budget=k))])
+        assert scans.count(True) == 1
 
     def test_overflowing_seeding_induces_nothing(self, monkeypatch):
         # the paper profile's sample space overflows on the survivor count
@@ -1196,9 +1268,10 @@ class TestPipelineSolve:
 
     @pytest.mark.parametrize("seed", [1, 3, 4])
     def test_reduction_induced_once_per_solve(self, seed, monkeypatch):
-        # under the toy profile seeding starts, and T is induced once, for
-        # it: the screen and the fallback read T's survivor mask, and the
-        # stages induce only their own instances' tournaments
+        # under the toy profile a yes-instance starts seeding, and T is
+        # induced once, for it: the screen and the search read T's survivor
+        # mask, and the stages induce only their own instances'
+        # tournaments; the search's no induces nothing
         T = generate(GenSpec(8, 8, GenKind.PLANTED_FVS, seed=seed, k_plant=3))
         opt = len(exact_min_fvs(T))
         original = BipartiteTournament.induced
@@ -1212,8 +1285,11 @@ class TestPipelineSolve:
         for k in (opt - 1, opt):
             calls.clear()
             res = pipeline_solve(T, k, TOY)
-            assert res.found == (k == opt) and res.trace[0][1] > 0
-            assert calls.count(True) == 1
+            assert res.found == (k == opt)
+            if res.found:
+                assert res.trace[0][1] > 0 and calls.count(True) == 1
+            else:
+                assert res.trace == (("search", res.stats.nodes),) and calls == []
 
     def test_trace_reports_stage_sizes(self):
         T = generate(GenSpec(3, 3, GenKind.UNIFORM_RANDOM, seed=22))
@@ -1226,31 +1302,39 @@ class TestPipelineSolve:
     @pytest.mark.parametrize("stage", STAGES[1:])
     def test_stage_overflow_is_a_diagnostic(self, stage, monkeypatch):
         # a stage that overflows its cap, on its first parent or on every
-        # one, loses only those subtrees: the answer still agrees with the
-        # oracle (through the fallback when nothing is left) and a
-        # diagnostic names the stage
+        # one, loses only those subtrees, and a diagnostic names the stage.
+        # At k = opt the answer still agrees with the oracle (through the
+        # fallback when nothing is left).  At k = opt - 1 the search answers
+        # no before any stage runs; run_cascade walks that instance anyway
         T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2))
         opt = len(oracle_min_fvs(T).solution)
         original = getattr(pipeline, f"stage_{stage}")
+        message = f"{stage}: {stage} stage: family of size >= 1 exceeds cap 0"
+        below = solvers.reduce_instance(T, opt - 1).tournament
         for every in (False, True):
-            for k in (opt - 1, opt):
-                calls = []
+            calls = []
 
-                def overflowing(inst, profile):
-                    calls.append(inst)
-                    if every or len(calls) == 1:
-                        raise FamilyCapExceeded(f"{stage} stage", 1, 0)
-                    return original(inst, profile)
+            def overflowing(inst, profile):
+                calls.append(inst)
+                if every or len(calls) == 1:
+                    raise FamilyCapExceeded(f"{stage} stage", 1, 0)
+                return original(inst, profile)
 
-                monkeypatch.setattr(pipeline, f"stage_{stage}", overflowing)
-                res = pipeline_solve(T, k, TOY)
-                monkeypatch.undo()
-                assert calls, (stage, k)
-                assert res.found == (k >= opt), (stage, every, k)
-                if res.found:
-                    assert len(res.solution) <= k and verify_fvs(T, res.solution)
-                assert f"{stage}: {stage} stage: family of size >= 1 exceeds cap 0" \
-                    in res.diagnostics
-                if every:
-                    assert res.used_fallback
-                    assert dict(res.trace)[stage] == 0
+            monkeypatch.setattr(pipeline, f"stage_{stage}", overflowing)
+            res = pipeline_solve(T, opt, TOY)
+            assert calls, stage
+            assert res.found and len(res.solution) <= opt and verify_fvs(T, res.solution)
+            assert message in res.diagnostics
+            if every:
+                assert res.used_fallback
+                assert dict(res.trace)[stage] == 0
+            calls.clear()
+            res = pipeline_solve(T, opt - 1, TOY)
+            assert not calls and not res.found
+            assert res.trace == (("search", res.stats.nodes),)
+            family, trace, diagnostics = run_cascade(below, opt - 1, TOY)
+            monkeypatch.undo()
+            assert calls, stage
+            assert message in diagnostics
+            if every:
+                assert family == [] and dict(trace)[stage] == 0
