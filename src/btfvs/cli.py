@@ -14,8 +14,7 @@ from pathlib import Path
 
 from .bench import KNOWN_SOLVERS, bench, to_csv
 from .dfvc import dfvc_solve
-from .errors import (DimensionMismatch, EmptyM, FamilyCapExceeded,
-                     NotAcyclic, NotAMatching, NotMConsistent, ParseError)
+from .errors import FamilyCapExceeded, ParseError
 from .generators import GenKind, GenSpec, generate
 from .graph import BipartiteTournament
 from .io import (canonical_sequence_json, labels_of, m_sequence_json,
@@ -357,8 +356,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ParseError, DimensionMismatch, NotAcyclic, NotMConsistent, EmptyM,
-            NotAMatching, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except FamilyCapExceeded as exc:

@@ -5,17 +5,18 @@ matching of undirected cross-part edges.  A solution must delete at least
 one endpoint of every undirected edge and leave every part acyclic, while
 never touching forbidden vertices.
 
-The solver resolves the undirected matching by two-way branching (delete
-one endpoint or the other); the parts are then fully independent, so each
-contributes its own minimum feedback vertex set and the branch total is
-their sum.  Exponentially worse than clever alternatives in theory, but
-exact, simple, and fast at the scale the pipeline produces.
+The solver tries every way of deleting one endpoint of each undirected
+edge, as one product over the edges' choices; the parts are then fully
+independent, so each contributes its own minimum feedback vertex set and
+the leaf total is their sum.  Exponentially worse than clever alternatives
+in theory, but exact, simple, and fast at the scale the pipeline produces.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import product
 from typing import NamedTuple
 
 from .errors import NotAMatching
@@ -101,61 +102,44 @@ def dfvc_solve(inst: DfvcInstance) -> SolveResult:
     """Exact solver; sound and complete.
 
     Returns the minimum-total deletion set when it fits the budget.  The
-    reported solution is deterministic: branches are explored in sorted edge
-    order and only strict improvements replace the incumbent.  A branch
-    returns once its endpoint deletions alone exceed the budget or reach the
-    incumbent's size: no leaf below it is a strict minimum within budget, so
-    only leaves that cannot be the answer are dropped.
+    undirected edges form a matching, so each one loses one of its
+    non-forbidden endpoints independently of the others: the leaves are the
+    product of those choices, tried in sorted edge order with ``end_a``
+    first, and only strict improvements replace the incumbent, so the
+    reported solution is deterministic.  Every leaf deletes one endpoint per
+    edge, so more edges than the budget answer no at once, and an incumbent
+    of exactly that many deletions ends the loop.  ``stats.nodes`` counts
+    the leaves tried.
     """
     t0 = time.perf_counter()
     g = inst.graph
     if not g.is_undirected_matching():
         raise NotAMatching("undirected edges must form a matching")
-    edges = sorted(g.undirected, key=lambda e: (e[0][0], e[0][1], e[1][0], e[1][1]))
-    for (end_a, end_b) in edges:
-        if end_a in inst.forbidden and end_b in inst.forbidden:
-            return SolveResult(SolveStatus.NO_SOLUTION, None,
-                               SolveStats(0, _ms(t0)))
+    edges = sorted(g.undirected)
+    choices = [[end for end in edge if end not in inst.forbidden] for edge in edges]
+    if len(edges) > inst.budget or not all(choices):
+        return SolveResult(SolveStatus.NO_SOLUTION, None, SolveStats(0, _ms(t0)))
 
-    best: dict = {"size": None, "solution": None}
+    best = None
     nodes = 0
-
-    def finish(deleted: frozenset):
-        total: set = set(deleted)
-        for pi, part in enumerate(g.parts):
-            removed_here = {v for (pj, v) in deleted if pj == pi}
-            forb_here = {v for (pj, v) in inst.forbidden if pj == pi}
-            sol = _part_min_fvs(part, removed_here, forb_here)
-            if sol is None:
-                return
-            total |= {(pi, v) for v in sol}
-        if best["size"] is None or len(total) < best["size"]:
-            best["size"] = len(total)
-            best["solution"] = frozenset(total)
-
-    def rec(i: int, deleted: frozenset):
-        nonlocal nodes
+    for chosen in product(*choices):
         nodes += 1
-        if len(deleted) > inst.budget or (best["size"] is not None
-                                          and len(deleted) >= best["size"]):
-            return
-        if i == len(edges):
-            finish(deleted)
-            return
-        end_a, end_b = edges[i]
-        if end_a in deleted or end_b in deleted:
-            rec(i + 1, deleted)
-            return
-        for choice in (end_a, end_b):
-            if choice in inst.forbidden:
-                continue
-            rec(i + 1, deleted | {choice})
-
-    rec(0, frozenset())
+        total = set(chosen)
+        for pi, part in enumerate(g.parts):
+            sol = _part_min_fvs(part, {v for (pj, v) in chosen if pj == pi},
+                                {v for (pj, v) in inst.forbidden if pj == pi})
+            if sol is None:
+                break
+            total |= {(pi, v) for v in sol}
+        else:
+            if best is None or len(total) < len(best):
+                best = frozenset(total)
+                if len(best) == len(edges):
+                    break
     stats = SolveStats(nodes, _ms(t0))
-    if best["size"] is None or best["size"] > inst.budget:
+    if best is None or len(best) > inst.budget:
         return SolveResult(SolveStatus.NO_SOLUTION, None, stats)
-    return SolveResult(SolveStatus.SOLUTION, best["solution"], stats)
+    return SolveResult(SolveStatus.SOLUTION, best, stats)
 
 
 def verify_dfvc(inst: DfvcInstance, solution: frozenset) -> bool:

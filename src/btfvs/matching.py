@@ -8,6 +8,7 @@ are sorted before processing.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import FamilyCapExceeded
@@ -57,39 +58,22 @@ def enumerate_min_vertex_covers(edges: Iterable[tuple], cap: int | None = None) 
     """All minimum vertex covers of a bipartite edge set.
 
     Every minimum cover picks exactly one endpoint of each maximum-matching
-    edge and nothing else, so two-way branching over matching edges visits
-    at most 2^(matching size) candidates; candidates that leave some edge
-    uncovered are dropped.  ``cap`` bounds the number of candidate leaves
-    visited (a guard for callers enumerating many covers); going past it
-    raises FamilyCapExceeded.
+    edge and nothing else, so the candidates are the product of those
+    choices, at most 2^(matching size) of them; candidates that leave some
+    edge uncovered are dropped.  ``cap`` bounds the number of candidate
+    leaves visited (a guard for callers enumerating many covers); a leaf
+    past it raises FamilyCapExceeded.
     """
     edges = sorted(set(tuple(e) for e in edges))
     if not edges:
         return [frozenset()]
-    matching = max_bipartite_matching(edges)
-    mu = len(matching)
-    covers: list[frozenset] = []
-    seen: set = set()
-    leaves = 0
-
-    def rec(i: int, chosen: tuple):
-        nonlocal leaves
+    covers: set = set()
+    for leaves, chosen in enumerate(product(*max_bipartite_matching(edges))):
         if cap is not None and leaves > cap:
             raise FamilyCapExceeded("vertex cover enumeration", leaves, cap)
-        if i == mu:
-            leaves += 1
-            cset = frozenset(chosen)
-            if cset in seen:
-                return
-            if all(u in cset or w in cset for (u, w) in edges):
-                seen.add(cset)
-                covers.append(cset)
-            return
-        l, r = matching[i]
-        rec(i + 1, chosen + (l,))
-        rec(i + 1, chosen + (r,))
-
-    rec(0, ())
+        cset = frozenset(chosen)
+        if all(u in cset or w in cset for (u, w) in edges):
+            covers.add(cset)
     if not covers:
         raise AssertionError("a bipartite edge set always has a minimum cover")
     return sorted(covers, key=sorted)

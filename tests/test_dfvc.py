@@ -119,13 +119,12 @@ class TestDfvcSolve:
         assert res.status is SolveStatus.NO_SOLUTION
 
     def test_budget_prunes_a_matching_it_cannot_cover(self):
-        # 16 matched edges need 16 deletions: at budget 0 the first
-        # deletion on each side of the root already exceeds the budget
+        # 16 matched edges need 16 deletions: at budget 0 no leaf is tried
         inst = DfvcInstance(matched_acyclic_parts(16), frozenset(), 0)
         t0 = time.perf_counter()
         res = dfvc_solve(inst)
         assert time.perf_counter() - t0 < 0.1
-        assert res.status is SolveStatus.NO_SOLUTION and res.stats.nodes == 3
+        assert res.status is SolveStatus.NO_SOLUTION and res.stats.nodes == 0
 
     def test_incumbent_prunes_leaves_that_cannot_improve(self, monkeypatch):
         # every leaf deletes one endpoint per edge, 4 in all, and the parts
@@ -141,7 +140,15 @@ class TestDfvcSolve:
         monkeypatch.setattr(dfvc, "_part_min_fvs", solving)
         res = dfvc_solve(inst)
         assert res.found and res.solution == {(0, a(i)) for i in range(4)}
-        assert len(solved) == 2
+        assert len(solved) == 2 and res.stats.nodes == 1
+        # the same at 20 edges and budget 20: none of the 2^20 - 1 tying
+        # leaves is tried
+        inst = DfvcInstance(matched_acyclic_parts(20), frozenset(), 20)
+        t0 = time.perf_counter()
+        res = dfvc_solve(inst)
+        assert time.perf_counter() - t0 < 0.1
+        assert res.found and res.solution == {(0, a(i)) for i in range(20)}
+        assert res.stats.nodes == 1
 
     def test_non_matching_rejected(self):
         g = MixedMultigraph(

@@ -465,14 +465,27 @@ class TestCli:
     def test_dfvc_long_matching_over_budget_answers_no(self, tmp_path, capsys):
         # 1,200 matched edges at budget 0: a plain no, exit 1, whatever the
         # recursion limit
+        captured = self._run_long_matching(tmp_path, capsys, 0, 1)
+        assert captured.out == "no solution within budget\n"
+
+    def test_dfvc_long_matching_within_budget_answers(self, tmp_path, capsys):
+        # the same 1,200 edges at budget 1,200: one endpoint of each edge,
+        # exit 0, with no recursion that could outgrow the limit
+        captured = self._run_long_matching(tmp_path, capsys, 1200, 0)
+        assert len(json.loads(captured.out)) == 1200
+
+    @staticmethod
+    def _run_long_matching(tmp_path, capsys, budget: int, code: int):
         part = BipartiteTournament(1200, 1, [[True]] * 1200)
         g = MixedMultigraph([part, part], [((0, a(i)), (1, a(i))) for i in range(1200)])
         path = tmp_path / "mixed.json"
-        path.write_text(serialize_dfvc(DfvcInstance(g, frozenset(), 0)))
-        assert main(["dfvc", str(path)]) == 1
+        path.write_text(serialize_dfvc(DfvcInstance(g, frozenset(), budget)))
+        t0 = time.perf_counter()
+        assert main(["dfvc", str(path)]) == code
+        assert time.perf_counter() - t0 < 5
         captured = capsys.readouterr()
-        assert captured.out == "no solution within budget\n"
         assert "Traceback" not in captured.err
+        return captured
 
     def test_check_lemmas_smoke(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -79,6 +79,17 @@ class TestMinVertexCovers:
         assert exc.value.where == "vertex cover enumeration"
         assert exc.value.cap == 2
 
+    def test_cap_counts_leaves_before_it_overflows(self):
+        # 3 disjoint edges give 8 candidate leaves: a cap of 7 lets all of
+        # them through, a cap of 6 stops at the eighth, having seen 7
+        edges = [(a(0), b(0)), (a(1), b(1)), (a(2), b(2))]
+        assert len(enumerate_min_vertex_covers(edges, cap=7)) == 8
+        with pytest.raises(FamilyCapExceeded) as exc:
+            enumerate_min_vertex_covers(edges, cap=6)
+        assert exc.value.would_be == 7
+        assert str(exc.value) == ("vertex cover enumeration: family of size >= 7 "
+                                  "exceeds cap 6")
+
     def test_min_cover_forwards_cap(self):
         edges = [(a(0), b(0)), (a(1), b(1)), (a(2), b(2))]
         with pytest.raises(FamilyCapExceeded):
