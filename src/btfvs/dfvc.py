@@ -22,8 +22,8 @@ from typing import NamedTuple
 from .errors import NotAMatching
 from .graph import BipartiteTournament, MixedMultigraph
 from .solvers import (ORACLE_DEFAULT_CAP, Constraints, SolveResult, SolveStats,
-                      SolveStatus, _ms, approx4, branch_solve, oracle_min_fvs,
-                      squares_packing_lower_bound)
+                      SolveStatus, _ms, _packing, _pair_groups, approx4, branch_solve,
+                      oracle_min_fvs)
 
 GlobalVertex = tuple  # (part_index, Vertex)
 
@@ -81,18 +81,19 @@ def _part_min_fvs(part: BipartiteTournament, removed: set, forbidden: set):
 
     Searched for ascending k on the part itself, with ``removed`` required
     in the solution and counted in the budget, so the part is never
-    re-induced; ``removed`` is dropped from the answer.  The search starts at
-    the square-packing bound of the part minus ``removed``, below which no k
-    can succeed.
+    re-induced; ``removed`` is dropped from the answer.  The part's A-pairs
+    are scanned once (:func:`solvers._pair_groups`): the list gives the
+    square-packing bound of the part minus ``removed``, below which no k can
+    succeed, and every restart searches it.
     """
     deletable = part.num_vertices - len(removed) - len(forbidden)
-    lb = squares_packing_lower_bound(part, part.mask_of(forbidden),
-                                     part.full_mask & ~part.mask_of(removed))
-    if lb is None:
+    groups = _pair_groups(part, part.full_mask, part.mask_of(forbidden))
+    if groups is None:
         return None
+    lb = _packing(groups, part.mask_of(removed), part.num_vertices)
     for k in range(lb, deletable + 1):
         res = branch_solve(part, Constraints(forbidden=forbidden, required_in=removed,
-                                             budget=len(removed) + k))
+                                             budget=len(removed) + k), groups=groups)
         if res.found:
             return res.solution - removed
     return None

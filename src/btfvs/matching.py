@@ -31,6 +31,14 @@ def max_bipartite_matching(edges: Iterable[tuple]) -> list[tuple]:
 
     Returns matched pairs as (left, right) = (A-side, B-side) vertex pairs,
     sorted; deterministic for a given edge set.
+
+    Each left vertex in turn starts a depth-first search for an augmenting
+    path, on an explicit stack, so a path of any length fits: each frame is a
+    left vertex with its neighbours still to try, and ``tried`` holds the
+    right vertex each frame above the root came through.  A right vertex is
+    tried once per search.  A free one flips the path: it takes the top left
+    vertex, and each ``tried`` vertex takes the left vertex of the frame
+    below it.
     """
     edges = sorted(set(tuple(e) for e in edges))
     for (u, w) in edges:
@@ -39,18 +47,30 @@ def max_bipartite_matching(edges: Iterable[tuple]) -> list[tuple]:
     left, adj = _bipartition(edges)
     match_right: dict = {}
 
-    def try_augment(l, seen: set) -> bool:
-        for r in adj[l]:
-            if r in seen:
-                continue
-            seen.add(r)
-            if r not in match_right or try_augment(match_right[r], seen):
-                match_right[r] = l
-                return True
-        return False
+    def augment(root) -> None:
+        seen: set = set()
+        stack, tried = [(root, iter(adj[root]))], []
+        while stack:
+            l, todo = stack[-1]
+            for r in todo:
+                if r in seen:
+                    continue
+                seen.add(r)
+                if r not in match_right:
+                    match_right[r] = l
+                    for (l_below, _), r_up in zip(stack, tried):
+                        match_right[r_up] = l_below
+                    return
+                tried.append(r)
+                stack.append((match_right[r], iter(adj[match_right[r]])))
+                break
+            else:
+                stack.pop()
+                if tried:
+                    tried.pop()
 
     for l in left:
-        try_augment(l, set())
+        augment(l)
     return sorted((l, r) for r, l in match_right.items())
 
 

@@ -27,7 +27,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain, combinations, permutations
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
@@ -41,7 +41,7 @@ from .matching import (consistent_with_mixed, enumerate_min_vertex_covers,
 from .msequence import (BackEdge, _back_edges, _blocks_mask, _closes_m_square,
                         _layer_keys, _layers, cycle_closers)
 from .msequence import m_sequence  # noqa: F401  (a lookup site perfbench's tracer wraps)
-from .samplespace import prime_power_decompose, twise_space, twise_space_size
+from .samplespace import SampleSpace, prime_power_decompose, twise_space, twise_space_size
 from .solvers import (Constraints, SolveStats, SolveStatus, _approx4_mask, _ms, _packing,
                       _pair_groups, _survivors, branch_solve, reduce_instance, verify_fvs)
 from .structure import _peel_layers_mask
@@ -292,37 +292,58 @@ def _sample_space(n: int, profile: ConstantsProfile) -> tuple[int, int]:
     return q, t
 
 
+@lru_cache(maxsize=16)
+def _selections(space: SampleSpace, slack: int) -> tuple[tuple[int, ...], int]:
+    """Each function's selection as an n-bit mask, bit i set when f[i] == 1,
+    and ``would_be``, the number of (selection, exemption subset of size up
+    to ``slack``) pairs.  Keyed by (n, t, q, slack): a space hashes by its
+    shape."""
+    masks = tuple(sum(1 << i for i, v in enumerate(f) if v == 1) for f in space.functions)
+    return masks, sum(_subset_count(z.bit_count(), slack) for z in masks)
+
+
+@lru_cache(maxsize=16)
+def _exempted(space: SampleSpace, slack: int) -> tuple[int, ...]:
+    """The deduplicated family of :func:`_selections`' masks minus each
+    exemption subset, in first-occurrence order: selection by selection,
+    subsets by size and each size in ``combinations`` order of its bits."""
+    masks, _ = _selections(space, slack)
+    return tuple(dict.fromkeys(
+        z & ~sum(combo)
+        for z in masks
+        for r in range(min(slack, z.bit_count()) + 1)
+        for combo in combinations([1 << i for i in range(space.n) if z >> i & 1], r)))
+
+
+def _m_masks(T: BipartiteTournament, profile: ConstantsProfile) -> tuple[int, ...]:
+    """:func:`m_family` as gid masks of T, after both size checks: position
+    i of the sample space is the vertex of gid i, ``T.vertices()[i]``.
+
+    The selections and their ``would_be`` are cached per (n, t, q, slack)
+    and checked against ``family_cap`` on every call; the family itself is
+    built, and cached, only once a caller's cap admits it."""
+    n = T.num_vertices
+    if n == 0:
+        return ()
+    q, t = _sample_space(n, profile)
+    space = twise_space(n, t, q)
+    slack = profile.budget_slack
+    _, would_be = _selections(space, slack)
+    if would_be > profile.family_cap:
+        raise FamilyCapExceeded("undeletable-set family", would_be, profile.family_cap)
+    return _exempted(space, slack)
+
+
 def m_family(T: BipartiteTournament, k: int, profile: ConstantsProfile) -> Iterator[frozenset]:
     """Candidate undeletable sets: one selection per sample-space function,
     minus every exemption subset of size up to ``budget_slack``;
     deduplicated, deterministic order, yielded lazily after both size checks.
     A sample space of more than 2 ** SIZE_BITS members (and more than the
     cap) overflows with that power of two as its size, so a huge
-    ``hom_window`` costs no huge power."""
-    n = T.num_vertices
-    if n == 0:
-        return iter(())
-    q, t = _sample_space(n, profile)
-    space = twise_space(n, t, q)
-    verts = T.vertices()
-    slack = profile.budget_slack
-
-    selections = [frozenset(verts[i] for i in range(n) if f[i] == 1)
-                  for f in space.functions]
-    would_be = sum(_subset_count(len(z), slack) for z in selections)
-    if would_be > profile.family_cap:
-        raise FamilyCapExceeded("undeletable-set family", would_be, profile.family_cap)
-
-    def exempted() -> Iterator[frozenset]:
-        seen: set = set()
-        for z in selections:
-            for r in range(min(slack, len(z)) + 1):
-                for combo in combinations(sorted(z), r):
-                    m_set = z - frozenset(combo)
-                    if m_set not in seen:
-                        seen.add(m_set)
-                        yield m_set
-    return exempted()
+    ``hom_window`` costs no huge power.  The family depends on T only
+    through its vertex count: it is built once per (n, t, q, slack) as gid
+    masks, and each set is made as it is yielded."""
+    return (frozenset(T.vertices_of_mask(m)) for m in _m_masks(T, profile))
 
 
 def is_m_homogeneous(T: BipartiteTournament, M: Iterable[Vertex],
@@ -372,19 +393,20 @@ def derive_forced_p(T: BipartiteTournament, M: Iterable[Vertex]) -> frozenset:
     return frozenset(T.vertices_of_mask(cycle_closers(T, m_mask, T.full_mask)))
 
 
-def _seeds(T: BipartiteTournament, k: int, family: Iterable[frozenset]) -> Iterator[CfvsInstance]:
-    """The seeds of :func:`seed_instances` from the guesses ``family``, lazily."""
+def _seeds(T: BipartiteTournament, k: int, family: Iterable[int]) -> Iterator[CfvsInstance]:
+    """The seeds of :func:`seed_instances` from the guesses ``family``, gid
+    masks of T, lazily; M is made only for the seeds yielded."""
     full = T.full_mask
-    for M in family:
-        if not M:
+    for m_mask in family:
+        if not m_mask:
             continue
-        m_mask = T.mask_of(M)
         peeled = _peel_layers_mask(T, m_mask)
         if peeled is None:
             continue
         closers = cycle_closers(T, m_mask, full)
         view = live_structure(T, m_mask, _layer_keys(T, m_mask, peeled), full & ~closers)
-        yield CfvsInstance(T, M, frozenset(T.vertices_of_mask(closers)), frozenset(), k, view)
+        yield CfvsInstance(T, frozenset(T.vertices_of_mask(m_mask)),
+                           frozenset(T.vertices_of_mask(closers)), frozenset(), k, view)
 
 
 def seed_instances(T: BipartiteTournament, k: int,
@@ -397,7 +419,7 @@ def seed_instances(T: BipartiteTournament, k: int,
     holds every cycle closer, so T - P is M-consistent, and T[M] is peeled
     once for both the acyclicity test and the seed's view.
     """
-    return list(_seeds(T, k, m_family(T, k, profile)))
+    return list(_seeds(T, k, _m_masks(T, profile)))
 
 
 # ---------------------------------------------------------------------------
@@ -886,7 +908,7 @@ def _walk(T: BipartiteTournament, k: int, profile: ConstantsProfile, sizes: list
     seeding overflows) and ``notes`` gets (stage index, diagnostic); only a
     ``records`` list, which keeps every instance alive, gets expansions."""
     try:
-        family = m_family(T, k, profile)
+        family = _m_masks(T, profile)
     except FamilyCapExceeded as exc:
         notes.append((0, str(exc)))
         return

@@ -13,7 +13,7 @@ points distinct and gives the family its exact size q^(m*t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
@@ -124,12 +124,14 @@ class FiniteField:
 @dataclass(frozen=True)
 class SampleSpace:
     """Explicit family of functions [n] -> [q]; ``functions[f][i]`` is the
-    value of function f at 1-based position i+1."""
+    value of function f at 1-based position i+1.  The shape (n, t, q)
+    determines the functions, so a space compares and hashes by its shape
+    alone, in constant time."""
 
     n: int
     t: int
     q: int
-    functions: tuple[tuple[int, ...], ...]
+    functions: tuple[tuple[int, ...], ...] = field(compare=False)
 
     def __len__(self) -> int:
         return len(self.functions)
@@ -149,25 +151,59 @@ def twise_space_size(n: int, t: int, q: int) -> int:
     return q ** (_extension_degree(n, q) * t)
 
 
+def _add_table(p: int, e: int) -> list[list[int]]:
+    """``add[x][y]`` = x + y in F_{p^e}: base-p digits add mod p, so the
+    table for p^(j+1) elements extends the one for p^j by digit j."""
+    add = [[0]]
+    for j in range(e):
+        low = p ** j
+        add = [[add[x % low][y % low] + (x // low + y // low) % p * low
+                for y in range(low * p)] for x in range(low * p)]
+    return add
+
+
+def _times_table(gf: FiniteField, add: list[list[int]], x: int) -> list[int]:
+    """``row[v]`` = v * x in ``gf``, from one field product per digit:
+    multiplying by x is linear, so d * X^j + r maps to d * (X^j * x) + r * x."""
+    row = [0]
+    for j in range(gf.e):
+        step = gf.mul(gf.p ** j, x)
+        multiples = [0]
+        for _ in range(gf.p - 1):
+            multiples.append(add[multiples[-1]][step])
+        row = [add[m][r] for m in multiples for r in row]
+    return row
+
+
 @lru_cache(maxsize=16)
 def twise_space(n: int, t: int, q: int) -> SampleSpace:
     """Construct the full family; exact t-wise independence by evaluation of
     all degree-(t-1) polynomials, projected onto the base-q alphabet.  The
-    space is immutable, so repeated calls share one cached object."""
+    space is immutable, so repeated calls share one cached object.
+
+    Coefficient tuples come in lexicographic order, leading coefficient
+    first, so the all-zero polynomial comes first.  Evaluation is Horner's
+    rule read from tables, prefix by prefix: the values of a prefix at every
+    point are shared by all its extensions, and one more coefficient c maps
+    each value v at point x to v * x + c through a multiply-by-x table and an
+    add table.  For t = 1 every polynomial is a constant c, valued c % q; for
+    t >= 2 the add table has order^2 <= order^t entries, no more than the
+    space has members."""
     if n < 1 or t < 1:
         raise ValueError("need n >= 1 and t >= 1")
     p, e = prime_power_decompose(q)
-    field = FiniteField(p, e * _extension_degree(n, q))
-    points = list(range(1, n + 1))
-    functions = []
-    # coefficient tuples in lexicographic order, constant term last so the
-    # all-zero polynomial comes first
-    for coeffs in product(range(field.order), repeat=t):
-        values = []
-        for x in points:
-            acc = 0
-            for c in coeffs:  # Horner: acc = acc*x + c
-                acc = field.add(field.mul(acc, x), c)
-            values.append(acc % q)  # first e base-p digits = base-q symbol
-        functions.append(tuple(values))
-    return SampleSpace(n, t, q, tuple(functions))
+    gf = FiniteField(p, e * _extension_degree(n, q))
+    order = gf.order
+    # the first e base-p digits of a field element are its base-q symbol
+    level = [(c % q if t == 1 else c,) * n for c in range(order)]
+    if t > 1:
+        add = _add_table(gf.p, gf.e)
+        times = [_times_table(gf, add, x) for x in range(1, n + 1)]
+        for depth in range(1, t):
+            rows = add if depth < t - 1 else [[v % q for v in row] for row in add]
+            nxt = []
+            for values in level:
+                shifted = [tx[v] for tx, v in zip(times, values)]
+                nxt.extend(tuple(map(row.__getitem__, shifted)) for row in rows)
+            level = nxt
+    return SampleSpace(n, t, q, tuple(level))

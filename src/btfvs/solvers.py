@@ -350,8 +350,10 @@ def branch_solve(T: BipartiteTournament, constraints: Constraints | None = None,
 
     The search reads one list, the A-pairs of T[alive] grouped by their
     lower vertex (:func:`_pair_groups`), built once.  A caller that has
-    already built it for an unconstrained call at this budget, that is
-    ``_pair_groups(T, _survivors(T, budget))``, passes it as ``groups``.
+    already built it passes it as ``groups``, which must be the list this
+    call would build for its own alive and forbidden masks:
+    ``_pair_groups(T, _survivors(T, budget))`` for an unconstrained call,
+    ``_pair_groups(T, T.full_mask, forbidden)`` for a constrained one.
     Each node packs the list greedily from ``removed`` (:func:`_packing`):
     a count above the budget left prunes the node, and a count of 0 means
     no square misses ``removed``, which is then a solution.

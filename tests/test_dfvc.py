@@ -220,3 +220,28 @@ class TestPartMinFvs:
             assert _part_min_fvs(part, removed, forbidden) == \
                 _part_min_fvs_on_remainder(part, removed, forbidden), seed
         assert reduced_only_there >= 30
+
+    def test_one_pair_scan_per_call(self, monkeypatch):
+        # the bound and every branch_solve restart read one A-pair list
+        from btfvs import solvers
+        scans, restarts = [0], [0]
+
+        def counting_scan(*args, _original=solvers._a_pairs):
+            scans[0] += 1
+            return _original(*args)
+
+        def counting_search(*args, _original=dfvc.branch_solve, **kwargs):
+            restarts[0] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_a_pairs", counting_scan)
+        monkeypatch.setattr(dfvc, "branch_solve", counting_search)
+        repeated = 0
+        for seed in range(40):
+            part = generate(GenSpec(5, 5, GenKind.PLANTED_FVS, seed=seed, k_plant=3))
+            verts = part.vertices()
+            scans[0] = restarts[0] = 0
+            _part_min_fvs(part, {verts[seed % 10]}, {verts[(seed + 3) % 10]})
+            assert scans[0] == 1, seed
+            repeated += restarts[0] >= 2
+        assert repeated >= 5

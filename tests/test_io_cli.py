@@ -417,6 +417,23 @@ class TestCli:
         missing = run("solve", str(tmp_path / "missing.json"))
         assert missing.returncode == 2 and missing.stderr.startswith("error: ")
 
+    def test_cold_toy_pipeline_in_a_fresh_interpreter(self, tmp_path):
+        # in-process tests share warm sample-space and family caches; a
+        # fresh interpreter builds them, and must print what it always did
+        env = dict(os.environ, PYTHONPATH=str(Path(btfvs.__file__).parent.parent))
+        T = generate(GenSpec(6, 6, GenKind.PLANTED_FVS, seed=3, k_plant=2))
+        path = tmp_path / "planted.json"
+        path.write_text(serialize_instance(T, k=2))
+        done = subprocess.run([sys.executable, "-m", "btfvs", "--json", "--profile", "toy",
+                               "pipeline", str(path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == (
+            '{"diagnostics": [], "nodes": 10, "size": 2, "solution": ["a0", "a4"], '
+            '"status": "solution", "trace": [["seed", 49], ["regular", 17], ["weak", 20], '
+            '["matched", 18], ["lowblockdegree", 17], ["decoupled", 10]], '
+            '"used_fallback": false}\n')
+
     def test_bool_budget_in_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bool.json"
         path.write_text(json.dumps({"m": 1, "n": 2, "orient": [[1, 0]], "k": True}))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +49,48 @@ class TestMatching:
     def test_deterministic(self):
         edges = [(a(i), b((i * 3 + 1) % 4)) for i in range(4)] + [(a(0), b(2))]
         assert max_bipartite_matching(edges) == max_bipartite_matching(list(reversed(edges)))
+
+    def test_long_search_depth(self):
+        # left vertices go in order a_0, a_1, ...; a_i first tries b_i, held
+        # by a_(i-1), whose search tries b_(i-1), held by a_(i-2), and so on
+        # down to a_0, before a_i comes back to its free b_(i+1): searches
+        # up to 1,200 deep, which a recursive search cannot take
+        edges = [(a(i), b(i + 1)) for i in range(1200)]
+        edges += [(a(i), b(i)) for i in range(1, 1201)] + [(a(1200), b(0))]
+        assert max_bipartite_matching(edges) == \
+            sorted([(a(i), b(i + 1)) for i in range(1200)] + [(a(1200), b(0))])
+
+    def test_matches_recursive_search_on_random_edge_sets(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            pairs = [(a(i), b(j)) for i in range(6) for j in range(6)]
+            edges = rng.sample(pairs, rng.randrange(len(pairs) + 1))
+            edges = [(w, u) if rng.random() < 0.5 else (u, w) for (u, w) in edges]
+            assert max_bipartite_matching(edges) == _recursive_matching(edges), edges
+
+
+def _recursive_matching(edges):
+    """The augmenting-path search written recursively, as a reference for
+    the explicit-stack one: the same visit order and the same ``seen`` set
+    per search, so the same matching."""
+    edges = sorted(set(tuple(e) for e in edges))
+    left = sorted({u if u.side == "A" else w for (u, w) in edges})
+    adj = {l: sorted({w if u == l else u for (u, w) in edges if l in (u, w)}) for l in left}
+    match_right = {}
+
+    def try_augment(l, seen):
+        for r in adj[l]:
+            if r in seen:
+                continue
+            seen.add(r)
+            if r not in match_right or try_augment(match_right[r], seen):
+                match_right[r] = l
+                return True
+        return False
+
+    for l in left:
+        try_augment(l, set())
+    return sorted((l, r) for r, l in match_right.items())
 
 
 class TestMinVertexCovers:

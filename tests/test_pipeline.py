@@ -120,6 +120,42 @@ class TestMFamily:
         T = generate(GenSpec(3, 2, GenKind.UNIFORM_RANDOM, seed=7))
         assert list(m_family(T, 2, TOY)) == list(m_family(T, 2, TOY))
 
+    def test_order_is_first_occurrence(self):
+        # selection by selection, exemption subsets by size and each size in
+        # combinations order over the sorted selection, each set at its
+        # first occurrence
+        from itertools import combinations
+        for m, n, slack in ((3, 3, 1), (4, 3, 2), (2, 4, 3)):
+            T = generate(GenSpec(m, n, GenKind.UNIFORM_RANDOM, seed=m + n))
+            prof = dataclasses.replace(TOY, budget_slack=slack)
+            verts = T.vertices()
+            expect = []
+            for f in twise_space(m + n, TOY.hom_window, 2).functions:
+                z = frozenset(verts[i] for i in range(m + n) if f[i] == 1)
+                for r in range(min(slack, len(z)) + 1):
+                    for combo in combinations(sorted(z), r):
+                        if z - frozenset(combo) not in expect:
+                            expect.append(z - frozenset(combo))
+            assert list(m_family(T, 2, prof)) == expect
+
+    def test_cold_caches_give_the_warm_sequence(self):
+        T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=8))
+        warm = list(m_family(T, 2, TOY))
+        for cached in (twise_space, pipeline._selections, pipeline._exempted):
+            cached.cache_clear()
+        assert list(m_family(T, 2, TOY)) == warm
+
+    def test_warm_shape_still_checks_the_callers_cap(self):
+        # the selections of this shape are cached by the first call; a
+        # smaller cap still raises, with the count and message it always had
+        T = generate(GenSpec(3, 4, GenKind.UNIFORM_RANDOM, seed=3))
+        prof = dataclasses.replace(TOY, hom_window=1)
+        assert len(list(m_family(T, 2, prof))) == 9
+        with pytest.raises(FamilyCapExceeded) as exc:
+            m_family(T, 2, dataclasses.replace(prof, family_cap=10))
+        assert exc.value.would_be == 36
+        assert str(exc.value) == "undeletable-set family: family of size >= 36 exceeds cap 10"
+
 
 class TestHomogeneity:
     def test_everything_in_m(self):
@@ -1247,6 +1283,7 @@ class TestPipelineSolve:
             raise AssertionError("screened inputs are not seeded")
 
         monkeypatch.setattr(pipeline, "m_family", unreachable)
+        monkeypatch.setattr(pipeline, "_m_masks", unreachable)
         monkeypatch.setattr(pipeline, "seed_instances", unreachable)
         monkeypatch.setattr(pipeline, "branch_solve", unreachable)
         res = pipeline_solve(T, 1, TOY)

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 from itertools import combinations, product
 
 import pytest
 
 from btfvs.errors import NotPrimePower
-from btfvs.samplespace import (FiniteField, prime_power_decompose,
-                               twise_space, twise_space_size)
+from btfvs.samplespace import (FiniteField, _add_table, _times_table,
+                               prime_power_decompose, twise_space, twise_space_size)
 
 
 def exhaustive_independence_check(space):
@@ -72,6 +73,15 @@ class TestFiniteField:
                 acc = f.mul(acc, x)
             assert acc == 1
 
+    def test_tables_match_field_arithmetic(self):
+        for p, e in ((2, 1), (2, 3), (3, 2), (5, 2), (2, 5), (3, 3), (7, 1)):
+            f = FiniteField(p, e)
+            els = range(f.order)
+            add = _add_table(p, e)
+            assert add == [[f.add(x, y) for y in els] for x in els]
+            for x in els:
+                assert _times_table(f, add, x) == [f.mul(v, x) for v in els]
+
 
 class TestTwiseSpace:
     def test_size_matches_field_power(self):
@@ -115,3 +125,34 @@ class TestTwiseSpace:
             twise_space(0, 1, 2)
         with pytest.raises(ValueError):
             twise_space(1, 0, 2)
+
+    # sha256 of repr(functions), first 16 hex digits, recorded from the
+    # Horner evaluation over digit-tuple field arithmetic that the tables
+    # replaced
+    PINNED = {
+        (1, 1, 2): "7b0d574730ade655",
+        (5, 1, 3): "868f9b8a591d08ab",
+        (7, 1, 4): "a7c1fd149d75ad8e",
+        (1, 2, 2): "d8b7405955eee864",
+        (6, 2, 2): "85f0aeb3e6b3ceb6",
+        (9, 2, 2): "1f03c1418850eef9",
+        (12, 2, 2): "bcef8d7fe6e65064",
+        (16, 2, 2): "715f75769e9c8722",
+        (12, 2, 3): "3599a5bc58611596",
+        (3, 2, 4): "036c582c02a78410",
+        (4, 3, 3): "5690badeac346835",
+        (12, 3, 2): "40166d3d80c42260",
+    }
+
+    @pytest.mark.parametrize("shape", sorted(PINNED))
+    def test_functions_pinned(self, shape):
+        functions = twise_space(*shape).functions
+        assert len(functions) == twise_space_size(*shape)
+        assert hashlib.sha256(repr(functions).encode()).hexdigest()[:16] == self.PINNED[shape]
+
+    def test_space_compares_by_shape(self):
+        # the shape determines the functions: a fresh build equals the
+        # cached one, and hashing reads three ints
+        space, fresh = twise_space(3, 2, 2), twise_space.__wrapped__(3, 2, 2)
+        assert space is not fresh
+        assert space == fresh and hash(space) == hash(fresh)
