@@ -59,6 +59,22 @@ class FamilyCapExceeded(RuntimeError):
         self.cap = cap
 
 
+class CapMeter:
+    """The one compare-and-raise of every bounded enumeration: :meth:`spend`
+    adds to ``count`` and raises ``FamilyCapExceeded(where, count, cap)``
+    once the count passes the cap; a cap of None never raises."""
+
+    __slots__ = ("where", "cap", "count")
+
+    def __init__(self, where: str, cap: int | None):
+        self.where, self.cap, self.count = where, cap, 0
+
+    def spend(self, n: int = 1) -> None:
+        self.count += n
+        if self.cap is not None and self.count > self.cap:
+            raise FamilyCapExceeded(self.where, self.count, self.cap)
+
+
 class PreconditionViolated(ValueError):
     """A pipeline stage was fed an instance failing a required predicate."""
 

@@ -53,10 +53,11 @@ class BipartiteTournament:
     acyclic and serve as recursion base cases.
     """
 
-    # The underscored slots are derived caches, filled on first use: the
-    # adjacency masks here, and the survivor mask of the last reduction
+    # ``out_mask`` and ``in_mask`` hold each vertex's out- and in-neighbour
+    # gid masks, packed at construction.  ``_reduction`` is a cache, filled
+    # on first use: the survivor mask of the last reduction
     # ``solvers._survivors`` made.
-    __slots__ = ("m", "n", "orient", "labels", "_out_mask", "_in_mask", "_reduction")
+    __slots__ = ("m", "n", "orient", "labels", "out_mask", "in_mask", "_reduction")
 
     def __init__(self, m: int, n: int, orient: Sequence[Sequence[object]],
                  labels: Sequence[str] | None = None):
@@ -81,8 +82,14 @@ class BipartiteTournament:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "orient", tuple(rows))
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_out_mask", None)
-        object.__setattr__(self, "_in_mask", None)
+        # each row of the matrix, and each column, is packed into one int at
+        # C speed: its bools, last first, as the digits of a binary numeral
+        a_side, b_side = (1 << m) - 1, ((1 << n) - 1) << m
+        packed = [_bits(row) << m for row in rows]  # bit m + j: a_i -> b_j
+        # bit i: a_i -> b_j; with m == 0 the zip yields no column at all
+        cols = [_bits(col) for col in zip(*rows)] or [0] * n
+        object.__setattr__(self, "out_mask", packed + [a_side ^ col for col in cols])
+        object.__setattr__(self, "in_mask", [b_side ^ row for row in packed] + cols)
         object.__setattr__(self, "_reduction", None)
 
     def __setattr__(self, name, value):
@@ -172,30 +179,6 @@ class BipartiteTournament:
     def full_mask(self) -> int:
         return (1 << self.num_vertices) - 1
 
-    def _adjacency_masks(self) -> tuple[list[int], list[int]]:
-        """Out- and in-neighbour gid masks, one per vertex.  Each row of the
-        matrix, and each column, is packed into one int at C speed: its
-        bools, last first, as the digits of a binary numeral."""
-        if self._out_mask is None:
-            m, n = self.m, self.n
-            a_side, b_side = (1 << m) - 1, ((1 << n) - 1) << m
-            rows = [_bits(row) << m for row in self.orient]  # bit m + j: a_i -> b_j
-            # bit i: a_i -> b_j; with m == 0 the zip yields no column at all
-            cols = [_bits(col) for col in zip(*self.orient)] or [0] * n
-            out = rows + [a_side ^ col for col in cols]
-            inc = [b_side ^ row for row in rows] + cols
-            object.__setattr__(self, "_out_mask", out)
-            object.__setattr__(self, "_in_mask", inc)
-        return self._out_mask, self._in_mask
-
-    @property
-    def out_mask(self) -> list[int]:
-        return self._adjacency_masks()[0]
-
-    @property
-    def in_mask(self) -> list[int]:
-        return self._adjacency_masks()[1]
-
     # -- arcs and neighborhoods --------------------------------------------
 
     def has_arc(self, u: Vertex, v: Vertex) -> bool:
@@ -283,7 +266,7 @@ class BipartiteTournament:
         B vertex's key none.
         """
         groups: dict[tuple[int, int], list[int]] = {}
-        out, inc = self._adjacency_masks()
+        out, inc = self.out_mask, self.in_mask
         rest = alive
         while rest:
             low = rest & -rest

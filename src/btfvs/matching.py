@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Sequence
 
-from .errors import FamilyCapExceeded
+from .errors import CapMeter
 from .graph import SIDE_A, Vertex
 
 
@@ -88,9 +88,9 @@ def enumerate_min_vertex_covers(edges: Iterable[tuple], cap: int | None = None) 
     if not edges:
         return [frozenset()]
     covers: set = set()
+    meter = CapMeter("vertex cover enumeration", cap)
     for leaves, chosen in enumerate(product(*max_bipartite_matching(edges))):
-        if cap is not None and leaves > cap:
-            raise FamilyCapExceeded("vertex cover enumeration", leaves, cap)
+        meter.spend(min(leaves, 1))  # the count is the leaves before this one
         cset = frozenset(chosen)
         if all(u in cset or w in cset for (u, w) in edges):
             covers.add(cset)

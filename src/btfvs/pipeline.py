@@ -33,7 +33,8 @@ from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
 from .dfvc import DfvcInstance, dfvc_solve
-from .errors import FamilyCapExceeded, NotAcyclic, NotPrimePower, PreconditionViolated
+from .errors import (CapMeter, FamilyCapExceeded, NotAcyclic, NotPrimePower,
+                     PreconditionViolated)
 from .graph import BipartiteTournament, MixedMultigraph, Vertex
 from .matching import (consistent_with_mixed, enumerate_min_vertex_covers,
                        max_bipartite_matching, min_vertex_cover,
@@ -239,9 +240,7 @@ def _small_subsets(pool: list, most: int, stage: str,
     """Every subset of ``pool`` with at most ``most`` elements, by size and
     each size in ``combinations`` order; raises FamilyCapExceeded(stage,
     count, family_cap) up front when there are more than ``family_cap``."""
-    count = _subset_count(len(pool), most)
-    if count > profile.family_cap:
-        raise FamilyCapExceeded(stage, count, profile.family_cap)
+    CapMeter(stage, profile.family_cap).spend(_subset_count(len(pool), most))
     return chain.from_iterable(combinations(pool, r)
                                for r in range(min(most, len(pool)) + 1))
 
@@ -274,21 +273,15 @@ def _sample_space(n: int, profile: ConstantsProfile) -> tuple[int, int]:
     sample_q ** t; an overflow then reports that bound.  Any other reports
     the exact size, or 2 ** SIZE_BITS past that."""
     t, cap = profile.hom_window, profile.family_cap
-    bits = max(SIZE_BITS, cap.bit_length())
+    bits = max(SIZE_BITS, cap.bit_length())  # so 2 ** bits is past the cap
 
-    def at_least(unit: int) -> int:  # unit ** t, unless that is over 2 ** bits
-        if (unit.bit_length() - 1) * t > bits:  # report that, do not compute it
-            raise FamilyCapExceeded("sample space", 1 << bits, cap)
-        return unit ** t
+    def at_least(unit: int) -> int:  # unit ** t, or 2 ** bits if that is less
+        return 1 << bits if (unit.bit_length() - 1) * t > bits else unit ** t
 
     if profile.sample_q.bit_length() > EXACT_Q_BITS:
-        low = at_least(profile.sample_q)
-        if low > cap:
-            raise FamilyCapExceeded("sample space", low, cap)
+        CapMeter("sample space", cap).spend(at_least(profile.sample_q))
     q = next_prime_power(profile.sample_q)
-    space_size = at_least(twise_space_size(n, 1, q))
-    if space_size > cap:
-        raise FamilyCapExceeded("sample space", space_size, cap)
+    CapMeter("sample space", cap).spend(at_least(twise_space_size(n, 1, q)))
     return q, t
 
 
@@ -315,23 +308,32 @@ def _exempted(space: SampleSpace, slack: int) -> tuple[int, ...]:
         for combo in combinations([1 << i for i in range(space.n) if z >> i & 1], r)))
 
 
-def _m_masks(T: BipartiteTournament, profile: ConstantsProfile) -> tuple[int, ...]:
-    """:func:`m_family` as gid masks of T, after both size checks: position
-    i of the sample space is the vertex of gid i, ``T.vertices()[i]``.
+def _m_masks(n: int, profile: ConstantsProfile) -> tuple[int, ...]:
+    """:func:`m_family` over n vertices as n-bit masks, after both size
+    checks, which read n alone: bit i is the vertex of gid i of any
+    tournament on n vertices, ``T.vertices()[i]``.
 
     The selections and their ``would_be`` are cached per (n, t, q, slack)
     and checked against ``family_cap`` on every call; the family itself is
     built, and cached, only once a caller's cap admits it."""
-    n = T.num_vertices
     if n == 0:
         return ()
     q, t = _sample_space(n, profile)
     space = twise_space(n, t, q)
     slack = profile.budget_slack
     _, would_be = _selections(space, slack)
-    if would_be > profile.family_cap:
-        raise FamilyCapExceeded("undeletable-set family", would_be, profile.family_cap)
+    CapMeter("undeletable-set family", profile.family_cap).spend(would_be)
     return _exempted(space, slack)
+
+
+def _sized_family(n: int, profile: ConstantsProfile, notes: list) -> tuple[int, ...] | None:
+    """:func:`_m_masks` over n vertices, or None with its overflow added to
+    ``notes`` as a seed-stage diagnostic."""
+    try:
+        return _m_masks(n, profile)
+    except FamilyCapExceeded as exc:
+        notes.append((0, str(exc)))
+        return None
 
 
 def m_family(T: BipartiteTournament, k: int, profile: ConstantsProfile) -> Iterator[frozenset]:
@@ -343,7 +345,7 @@ def m_family(T: BipartiteTournament, k: int, profile: ConstantsProfile) -> Itera
     ``hom_window`` costs no huge power.  The family depends on T only
     through its vertex count: it is built once per (n, t, q, slack) as gid
     masks, and each set is made as it is yielded."""
-    return (frozenset(T.vertices_of_mask(m)) for m in _m_masks(T, profile))
+    return (frozenset(T.vertices_of_mask(m)) for m in _m_masks(T.num_vertices, profile))
 
 
 def is_m_homogeneous(T: BipartiteTournament, M: Iterable[Vertex],
@@ -419,7 +421,7 @@ def seed_instances(T: BipartiteTournament, k: int,
     holds every cycle closer, so T - P is M-consistent, and T[M] is peeled
     once for both the acyclicity test and the seed's view.
     """
-    return list(_seeds(T, k, _m_masks(T, profile)))
+    return list(_seeds(T, k, _m_masks(T.num_vertices, profile)))
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +554,7 @@ def matched_branching(edges: Iterable[tuple], budget: int,
     """
     edges = sorted(set(tuple(e) for e in edges))
     leaves: list[frozenset] = []
-    visited = 0
+    meter = CapMeter("conflict branching", cap)
 
     def residual_lower_bound(es: list) -> int:
         used: set = set()
@@ -565,10 +567,7 @@ def matched_branching(edges: Iterable[tuple], budget: int,
         return count
 
     def rec(es: list, added: frozenset, left: int):
-        nonlocal visited
-        visited += 1
-        if cap is not None and visited > cap:
-            raise FamilyCapExceeded("conflict branching", visited, cap)
+        meter.spend()
         if left < 0 or residual_lower_bound(es) > left:
             return
         deg: dict = {}
@@ -642,14 +641,7 @@ def stage_lowblockdegree(inst: CfvsInstance, profile: ConstantsProfile) -> list[
 
     out = []
     seen: set = set()
-    work = 0
-
-    def bump(n=1):
-        nonlocal work
-        work += n
-        if work > profile.family_cap:
-            raise FamilyCapExceeded("block-degree stage", work, profile.family_cap)
-
+    bump = CapMeter("block-degree stage", profile.family_cap).spend
     for fam_size in range(min(t_cap, len(candidates)) + 1):
         for fam in combinations(candidates, fam_size):
             bump()
@@ -811,7 +803,7 @@ def stage_decoupled(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsI
     cap_b = 2 * len(parts) * (2 * profile.hom_window ** 2)
     out = []
     seen: set = set()
-    work = 0
+    meter = CapMeter("decoupling stage", profile.family_cap)
     for combo in _small_subsets(cross, cap_b, "decoupling stage", profile):
         uncovered = set(combo)
         must_hit = [e for e in cross if e not in uncovered]
@@ -820,9 +812,7 @@ def stage_decoupled(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsI
         for (u, w) in must_hit:
             neigh.setdefault(u, set()).add(w)
             neigh.setdefault(w, set()).add(u)
-        work += 2 ** len(cover)
-        if work > profile.family_cap:
-            raise FamilyCapExceeded("decoupling stage", work, profile.family_cap)
+        meter.spend(2 ** len(cover))
         for csize in range(len(cover) + 1):
             for chosen in combinations(cover, csize):
                 chosen = set(chosen)
@@ -900,18 +890,14 @@ class PipelineResult(NamedTuple):
         return self.status is SolveStatus.SOLUTION
 
 
-def _walk(T: BipartiteTournament, k: int, profile: ConstantsProfile, sizes: list,
-          notes: list, records: list | None) -> Iterator[CfvsInstance]:
-    """The final family in family order by a depth-first walk, which meets
-    each depth of the tree in breadth-first order and builds a seed when it
-    reaches it.  ``sizes`` counts each stage's children (``[0]`` alone if
-    seeding overflows) and ``notes`` gets (stage index, diagnostic); only a
+def _walk(T: BipartiteTournament, k: int, profile: ConstantsProfile, family: tuple[int, ...],
+          sizes: list, notes: list, records: list | None) -> Iterator[CfvsInstance]:
+    """The final family in family order by a depth-first walk from the
+    guesses ``family``, gid masks of T that :func:`_sized_family` admitted,
+    which meets each depth of the tree in breadth-first order and builds a
+    seed when it reaches it.  ``sizes`` (``[0]`` on entry) counts each
+    stage's children and ``notes`` gets (stage index, diagnostic); only a
     ``records`` list, which keeps every instance alive, gets expansions."""
-    try:
-        family = _m_masks(T, profile)
-    except FamilyCapExceeded as exc:
-        notes.append((0, str(exc)))
-        return
     sizes[1:] = [0] * (len(STAGES) - 1)
     fns = (stage_regular, stage_weak, stage_matched, stage_lowblockdegree, stage_decoupled)
 
@@ -954,8 +940,9 @@ def run_cascade(T: BipartiteTournament, k: int, profile: ConstantsProfile,
     skipped (their subtree is lost, which only costs completeness).
     """
     sizes, notes, records = [0], [], None if collect is None else []
-    family = list(_walk(T, k, profile, sizes, notes, records))
-    return (family, *_replay(sizes, notes, records, collect))
+    family = _sized_family(T.num_vertices, profile, notes)
+    leaves = [] if family is None else list(_walk(T, k, profile, family, sizes, notes, records))
+    return (leaves, *_replay(sizes, notes, records, collect))
 
 
 def pipeline_solve(T: BipartiteTournament, k: int,
@@ -976,10 +963,11 @@ def pipeline_solve(T: BipartiteTournament, k: int,
     ``(("search", nodes),)``, with no diagnostics, no fallback and
     ``stats.nodes`` the search's nodes; nothing is induced or seeded.
 
-    On a yes, the cascade constructs.  The reduced tournament is induced
-    only for seeding, once the sample space's size checks, which read the
-    survivor count alone, have passed: a solve whose seeding overflows
-    induces nothing.  The endgame reduces each final-family leaf with
+    On a yes, the cascade constructs.  Seeding is sized once, before
+    anything is induced: the size checks of the sample space and of the
+    undeletable-set family read the survivor count alone, and the reduced
+    tournament is induced only once both pass, so a solve whose seeding
+    overflows induces nothing.  The endgame reduces each final-family leaf with
     ``to_dfvc`` as the depth-first walk of :func:`run_cascade` reaches it,
     and stops the walk at the first answer that verifies; the trace then
     counts the children each stage emitted before the answer, and
@@ -1018,14 +1006,11 @@ def pipeline_solve(T: BipartiteTournament, k: int,
                               SolveStats(search.stats.nodes, _ms(t0)),
                               (("search", search.stats.nodes),), (), False)
     sizes, notes, records = [0], [], None if collect is None else []
-    try:  # the sample space is sized by the vertex count alone: check it before inducing
-        _sample_space(alive.bit_count(), profile)
-    except FamilyCapExceeded as exc:
-        notes.append((0, str(exc)))
-        leaves = iter(())
-    else:
+    family = _sized_family(alive.bit_count(), profile, notes)  # before anything is induced
+    leaves = ()
+    if family is not None:
         red = reduce_instance(T, k)
-        leaves = _walk(red.tournament, k, profile, sizes, notes, records)
+        leaves = _walk(red.tournament, k, profile, family, sizes, notes, records)
     for tried, child in enumerate(leaves, 1):
         try:
             reduction = to_dfvc(child, profile)

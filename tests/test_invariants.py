@@ -30,6 +30,21 @@ def test_no_assert_statements_in_package():
     assert not found, f"assert statements vanish under python -O: {found}"
 
 
+def test_family_cap_raised_only_by_the_meter():
+    # every enumeration bound goes through errors.CapMeter, so the package
+    # has one compare-and-raise for FamilyCapExceeded
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None))
+                  == "FamilyCapExceeded"]
+    assert not found, f"FamilyCapExceeded raised outside CapMeter: {found}"
+
+
 def _tracer_targets(name: str) -> list[tuple[str, ...]]:
     """The leading string fields of each entry of a tuple assigned at the
     top level of the benchmark's tracer, read without importing it."""

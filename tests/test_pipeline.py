@@ -1244,21 +1244,28 @@ class TestPipelineSolve:
         assert scans.count(True) == 1
 
     def test_overflowing_seeding_induces_nothing(self, monkeypatch):
-        # the paper profile's sample space overflows on the survivor count
-        # alone, so the fallback answers and the reduction is never induced
-        T = generate(GenSpec(8, 8, GenKind.PLANTED_FVS, seed=1, k_plant=3))
-        k = len(exact_min_fvs(T))
-        assert solvers._survivors(T, k) != T.full_mask
-
+        # both seeding checks read the survivor count alone, so an overflow
+        # is found before the reduction is induced, and the fallback answers
         def unreachable(self, keep):
             raise AssertionError("an overflowing seeding induces nothing")
 
         monkeypatch.setattr(BipartiteTournament, "induced", unreachable)
-        res = pipeline_solve(T, k)
-        assert res.used_fallback and res.found
-        assert res.trace == (("seed", 0),)
-        assert len(res.diagnostics) == 1
-        assert res.diagnostics[0].startswith("sample space: family of size >= ")
+        for spec, profile, diagnostic in (
+                # the paper profile's sample space overflows
+                (GenSpec(8, 8, GenKind.PLANTED_FVS, seed=1, k_plant=3), None,
+                 "sample space: family of size >= "),
+                # the sample space fits, the undeletable-set family does not
+                (GenSpec(5, 5, GenKind.PLANTED_FVS, seed=3, k_plant=2),
+                 dataclasses.replace(TOY, family_cap=1000),
+                 "undeletable-set family: family of size >= 1408 exceeds cap 1000")):
+            T = generate(spec)
+            k = len(exact_min_fvs(T))
+            assert solvers._survivors(T, k) != T.full_mask
+            res = pipeline_solve(T, k, profile)
+            assert res.used_fallback and res.found
+            assert res.trace == (("seed", 0),)
+            assert len(res.diagnostics) == 1
+            assert res.diagnostics[0].startswith(diagnostic)
 
     def test_screened_solve_induces_nothing(self, monkeypatch):
         # the screen reads T[survivors] in T's own gids; only seeding
@@ -1375,3 +1382,38 @@ class TestPipelineSolve:
             assert message in diagnostics
             if every:
                 assert family == [] and dict(trace)[stage] == 0
+
+    def test_stage_caps_overflow_for_real(self):
+        # each stage's own cap checks, driven by the parents a run_cascade
+        # meets: per stage, the child counts of the parents before the first
+        # that overflows at cap 1, which no cap changes, then that parent's
+        # outcome at each cap, its child count or its exact message
+        caps = (1, 2, 3, 5, 8, 13, 40)
+
+        def over(where, *sizes):  # the messages at the first len(sizes) caps
+            return [f"{where}: family of size >= {size} exceeds cap {cap}"
+                    for size, cap in zip(sizes, caps)]
+
+        pinned = {
+            "regular": ([1], over("oversized-block stage", 4, 4, 4) + [3] * 4),
+            "weak": ([1] * 24, over("back-edge coupling stage", 4, 4, 4) + [1] * 4),
+            "matched": ([1] * 5, over("conflict branching", 2, 3) + [1] * 5),
+            "lowblockdegree": ([], over("block-degree stage", 2, 3, 4) + [1] * 4),
+            "decoupled": ([0, 1, 0, 1], over("decoupling stage", 4, 4, 4, 6) + [4] * 3),
+        }
+        T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2))
+        parents = {}
+        run_cascade(solvers.reduce_instance(T, 2).tournament, 2, TOY,
+                    collect=lambda stage, parent, _: parents.setdefault(stage, []).append(parent))
+
+        def outcome(stage, parent, cap):
+            try:
+                return len(getattr(pipeline, f"stage_{stage}")(
+                    parent, dataclasses.replace(TOY, family_cap=cap)))
+            except FamilyCapExceeded as exc:
+                return str(exc)
+
+        for stage, (before, last) in pinned.items():
+            got = [[outcome(stage, parent, cap) for cap in caps]
+                   for parent in parents[stage][:len(before) + 1]]
+            assert got == [[n] * len(caps) for n in before] + [last], stage
