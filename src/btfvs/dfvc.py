@@ -7,9 +7,10 @@ never touching forbidden vertices.
 
 The solver tries every way of deleting one endpoint of each undirected
 edge, as one product over the edges' choices; the parts are then fully
-independent, so each contributes its own minimum feedback vertex set and
-the leaf total is their sum.  Exponentially worse than clever alternatives
-in theory, but exact, simple, and fast at the scale the pipeline produces.
+independent, so the leaf total is the sum of each part's minimum feedback
+vertex set, from the solvers' one minimiser (:func:`solvers._min_fvs`).
+Exponentially worse than clever alternatives in theory, but exact, simple,
+and fast at the scale the pipeline produces.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from itertools import product
 from typing import NamedTuple
 
 from .errors import NotAMatching
-from .graph import BipartiteTournament, MixedMultigraph
-from .solvers import (ORACLE_DEFAULT_CAP, Constraints, SolveResult, SolveStats,
-                      SolveStatus, _ms, _packing, _pair_groups, approx4, branch_solve,
-                      oracle_min_fvs)
+from .graph import MixedMultigraph
+from .solvers import (ORACLE_DEFAULT_CAP, SolveResult, SolveStats, SolveStatus, _min_fvs,
+                      _ms, approx4, oracle_min_fvs)
+from .solvers import branch_solve  # noqa: F401  (a lookup site perfbench's tracer wraps)
 
 GlobalVertex = tuple  # (part_index, Vertex)
 
@@ -75,30 +76,6 @@ def validate_class(inst: DfvcInstance, d: int, f: int, t: int) -> ClassReport:
     return ClassReport(not violations, tuple(violations))
 
 
-def _part_min_fvs(part: BipartiteTournament, removed: set, forbidden: set):
-    """Minimum feedback vertex set of a part minus ``removed``, avoiding
-    ``forbidden``; None when some square cannot be broken.
-
-    Searched for ascending k on the part itself, with ``removed`` required
-    in the solution and counted in the budget, so the part is never
-    re-induced; ``removed`` is dropped from the answer.  The part's A-pairs
-    are scanned once (:func:`solvers._pair_groups`): the list gives the
-    square-packing bound of the part minus ``removed``, below which no k can
-    succeed, and every restart searches it.
-    """
-    deletable = part.num_vertices - len(removed) - len(forbidden)
-    groups = _pair_groups(part, part.full_mask, part.mask_of(forbidden))
-    if groups is None:
-        return None
-    lb = _packing(groups, part.mask_of(removed), part.num_vertices)
-    for k in range(lb, deletable + 1):
-        res = branch_solve(part, Constraints(forbidden=forbidden, required_in=removed,
-                                             budget=len(removed) + k), groups=groups)
-        if res.found:
-            return res.solution - removed
-    return None
-
-
 def dfvc_solve(inst: DfvcInstance) -> SolveResult:
     """Exact solver; sound and complete.
 
@@ -109,8 +86,9 @@ def dfvc_solve(inst: DfvcInstance) -> SolveResult:
     first, and only strict improvements replace the incumbent, so the
     reported solution is deterministic.  Every leaf deletes one endpoint per
     edge, so more edges than the budget answer no at once, and an incumbent
-    of exactly that many deletions ends the loop.  ``stats.nodes`` counts
-    the leaves tried.
+    of exactly that many deletions ends the loop.  Each part is minimised
+    in place, with the leaf's endpoints in it required, so none is
+    re-induced.  ``stats.nodes`` counts the leaves tried.
     """
     t0 = time.perf_counter()
     g = inst.graph
@@ -127,8 +105,8 @@ def dfvc_solve(inst: DfvcInstance) -> SolveResult:
         nodes += 1
         total = set(chosen)
         for pi, part in enumerate(g.parts):
-            sol = _part_min_fvs(part, {v for (pj, v) in chosen if pj == pi},
-                                {v for (pj, v) in inst.forbidden if pj == pi})
+            sol = _min_fvs(part, {v for (pj, v) in chosen if pj == pi},
+                           {v for (pj, v) in inst.forbidden if pj == pi})
             if sol is None:
                 break
             total |= {(pi, v) for v in sol}

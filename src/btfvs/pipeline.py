@@ -336,7 +336,7 @@ def _sized_family(n: int, profile: ConstantsProfile, notes: list) -> tuple[int, 
         return None
 
 
-def m_family(T: BipartiteTournament, k: int, profile: ConstantsProfile) -> Iterator[frozenset]:
+def m_family(T: BipartiteTournament, profile: ConstantsProfile) -> Iterator[frozenset]:
     """Candidate undeletable sets: one selection per sample-space function,
     minus every exemption subset of size up to ``budget_slack``;
     deduplicated, deterministic order, yielded lazily after both size checks.
@@ -550,7 +550,8 @@ def matched_branching(edges: Iterable[tuple], budget: int,
     (pairwise disjoint ones counted greedily) cannot fit the remainder.
     Leaves have maximum degree one, i.e. a matching of residual edges.
     The one-or-two cost split per branch keeps the number of leaves with s
-    additions within the (s+2)nd Fibonacci number.
+    additions within the (s+2)nd Fibonacci number.  Branches are walked in
+    pre-order on an explicit stack, so any depth fits.
     """
     edges = sorted(set(tuple(e) for e in edges))
     leaves: list[frozenset] = []
@@ -566,10 +567,12 @@ def matched_branching(edges: Iterable[tuple], budget: int,
             count += 1
         return count
 
-    def rec(es: list, added: frozenset, left: int):
+    stack = [(edges, frozenset(), budget)]
+    while stack:
+        es, added, left = stack.pop()
         meter.spend()
         if left < 0 or residual_lower_bound(es) > left:
-            return
+            continue
         deg: dict = {}
         for (u, w) in es:
             deg[u] = deg.get(u, 0) + 1
@@ -577,16 +580,12 @@ def matched_branching(edges: Iterable[tuple], budget: int,
         heavy = sorted(v for v, d in deg.items() if d >= 2)
         if not heavy:
             leaves.append(added)
-            return
+            continue
         v = heavy[0]
-        # v joins the solution
-        rec([e for e in es if v not in e], added | {v}, left - 1)
-        # v stays; all its edge-neighbors join
+        # pushed in reverse: first v joins, then v stays and its neighbors join
         nbrs = frozenset(u if w == v else w for (u, w) in es if v in (u, w))
-        rest = [e for e in es if not (set(e) & nbrs)]
-        rec(rest, added | nbrs, left - len(nbrs))
-
-    rec(edges, frozenset(), budget)
+        stack.append(([e for e in es if not (set(e) & nbrs)], added | nbrs, left - len(nbrs)))
+        stack.append(([e for e in es if v not in e], added | {v}, left - 1))
     return leaves
 
 

@@ -9,8 +9,8 @@ Four routes with very different trust stories:
   edges, with safe reduction, a packing lower bound read at each node from
   one list of the A-pairs, and each failed sibling kept out of the later
   ones.
-* ``exact_min_fvs``   -- ascending-budget iteration over ``branch_solve``,
-  from the square-packing lower bound up.
+* ``exact_min_fvs``   -- ascending budgets over ``branch_solve`` from the
+  square-packing lower bound up, by the one minimiser :func:`_min_fvs`.
 
 All solvers honor ``Constraints``: a set of undeletable vertices, a set of
 vertices forced into the solution, an edge set the solution must cover, and
@@ -437,8 +437,28 @@ def exact_min_fvs(T: BipartiteTournament) -> frozenset:
     """Minimum feedback vertex set by ascending-budget iteration over
     ``branch_solve``, starting at the greedy square-packing bound: no budget
     below it can succeed, so the first budget that does is the optimum."""
-    for k in range(squares_packing_lower_bound(T), T.num_vertices + 1):
-        res = branch_solve(T, Constraints(budget=k))
+    return _min_fvs(T, frozenset(), frozenset())
+
+
+def _min_fvs(T: BipartiteTournament, required, forbidden) -> frozenset | None:
+    """The one ascending-budget minimiser: a minimum feedback vertex set of T
+    that contains ``required`` (dropped from the answer) and avoids
+    ``forbidden``; None when some square cannot be broken.  Budgets start at
+    the packing bound of the squares that miss ``required``, read from one
+    scan of T's A-pairs with the forbidden mask.  Each restart gets the list
+    ``branch_solve`` would build itself: that one under a constraint, else
+    the A-pairs of T[survivors], rescanned only when the survivor mask
+    changes."""
+    groups = _pair_groups(T, T.full_mask, T.mask_of(forbidden))
+    if groups is None:
+        return None
+    alive, free = T.full_mask, not required and not forbidden
+    for k in range(_packing(groups, T.mask_of(required), T.num_vertices),
+                   T.num_vertices - len(required) - len(forbidden) + 1):
+        if free and (survivors := _survivors(T, k)) != alive:
+            alive, groups = survivors, _pair_groups(T, survivors)
+        res = branch_solve(T, Constraints(forbidden=forbidden, required_in=required,
+                                          budget=len(required) + k), groups=groups)
         if res.found:
-            return res.solution
-    raise AssertionError("unreachable: deleting everything is always a solution")
+            return res.solution - required
+    return None

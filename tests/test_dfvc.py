@@ -5,13 +5,12 @@ import time
 import pytest
 
 from btfvs import dfvc
-from btfvs.dfvc import (DfvcInstance, _part_min_fvs, dfvc_solve, validate_class,
-                        verify_dfvc)
+from btfvs.dfvc import DfvcInstance, dfvc_solve, validate_class, verify_dfvc
 from btfvs.errors import NotAMatching
 from btfvs.generators import GenKind, GenSpec, SplitMix64, generate
 from btfvs.graph import MixedMultigraph
 from btfvs.reference import dfvc_oracle
-from btfvs.solvers import Constraints, SolveStatus, branch_solve
+from btfvs.solvers import Constraints, SolveStatus, _min_fvs, branch_solve
 
 from conftest import a, b, tournament
 
@@ -133,11 +132,11 @@ class TestDfvcSolve:
         inst = DfvcInstance(matched_acyclic_parts(4), frozenset(), 4)
         solved = []
 
-        def solving(part, removed, forbidden, _original=dfvc._part_min_fvs):
+        def solving(part, removed, forbidden, _original=dfvc._min_fvs):
             solved.append(part)
             return _original(part, removed, forbidden)
 
-        monkeypatch.setattr(dfvc, "_part_min_fvs", solving)
+        monkeypatch.setattr(dfvc, "_min_fvs", solving)
         res = dfvc_solve(inst)
         assert res.found and res.solution == {(0, a(i)) for i in range(4)}
         assert len(solved) == 2 and res.stats.nodes == 1
@@ -217,7 +216,7 @@ class TestPartMinFvs:
             if seed % 4:
                 forbidden = {v for v in verts if v not in removed and rng.below(4) == 0}
             reduced_only_there += bool(removed) and not forbidden
-            assert _part_min_fvs(part, removed, forbidden) == \
+            assert _min_fvs(part, removed, forbidden) == \
                 _part_min_fvs_on_remainder(part, removed, forbidden), seed
         assert reduced_only_there >= 30
 
@@ -230,18 +229,46 @@ class TestPartMinFvs:
             scans[0] += 1
             return _original(*args)
 
-        def counting_search(*args, _original=dfvc.branch_solve, **kwargs):
+        def counting_search(*args, _original=solvers.branch_solve, **kwargs):
             restarts[0] += 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(solvers, "_a_pairs", counting_scan)
-        monkeypatch.setattr(dfvc, "branch_solve", counting_search)
+        monkeypatch.setattr(solvers, "branch_solve", counting_search)
         repeated = 0
         for seed in range(40):
             part = generate(GenSpec(5, 5, GenKind.PLANTED_FVS, seed=seed, k_plant=3))
             verts = part.vertices()
             scans[0] = restarts[0] = 0
-            _part_min_fvs(part, {verts[seed % 10]}, {verts[(seed + 3) % 10]})
+            _min_fvs(part, {verts[seed % 10]}, {verts[(seed + 3) % 10]})
             assert scans[0] == 1, seed
             repeated += restarts[0] >= 2
         assert repeated >= 5
+
+    @pytest.mark.parametrize("seed", [23, 30, 34])
+    def test_every_search_gets_the_list_it_would_build(self, seed, monkeypatch):
+        # a part with no forbidden and no chosen vertex is searched free, on
+        # T[survivors], after the twin rule may have cut a class: every list
+        # handed to branch_solve, at every binding, is the one it would build
+        from btfvs import pipeline, solvers
+        from btfvs.pipeline import pipeline_solve
+        from btfvs.solvers import _pair_groups, _survivors, exact_min_fvs
+        given = []
+
+        def checking(T, constraints=None, *, groups=None, _original=solvers.branch_solve):
+            if groups is not None:
+                alive = _survivors(T, constraints.budget) if constraints.is_free() \
+                    else T.full_mask
+                assert groups == _pair_groups(T, alive, T.mask_of(constraints.forbidden))
+                given.append(constraints.budget)
+            return _original(T, constraints, groups=groups)
+
+        for module in (solvers, pipeline, dfvc):
+            monkeypatch.setattr(module, "branch_solve", checking)
+        T = generate(GenSpec(4, 4, GenKind.TWIN_HEAVY, seed=seed, twin_a=3, twin_b=3))
+        opt = len(exact_min_fvs(T))
+        for k in (opt - 1, opt):
+            pipeline_solve(T, k)
+        res = dfvc_solve(DfvcInstance(MixedMultigraph([T], []), frozenset(), T.num_vertices))
+        assert res.found and len(res.solution) == opt
+        assert 1 in given

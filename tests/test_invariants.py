@@ -130,8 +130,10 @@ def test_benchmark_calls_bind_to_btfvs_signatures():
 
 def test_branch_solve_lookup_sites_are_the_solver():
     # the tracer counts part searches and fallback time by wrapping
-    # branch_solve where dfvc and pipeline look it up; a local wrapper or
-    # copy there would hide those searches from it
+    # branch_solve where it is looked up; part searches reach it through
+    # solvers' own binding (solvers._min_fvs), and dfvc keeps its import
+    # only as a site the tracer's list names; a local wrapper or copy in
+    # pipeline would hide the fallback search from it
     import btfvs.dfvc
     import btfvs.pipeline
     import btfvs.solvers

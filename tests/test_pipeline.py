@@ -77,7 +77,7 @@ class TestMFamily:
         prof = ConstantsProfile(hom_window=1, large_ratio=3, weak_matching=2,
                                 block_degree=3, part_fvs_f=1, part_degree_d=2,
                                 budget_slack=1, sample_q=2)
-        fam = list(m_family(T, 2, prof))
+        fam = list(m_family(T, prof))
         # slack 1 still allows the bare selections; all must be present
         space_size = twise_space_size(4, 1, 2)
         assert len(fam) <= space_size * (1 + 4)
@@ -90,7 +90,7 @@ class TestMFamily:
         prof = ConstantsProfile(hom_window=2, large_ratio=3, weak_matching=2,
                                 block_degree=3, part_fvs_f=1, part_degree_d=2,
                                 budget_slack=1, sample_q=2)
-        fam = m_family(T, 2, prof)
+        fam = m_family(T, prof)
         space = twise_space(6, 2, 2)
         verts = T.vertices()
         expect = set()
@@ -108,7 +108,7 @@ class TestMFamily:
                                 block_degree=3, part_fvs_f=1, part_degree_d=2,
                                 budget_slack=1, sample_q=2, family_cap=10)
         with pytest.raises(FamilyCapExceeded) as exc:
-            m_family(T, 2, prof)
+            m_family(T, prof)
         assert exc.value.would_be > 10
 
     def test_sample_space_built_once(self):
@@ -118,7 +118,7 @@ class TestMFamily:
 
     def test_deterministic(self):
         T = generate(GenSpec(3, 2, GenKind.UNIFORM_RANDOM, seed=7))
-        assert list(m_family(T, 2, TOY)) == list(m_family(T, 2, TOY))
+        assert list(m_family(T, TOY)) == list(m_family(T, TOY))
 
     def test_order_is_first_occurrence(self):
         # selection by selection, exemption subsets by size and each size in
@@ -136,23 +136,23 @@ class TestMFamily:
                     for combo in combinations(sorted(z), r):
                         if z - frozenset(combo) not in expect:
                             expect.append(z - frozenset(combo))
-            assert list(m_family(T, 2, prof)) == expect
+            assert list(m_family(T, prof)) == expect
 
     def test_cold_caches_give_the_warm_sequence(self):
         T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=8))
-        warm = list(m_family(T, 2, TOY))
+        warm = list(m_family(T, TOY))
         for cached in (twise_space, pipeline._selections, pipeline._exempted):
             cached.cache_clear()
-        assert list(m_family(T, 2, TOY)) == warm
+        assert list(m_family(T, TOY)) == warm
 
     def test_warm_shape_still_checks_the_callers_cap(self):
         # the selections of this shape are cached by the first call; a
         # smaller cap still raises, with the count and message it always had
         T = generate(GenSpec(3, 4, GenKind.UNIFORM_RANDOM, seed=3))
         prof = dataclasses.replace(TOY, hom_window=1)
-        assert len(list(m_family(T, 2, prof))) == 9
+        assert len(list(m_family(T, prof))) == 9
         with pytest.raises(FamilyCapExceeded) as exc:
-            m_family(T, 2, dataclasses.replace(prof, family_cap=10))
+            m_family(T, dataclasses.replace(prof, family_cap=10))
         assert exc.value.would_be == 36
         assert str(exc.value) == "undeletable-set family: family of size >= 36 exceeds cap 10"
 
@@ -392,6 +392,24 @@ class TestMatchedBranching:
                 by_cost[len(added)] = by_cost.get(len(added), 0) + 1
             for s, count in by_cost.items():
                 assert count <= fib(s + 2), (s, count, edges)
+
+    def test_deep_branching_meets_the_cap_not_the_stack(self):
+        # a_i - b_i and b_i - a_(i+1): "v joins" fits the budget all the
+        # way down, so the first branch runs about 1,200 levels deep
+        edges = [e for i in range(1200) for e in ((a(i), b(i)), (b(i), a(i + 1)))]
+        with pytest.raises(FamilyCapExceeded) as exc:
+            matched_branching(edges, budget=1200, cap=1001)
+        assert exc.value.would_be == 1002
+
+    def test_leaves_no_cyclic_garbage(self):
+        import gc
+        gc.collect()
+        gc.disable()
+        try:
+            leaves = matched_branching(self.path_edges(8), budget=20)
+            assert leaves and gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestCascade:

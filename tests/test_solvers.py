@@ -483,6 +483,35 @@ class TestExact:
             T = generate(spec)
             assert len(exact_min_fvs(T)) <= 3
 
+    def test_pairs_rescanned_only_when_the_survivors_change(self, monkeypatch):
+        # one A-pair scan for the bound, then one per restart whose survivor
+        # mask differs from the one the last list was built for (all of T
+        # for the bound's list); every other restart reuses the list
+        scans, masks = [0], []
+
+        def counting_scan(*args, _original=solvers._a_pairs):
+            scans[0] += 1
+            return _original(*args)
+
+        def recording(T, constraints=None, groups=None):
+            masks.append(solvers._survivors(T, constraints.budget))
+            return branch_solve(T, constraints, groups=groups)
+
+        monkeypatch.setattr(solvers, "_a_pairs", counting_scan)
+        monkeypatch.setattr(solvers, "branch_solve", recording)
+        kinds = (GenKind.UNIFORM_RANDOM, GenKind.TWIN_HEAVY, GenKind.PLANTED_FVS)
+        rebuilt = reused = 0
+        for seed in range(60):
+            T = generate(GenSpec(4 + seed % 4, 4 + (seed // 3) % 4, kinds[seed % 3],
+                                 seed=seed, k_plant=3, twin_a=3, twin_b=3))
+            scans[0], masks[:] = 0, []
+            exact_min_fvs(T)
+            changes = sum(m != last for last, m in zip([T.full_mask] + masks, masks))
+            assert scans[0] == 1 + changes, seed
+            rebuilt += changes
+            reused += len(masks) - changes
+        assert rebuilt >= 20 and reused >= 20
+
 
 def _labels(T, vs):
     return None if vs is None else sorted(T.label(v) for v in vs)
@@ -560,9 +589,9 @@ class TestSquareLayerPinned:
         # exact_min_fvs tries budgets from the packing bound up to the optimum
         budgets = []
 
-        def recording(T, constraints=None):
+        def recording(T, constraints=None, groups=None):
             budgets.append(constraints.budget)
-            return branch_solve(T, constraints)
+            return branch_solve(T, constraints, groups=groups)
 
         monkeypatch.setattr(solvers, "branch_solve", recording)
         T = generate(spec)
