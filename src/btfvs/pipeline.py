@@ -896,30 +896,35 @@ def _walk(T: BipartiteTournament, k: int, profile: ConstantsProfile, family: tup
     which meets each depth of the tree in breadth-first order and builds a
     seed when it reaches it.  ``sizes`` (``[0]`` on entry) counts each
     stage's children and ``notes`` gets (stage index, diagnostic); only a
-    ``records`` list, which keeps every instance alive, gets expansions."""
+    ``records`` list, which keeps every instance alive, gets expansions.
+
+    The walk keeps an explicit stack of child iterators, one per depth, so
+    it holds no self-referring closure that would outlive it in a cycle."""
     sizes[1:] = [0] * (len(STAGES) - 1)
     fns = (stage_regular, stage_weak, stage_matched, stage_lowblockdegree, stage_decoupled)
-
-    def expand(inst: CfvsInstance, depth: int) -> Iterator[CfvsInstance]:
-        if depth == len(STAGES):
-            yield inst
-            return
-        try:
-            children = fns[depth - 1](inst, profile)
-        except (FamilyCapExceeded, PreconditionViolated) as exc:
-            notes.append((depth, f"{STAGES[depth]}: {exc}"))
-            return
-        sizes[depth] += len(children)
-        if records is not None:
-            records.append((depth, STAGES[depth], inst, children))
-        for child in children:
-            yield from expand(child, depth + 1)
-
     for seed in _seeds(T, k, family):
         sizes[0] += 1
         if records is not None:
             records.append((0, "seed", None, [seed]))
-        yield from expand(seed, 1)
+        stack = [iter((seed,))]  # stack[d - 1] yields the instances at depth d
+        while stack:
+            inst = next(stack[-1], None)
+            if inst is None:
+                stack.pop()
+                continue
+            depth = len(stack)
+            if depth == len(STAGES):
+                yield inst
+                continue
+            try:
+                children = fns[depth - 1](inst, profile)
+            except (FamilyCapExceeded, PreconditionViolated) as exc:
+                notes.append((depth, f"{STAGES[depth]}: {exc}"))
+                continue
+            sizes[depth] += len(children)
+            if records is not None:
+                records.append((depth, STAGES[depth], inst, children))
+            stack.append(iter(children))
 
 
 def _replay(sizes: list, notes: list, records: list | None, collect) -> tuple[list, list]:

@@ -27,7 +27,9 @@ from typing import Iterable, NamedTuple
 
 from .errors import InstanceTooLarge
 from .graph import BipartiteTournament, Vertex
-from .structure import _a_pairs, _on_cycles, _square_gids, all_squares, find_square
+from .structure import (_a_pairs, _on_cycles, _PairGroups, _rows_nested, _square_gids,
+                        all_squares)
+from .structure import find_square  # noqa: F401  (a lookup site perfbench's tracer wraps)
 
 
 class SolveStatus(Enum):
@@ -82,11 +84,23 @@ class Constraints:
 
 
 def verify_fvs(T: BipartiteTournament, S: Iterable[Vertex]) -> bool:
-    """Is T - S acyclic?  Decided by square-freeness of the remainder."""
+    """Is T - S acyclic?  Decided by square-freeness of the remainder X,
+    read from its rows (:func:`structure._rows_nested`): T[X] is square-free
+    exactly when the live out-rows out(a) & X of its A vertices form a
+    chain under inclusion.
+
+    Proof: in a bipartite tournament every b not in out(a) beats a.  So
+    a -> b -> a' -> b' -> a is a square of T[X] exactly when b is in
+    out(a) & ~out(a') and b' in out(a') & ~out(a), both in X: when the rows
+    of a and a' are incomparable, each holding a vertex the other lacks.
+    Hence T[X] has no square exactly when every two rows are comparable,
+    that is, when the rows form a chain; and a bipartite tournament is
+    acyclic exactly when it has no square.
+    """
     S = set(S)
     for v in S:
         T.check_vertex(v)
-    return find_square(T, T.full_mask & ~T.mask_of(S)) is None
+    return _rows_nested(T, T.full_mask & ~T.mask_of(S))
 
 
 def satisfies(T: BipartiteTournament, S: Iterable[Vertex], constraints: Constraints) -> bool:
@@ -196,24 +210,18 @@ def _approx4_mask(T: BipartiteTournament, k: int, alive: int) -> int | None:
             alive &= ~(1 << g)
 
 
-_PairGroups = list[tuple[int, list[tuple[int, int, int]]]]  # (a, [(a', D1, D0), ...])
-
-
 def _pair_groups(T: BipartiteTournament, alive: int, forbidden: int = 0) -> _PairGroups | None:
     """The A-pairs of T[alive] (:func:`structure._a_pairs`, gid masks),
-    grouped by their lower vertex in scan order: ``(a, [(a', D1, D0), ...])``
-    with a and a' as bits.  None when a square of T[alive] is made of
-    ``forbidden`` vertices only, which certifies infeasibility."""
-    groups: _PairGroups = []
-    last = 0
-    for pair, d1, d0 in _a_pairs(T, alive):
-        if not pair & ~forbidden and d1 & forbidden and d0 & forbidden:
-            return None
-        a = pair & -pair
-        if a != last:
-            last, pairs = a, []
-            groups.append((a, pairs))
-        pairs.append((pair ^ a, d1, d0))
+    grouped by their lower vertex in scan order: ``(a, U0, [(a', D1, D0),
+    ...])`` with a and a' as bits and U0 the union of the group's D0 masks.
+    None when a square of T[alive] is made of ``forbidden`` vertices only,
+    which certifies infeasibility."""
+    groups = _a_pairs(T, alive)
+    for a, union, pairs in groups:
+        if a & forbidden and union & forbidden:
+            for a2, d1, d0 in pairs:
+                if a2 & forbidden and d1 & forbidden and d0 & forbidden:
+                    return None
     return groups
 
 
@@ -225,11 +233,13 @@ def _packing(groups: _PairGroups, used: int, cap: int) -> int:
 
     All squares of an A-pair share a and a', so at most one per pair is
     packed, the first in ``all_squares`` order: {min live D1, min live D0}.
-    Once one is packed, a is used and the rest of its group is skipped."""
+    Once one is packed, a is used and the rest of its group is skipped; so
+    is a group whose D0 union U0 has no free vertex, as none of its pairs
+    can pack."""
     count = 0
     free = ~used
-    for a, pairs in groups:
-        if a & used:
+    for a, union, pairs in groups:
+        if a & used or not union & free:
             continue
         for a2, d1, d0 in pairs:
             if a2 & used:

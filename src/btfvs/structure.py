@@ -5,7 +5,9 @@ A square is a directed 4-cycle a -> b -> a' -> b' -> a.  For bipartite
 tournaments, square-freeness and acyclicity coincide; the two sides of that
 equivalence are implemented by independent routes here (exhaustive square
 scan vs. in-degree-zero peeling) so the equivalence stays an executable
-cross-check instead of a tautology.
+cross-check instead of a tautology.  A third route, :func:`_rows_nested`,
+tests square-freeness by whether the live out-rows of the A vertices form
+a chain under inclusion.
 """
 
 from __future__ import annotations
@@ -44,21 +46,30 @@ class CanonicalSequence(NamedTuple):
         return iter(self.sets)
 
 
-def _a_pairs(T: BipartiteTournament, alive: int):
-    """(pair bits, D1, D0) for each pair a < a' of A vertices of the gid
-    bitmask ``alive`` that lies in a square, ascending by (a, a').  Over the
-    live B vertices, D1 = out(a) & ~out(a') and D0 = out(a') & ~out(a), and
-    {a, a', b, b'} is a square exactly when b is in D1 and b' in D0.
+_PairGroups = list[tuple[int, int, list[tuple[int, int, int]]]]  # (a, U0, [(a', D1, D0), ...])
+
+
+def _a_pairs(T: BipartiteTournament, alive: int) -> _PairGroups:
+    """The pairs a < a' of A vertices of the gid bitmask ``alive`` that lie
+    in a square, grouped by a in ascending order: ``(a, U0, [(a', D1, D0),
+    ...])`` with a and a' as bits and the a' ascending.  Over the live B
+    vertices, D1 = out(a) & ~out(a') and D0 = out(a') & ~out(a), and
+    {a, a', b, b'} is a square exactly when b is in D1 and b' in D0.  U0 is
+    the union of the group's D0 masks, so a group none of whose D0 vertices
+    is free holds no square that misses the used vertices.
     """
     out = T.out_mask
-    a_ids = [i for i in range(T.m) if alive >> i & 1]
-    for x, i in enumerate(a_ids):
-        out_i = out[i] & alive
-        for i2 in a_ids[x + 1:]:
-            d1 = out_i & ~out[i2]
-            d0 = out[i2] & alive & ~out_i
-            if d1 and d0:
-                yield (1 << i) | (1 << i2), d1, d0
+    rows = [(1 << i, out[i] & alive) for i in range(T.m) if alive >> i & 1]
+    table: _PairGroups = []
+    for x, (a, row) in enumerate(rows):
+        pairs = [(a2, d1, d0) for a2, row2 in rows[x + 1:]
+                 if (d1 := row & ~row2) and (d0 := row2 & ~row)]
+        if pairs:
+            union = 0
+            for _, _, d0 in pairs:
+                union |= d0
+            table.append((a, union, pairs))
+    return table
 
 
 def _square_gids(T: BipartiteTournament, alive: int) -> tuple[int, int, int, int] | None:
@@ -107,17 +118,36 @@ def all_squares(T: BipartiteTournament, within_mask: int | None = None) -> list[
     """
     alive = T.full_mask if within_mask is None else within_mask
     squares: list[int] = []
-    for pair, d1, d0 in _a_pairs(T, alive):
-        rest = d1 | d0
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            other = (d0 if low & d1 else d1) & rest  # the b' > b across from b
-            while other:
-                high = other & -other
-                other ^= high
-                squares.append(pair | low | high)
+    for a, _, pairs in _a_pairs(T, alive):
+        for a2, d1, d0 in pairs:
+            pair = a | a2
+            rest = d1 | d0
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                other = (d0 if low & d1 else d1) & rest  # the b' > b across from b
+                while other:
+                    high = other & -other
+                    other ^= high
+                    squares.append(pair | low | high)
     return squares
+
+
+def _rows_nested(T: BipartiteTournament, alive: int) -> bool:
+    """Is T[alive] square-free?  Decided by whether the live out-rows
+    ``out(a) & alive`` of its A vertices form a chain under inclusion (see
+    :func:`solvers.verify_fvs` for the proof), with no square sought.
+
+    A strict subset has the smaller integer value, so the rows sorted as
+    ints form a chain exactly when each is a subset of the next.
+    """
+    out = T.out_mask
+    prev = 0
+    for row in sorted([out[i] & alive for i in range(T.m) if alive >> i & 1]):
+        if prev & ~row:
+            return False
+        prev = row
+    return True
 
 
 def _peel_layers_mask(T: BipartiteTournament, alive: int) -> list[int] | None:

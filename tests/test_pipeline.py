@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 
 import pytest
@@ -672,6 +673,29 @@ class TestDepthFirstWalk:
         assert events[-1] == ("dfvc_solve", True)
         assert res.stats.nodes == sum(isinstance(e, tuple) for e in events)
         assert len(builds) == dict(res.trace)["seed"] < len(seeds) == 121
+
+    def test_walk_leaves_no_reference_cycle(self):
+        # a walk stopped at the answer and one run to its end leave nothing
+        # for the cycle collector: no walk function outlives its solve
+        enabled, flags = gc.isenabled(), gc.get_debug()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            answered = pipeline_solve(generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2)),
+                                      2, TOY)
+            walked_out = pipeline_solve(generate(GenSpec(5, 5, GenKind.UNIFORM_RANDOM,
+                                                         seed=25, k_plant=2)), 2, TOY)
+            gc.collect()
+            left = [o for o in gc.garbage if "_walk" in getattr(o, "__qualname__", "")]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert answered.found and not answered.used_fallback
+        assert walked_out.found and walked_out.used_fallback
+        assert left == []
 
     def test_emit_families_writes_the_breadth_first_files(self, tmp_path):
         # a yes-instance whose cascade answers nothing, so the walk runs to

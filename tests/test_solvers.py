@@ -3,14 +3,14 @@ from __future__ import annotations
 import hashlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from btfvs import solvers
 from btfvs.errors import InstanceTooLarge
 from btfvs.generators import GenKind, GenSpec, SplitMix64, generate
 from btfvs.graph import BipartiteTournament
-from btfvs.reference import brute_squares
+from btfvs.reference import brute_squares, dfs_has_cycle
 from btfvs.solvers import (Constraints, SolveStatus, approx4, branch_solve,
                            exact_min_fvs, oracle_min_fvs, reduce_instance,
                            satisfies, squares_packing_lower_bound, verify_fvs)
@@ -223,8 +223,9 @@ def _pair_scan_survivors(T, k: int) -> int:
     alive = T.full_mask
     while True:
         keep = 0
-        for pair, d1, d0 in _a_pairs(T, alive):
-            keep |= pair | d1 | d0
+        for a, _, pairs in _a_pairs(T, alive):
+            for a2, d1, d0 in pairs:
+                keep |= a | a2 | d1 | d0
         if keep == alive:
             for cls in T.false_twin_classes(alive):
                 keep &= ~T.mask_of(sorted(cls)[k + 1:])
@@ -250,6 +251,56 @@ class TestStrongComponentEquivalences:
         assert solvers._survivors(T, k) == _pair_scan_survivors(T, k)
         # a second budget reads T's cached reduction, or redoes it
         assert solvers._survivors(T, k + 1) == _pair_scan_survivors(T, k + 1)
+
+
+_EMPTY_SIDED = [(BipartiteTournament(0, 3, []), 0b101, 0),
+                (tournament([[], [], []]), 0b011, 0b100),
+                (BipartiteTournament(0, 0, []), 0, 0)]
+
+
+class TestRowKernels:
+    """The nested-row check and the pair table's packing, against routes
+    that share nothing with them."""
+
+    @given(twinned_tournaments())
+    @example(_EMPTY_SIDED[0])
+    @example(_EMPTY_SIDED[1])
+    @example(_EMPTY_SIDED[2])
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_verify_is_the_dfs_and_the_square_scan(self, case):
+        T, s_mask, _ = case
+        S = T.vertices_of_mask(s_mask)
+        rest = T.full_mask & ~s_mask
+        got = verify_fvs(T, S)
+        assert got == (not dfs_has_cycle(T, set(T.vertices()) - set(S)))
+        assert got == (find_square(T, rest) is None)
+
+    @given(twinned_tournaments(), st.integers(0, 2 ** 32), st.integers(0, 4))
+    @example(_EMPTY_SIDED[0], 0, 0)
+    @example(_EMPTY_SIDED[1], 1, 2)
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_packing_is_the_list_greedy_under_constraints(self, case, seed, cap):
+        # the free list, one built with a forbidden mask and one whose
+        # forbidden mask holds a whole square, each packed from removed
+        # masks that use about one vertex in three, against the greedy over
+        # all_squares' list
+        T, alive, forbidden = case
+        masks = all_squares(T, alive)
+        rng = SplitMix64(seed)
+        forbs = [0, forbidden]
+        if masks:
+            forbs.append(forbidden | masks[seed % len(masks)])
+        for forb in forbs:
+            groups = solvers._pair_groups(T, alive, forb)
+            if any(q & ~forb == 0 for q in masks):
+                assert groups is None
+                continue
+            for _ in range(3):
+                removed = 0
+                for g in range(T.num_vertices):
+                    removed |= (rng.below(3) == 0) << g
+                want = _greedy_packing([q for q in masks if not q & removed])
+                assert solvers._packing(groups, removed, cap) == min(want, cap + 1)
 
 
 class TestReduce:
