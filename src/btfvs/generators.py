@@ -5,12 +5,17 @@ for bit-exact portability: the same GenSpec yields the same instance on any
 platform or Python version.  Each instance derives its own stream by mixing
 the GenSpec fields into the seed, so corpora can be generated out of order
 or in parallel without coordination.
+
+A matrix's random cells are drawn in one :meth:`SplitMix64.coins` call, the
+same stream as one :meth:`SplitMix64.coin` per cell in row-major order, and
+the rest of the matrix is built from whole rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 from .graph import BipartiteTournament
 
@@ -33,6 +38,19 @@ class SplitMix64:
 
     def coin(self) -> bool:
         return bool(self.next_u64() & 1)
+
+    def coins(self, count: int) -> list[bool]:
+        """``count`` successive :meth:`coin` flips, leaving the same final
+        ``state``: one loop over locals instead of two calls per flip."""
+        mask, state, out = self.MASK, self.state, []
+        append = out.append
+        for _ in range(count):
+            state = (state + 0x9E3779B97F4A7C15) & mask
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            append((z ^ (z >> 31)) & 1 == 1)
+        self.state = state
+        return out
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection."""
@@ -106,15 +124,20 @@ class GenSpec:
         return f"{self.kind.value}-{self.m}x{self.n}-{self.seed}"
 
 
+def _rows(cells: list, m: int, n: int) -> list[list]:
+    """``cells`` cut into ``m`` rows of ``n``, in row-major order."""
+    return [cells[i * n:(i + 1) * n] for i in range(m)]
+
+
 def _acyclic_orient(m: int, n: int, rng: SplitMix64) -> list[list[bool]]:
     """Random interleaving of the two sides realized as an orientation:
-    a_i -> b_j exactly when a_i precedes b_j in the interleaving."""
+    a_i -> b_j exactly when a_i precedes b_j in the interleaving.  The
+    b_j are in interleaving order, so row i is False for the ``p - i`` of
+    them placed before a_i (at slot p) and True for the rest."""
     slots = ["A"] * m + ["B"] * n
     rng.shuffle(slots)
-    pos_a, pos_b = [], []
-    for p, s in enumerate(slots):
-        (pos_a if s == "A" else pos_b).append(p)
-    return [[pos_a[i] < pos_b[j] for j in range(n)] for i in range(m)]
+    a_slots = [p for p, s in enumerate(slots) if s == "A"]
+    return [[False] * (p - i) + [True] * (n - p + i) for i, p in enumerate(a_slots)]
 
 
 def generate(spec: GenSpec) -> BipartiteTournament:
@@ -123,26 +146,33 @@ def generate(spec: GenSpec) -> BipartiteTournament:
     rng = spec.stream()
     m, n = spec.m, spec.n
     if spec.kind is GenKind.UNIFORM_RANDOM:
-        orient = [[rng.coin() for _ in range(n)] for _ in range(m)]
+        orient = _rows(rng.coins(m * n), m, n)
     elif spec.kind is GenKind.ACYCLIC:
         orient = _acyclic_orient(m, n, rng)
     elif spec.kind is GenKind.PLANTED_FVS:
         orient = _acyclic_orient(m, n, rng)
-        base = BipartiteTournament(m, n, orient)
-        planted = rng.sample(base.vertices(), min(spec.k_plant, m + n))
-        planted_a = {v.index for v in planted if v.side == "A"}
-        planted_b = {v.index for v in planted if v.side == "B"}
-        for i in range(m):
-            for j in range(n):
-                if i in planted_a or j in planted_b:
-                    orient[i][j] = rng.coin()
+        # gids, as BipartiteTournament.vertices() lists them: a_i is i, b_j is m + j
+        planted = rng.sample(range(m + n), min(spec.k_plant, m + n))
+        planted_rows = {g for g in planted if g < m}
+        planted_cols = sorted(g - m for g in planted if g >= m)
+        # redraw every cell of a planted row or column, in row-major order
+        flips = iter(rng.coins(len(planted_rows) * n
+                               + (m - len(planted_rows)) * len(planted_cols)))
+        for i, row in enumerate(orient):
+            if i in planted_rows:
+                row[:] = islice(flips, n)
+            else:
+                for j in planted_cols:
+                    row[j] = next(flips)
     elif spec.kind is GenKind.TWIN_HEAVY:
         ta, tb = spec.twin_a, spec.twin_b
         core_m = (m + ta - 1) // ta if m else 0
         core_n = (n + tb - 1) // tb if n else 0
-        core = [[rng.coin() for _ in range(core_n)] for _ in range(core_m)]
-        orient = [[core[i // ta][j // tb] for j in range(n)] for i in range(m)]
+        core = _rows(rng.coins(core_m * core_n), core_m, core_n)
+        # a_i copies core row i // ta, b_j core column j // tb
+        picks = [j // tb for j in range(n)]
+        wide = [list(map(row.__getitem__, picks)) for row in core]
+        orient = [wide[i // ta] for i in range(m)]
     else:  # pragma: no cover
         raise ValueError(f"unknown kind {spec.kind!r}")
     return BipartiteTournament(m, n, orient)
-

@@ -67,7 +67,7 @@ class BipartiteTournament:
             raise DimensionMismatch(f"expected {m} rows, got {len(orient)}")
         rows = []
         for i, row in enumerate(orient):
-            row = tuple(bool(x) for x in row)
+            row = tuple(map(bool, row))
             if len(row) != n:
                 raise DimensionMismatch(f"row {i} has {len(row)} entries, expected {n}")
             rows.append(row)

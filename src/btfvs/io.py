@@ -4,6 +4,11 @@ One instance format for tournaments (m, n, 0/1 orientation matrix, optional
 budget, labels, metadata), one for mixed multigraphs.  Parsing is strict --
 every malformed cell is named -- and round-trips are lossless: unknown
 top-level fields ride along unchanged.
+
+An instance file is ``json.dumps(obj, sort_keys=True, indent=2)`` plus a
+newline, byte for byte.  The orientation matrix, the only part that grows
+with the instance, is written and checked a row at a time at C speed; the
+rest goes through ``json``.
 """
 
 from __future__ import annotations
@@ -12,9 +17,10 @@ import json
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, ParseError
-from .graph import BipartiteTournament, MixedMultigraph, Vertex
+from .graph import _DIGITS, BipartiteTournament, MixedMultigraph, Vertex
 
 KNOWN_FIELDS = {"m", "n", "orient", "k", "labels", "metadata"}
+_INT, _BITS = {int}, {0, 1}
 
 
 class ParsedInstance(NamedTuple):
@@ -25,6 +31,10 @@ class ParsedInstance(NamedTuple):
 
 
 def parse_instance(text: str | bytes) -> ParsedInstance:
+    """The instance in ``text``; raises ParseError naming the first bad
+    field, or the first bad cell as ``orient[i][j]``.  Every row is checked
+    before the tournament is built, so a bad cell is reported before a row
+    of the wrong length."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     try:
@@ -43,16 +53,15 @@ def parse_instance(text: str | bytes) -> ParsedInstance:
     orient_raw = obj["orient"]
     if not isinstance(orient_raw, list):
         raise ParseError("orient must be an array of arrays")
-    orient = []
     for i, row in enumerate(orient_raw):
         if not isinstance(row, list):
             raise ParseError(f"orient row {i} is not an array")
-        cells = []
+        # type(), not isinstance(), again; only a failing row is walked by cell
+        if set(map(type, row)) <= _INT and set(row) <= _BITS:
+            continue
         for j, cell in enumerate(row):
             if type(cell) is not int or cell not in (0, 1):
                 raise ParseError(f"orient[{i}][{j}] must be 0 or 1, got {cell!r}")
-            cells.append(bool(cell))
-        orient.append(cells)
     k = obj.get("k")
     if k is not None and (type(k) is not int or k < 0):
         raise ParseError(f"k must be a non-negative integer, got {k!r}")
@@ -62,21 +71,37 @@ def parse_instance(text: str | bytes) -> ParsedInstance:
             raise ParseError("labels must be an array of strings")
     metadata = obj.get("metadata")
     try:
-        T = BipartiteTournament(m, n, orient, labels)
+        T = BipartiteTournament(m, n, orient_raw, labels)
     except DimensionMismatch as exc:
         raise ParseError(str(exc)) from exc
     extras = {key: val for key, val in obj.items() if key not in KNOWN_FIELDS}
     return ParsedInstance(T, k, metadata, extras)
 
 
+def _orient_json(orient) -> str:
+    """The matrix as ``json.dumps(indent=2)`` lays it out one level deep:
+    each row's bools become a string of digits that ``str.join`` splits
+    into one cell per line."""
+    if not orient:
+        return "[]"
+    cell = ",\n      "
+    rows = ["[\n      " + cell.join(bytes(row).translate(_DIGITS).decode()) + "\n    ]"
+            if row else "[]" for row in orient]
+    return "[\n    " + ",\n    ".join(rows) + "\n  ]"
+
+
 def serialize_instance(T: BipartiteTournament, k: int | None = None,
                        metadata: dict | None = None,
                        extras: dict | None = None) -> str:
-    obj: dict = {
-        "m": T.m,
-        "n": T.n,
-        "orient": [[1 if x else 0 for x in row] for row in T.orient],
-    }
+    """The instance file of T: exactly ``json.dumps(obj, sort_keys=True,
+    indent=2) + "\\n"`` for the object holding m, n, the 0/1 matrix and
+    whichever of k, labels and metadata are given, updated by ``extras``.
+
+    The matrix is rendered by :func:`_orient_json`; every other value is
+    dumped alone and its continuation lines indented one level, which is
+    exact because JSON text never holds a raw newline.  When ``extras``
+    replaces the matrix, the whole object goes through ``json.dumps``."""
+    obj: dict = {"m": T.m, "n": T.n}
     if k is not None:
         obj["k"] = k
     if T.labels is not None:
@@ -85,7 +110,13 @@ def serialize_instance(T: BipartiteTournament, k: int | None = None,
         obj["metadata"] = metadata
     if extras:
         obj.update(extras)
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    if "orient" in obj:
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    fields = {key: json.dumps(val, sort_keys=True, indent=2).replace("\n", "\n  ")
+              for key, val in obj.items()}
+    fields["orient"] = _orient_json(T.orient)
+    return "{\n  " + ",\n  ".join(f"{json.dumps(key)}: {fields[key]}"
+                                    for key in sorted(fields)) + "\n}\n"
 
 
 def labels_of(T: BipartiteTournament, vertices) -> list[str]:

@@ -395,9 +395,12 @@ def derive_forced_p(T: BipartiteTournament, M: Iterable[Vertex]) -> frozenset:
     return frozenset(T.vertices_of_mask(cycle_closers(T, m_mask, T.full_mask)))
 
 
-def _seeds(T: BipartiteTournament, k: int, family: Iterable[int]) -> Iterator[CfvsInstance]:
+def _seeds(T: BipartiteTournament, k: int, family: Iterable[int],
+           past_k: bool = True) -> Iterator[CfvsInstance | None]:
     """The seeds of :func:`seed_instances` from the guesses ``family``, gid
-    masks of T, lazily; M is made only for the seeds yielded."""
+    masks of T, lazily; M is made only for the seeds yielded.  Unless
+    ``past_k``, a seed whose P already exceeds k is yielded as None, before
+    its view or its layer keys are built."""
     full = T.full_mask
     for m_mask in family:
         if not m_mask:
@@ -406,6 +409,9 @@ def _seeds(T: BipartiteTournament, k: int, family: Iterable[int]) -> Iterator[Cf
         if peeled is None:
             continue
         closers = cycle_closers(T, m_mask, full)
+        if not past_k and closers.bit_count() > k:
+            yield None
+            continue
         view = live_structure(T, m_mask, _layer_keys(T, m_mask, peeled), full & ~closers)
         yield CfvsInstance(T, frozenset(T.vertices_of_mask(m_mask)),
                            frozenset(T.vertices_of_mask(closers)), frozenset(), k, view)
@@ -757,6 +763,12 @@ def find_decoupling(inst: CfvsInstance, profile: ConstantsProfile) -> list[froze
     The greedy split of :func:`partition_parts` is tried first, then every
     other split in cut-mask order; that search is skipped when 2^(blocks-1)
     exceeds the family cap, and the greedy split then decides alone.
+
+    That search spends nothing on a ``CapMeter``, unlike every other bounded
+    enumeration.  It only looks for a witness beyond the greedy split, so
+    skipping it costs completeness and nothing else; spending on a meter
+    would turn each skip into a FamilyCapExceeded diagnostic, which changes
+    the cascade's outputs.
     """
     parts, runs, windows, greedy = _split_search(inst, profile)
     f, d = profile.part_fvs_f, profile.part_degree_d
@@ -899,11 +911,22 @@ def _walk(T: BipartiteTournament, k: int, profile: ConstantsProfile, family: tup
     ``records`` list, which keeps every instance alive, gets expansions.
 
     The walk keeps an explicit stack of child iterators, one per depth, so
-    it holds no self-referring closure that would outlive it in a cycle."""
+    it holds no self-referring closure that would outlive it in a cycle.
+
+    A seed whose P already exceeds k has no ``regular`` child, as
+    :func:`_child` drops every child with more than k vertices in P.  When
+    no records are kept and that stage cannot overflow on T, such a seed is
+    only counted: its view is never built, and the trace and diagnostics
+    are what expanding it would have given."""
     sizes[1:] = [0] * (len(STAGES) - 1)
     fns = (stage_regular, stage_weak, stage_matched, stage_lowblockdegree, stage_decoupled)
-    for seed in _seeds(T, k, family):
+    # no instance of T can make the regular stage spend more than this count
+    past_k = records is not None or \
+        _subset_count(T.num_vertices, profile.budget_slack) > profile.family_cap
+    for seed in _seeds(T, k, family, past_k):
         sizes[0] += 1
+        if seed is None:
+            continue
         if records is not None:
             records.append((0, "seed", None, [seed]))
         stack = [iter((seed,))]  # stack[d - 1] yields the instances at depth d

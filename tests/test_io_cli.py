@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -21,7 +22,70 @@ from btfvs.cli import main
 from conftest import a, b, tournament
 
 
+def reference_text(T, k=None, metadata=None, extras=None) -> str:
+    """The instance file as one ``json.dumps`` of the whole object."""
+    obj = {"m": T.m, "n": T.n, "orient": [[int(x) for x in row] for row in T.orient]}
+    if k is not None:
+        obj["k"] = k
+    if T.labels is not None:
+        obj["labels"] = list(T.labels)
+    if metadata is not None:
+        obj["metadata"] = metadata
+    obj.update(extras or {})
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 class TestInstanceFormat:
+    def test_serializer_matches_one_reference_dump(self):
+        rng = random.Random(27)
+        scalars = [0, -7, 2.5, 10 ** 20, "", "x\ny", "ünï ☃", None, True, False]
+
+        def value(depth=0):
+            pick = rng.random()
+            if depth > 2 or pick < 0.4:
+                return rng.choice(scalars)
+            if pick < 0.7:
+                return [value(depth + 1) for _ in range(rng.randrange(4))]
+            return {rng.choice(["a", "z", "é", "line\nbreak", "orient"]): value(depth + 1)
+                    for _ in range(rng.randrange(4))}
+
+        shapes = [(0, 0), (0, 3), (3, 0)] + [(rng.randrange(7), rng.randrange(7))
+                                               for _ in range(300)]
+        for m, n in shapes:
+            orient = [[rng.random() < 0.5 for _ in range(n)] for _ in range(m)]
+            labels = [f"v{g}·é" for g in range(m + n)] if rng.random() < 0.3 else None
+            T = BipartiteTournament(m, n, orient, labels)
+            k = rng.choice([None, 0, 4])
+            metadata = value() if rng.random() < 0.5 else None
+            extras = {rng.choice(["custom", "zz", "a b", "é", "k", "m", "labels", "orient"]):
+                      value() for _ in range(rng.randrange(3))}
+            assert serialize_instance(T, k, metadata, extras) == \
+                reference_text(T, k, metadata, extras)
+        T = generate(GenSpec(2, 3, GenKind.UNIFORM_RANDOM, seed=1))
+        for extras in ({"orient": [[5]]}, {"m": "two", "metadata": {"x": [1]}}):
+            assert serialize_instance(T, 1, {"y": 2}, extras) == \
+                reference_text(T, 1, {"y": 2}, extras)
+
+    @pytest.mark.parametrize("cell", [2, True, False, 1.0, "1", None, [0]])
+    def test_each_malformed_cell_named_with_its_value(self, cell):
+        for i, j in ((0, 0), (1, 2), (2, 1)):
+            rows = [[0, 1, 1], [1, 0, 0], [1, 1, 0]]
+            rows[i][j] = cell
+            text = json.dumps({"m": 3, "n": 3, "orient": rows})
+            with pytest.raises(ParseError) as exc:
+                parse_instance(text)
+            assert str(exc.value) == f"orient[{i}][{j}] must be 0 or 1, got {cell!r}"
+
+    def test_short_row_named_after_every_cell_is_checked(self):
+        short = {"m": 3, "n": 3, "orient": [[0, 1, 1], [1, 0], [1, 1, 0]]}
+        with pytest.raises(ParseError) as exc:
+            parse_instance(json.dumps(short))
+        assert str(exc.value) == "row 1 has 2 entries, expected 3"
+        short["orient"][2][2] = 2  # a bad cell in a later row still comes first
+        with pytest.raises(ParseError) as exc:
+            parse_instance(json.dumps(short))
+        assert str(exc.value) == "orient[2][2] must be 0 or 1, got 2"
+
     def test_round_trip_random(self):
         for seed in range(30):
             T = generate(GenSpec(1 + seed % 5, 1 + (seed // 2) % 5,
@@ -185,6 +249,37 @@ class TestCliFuzz:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"profile": payload}))
         self._rejects(capsys, ["check-lemmas", "--config", str(config), "--quick"])
+
+
+class TestLargeInstanceIo:
+    def test_gen_at_500_per_side_writes_the_reference_file(self, tmp_path):
+        # generating, writing and reading 250,000 cells, and the structure
+        # command on the acyclic file, through a fresh interpreter each
+        env = dict(os.environ, PYTHONPATH=str(Path(btfvs.__file__).parent.parent))
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "btfvs", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+
+        for kind in (GenKind.UNIFORM_RANDOM, GenKind.ACYCLIC):
+            done = run("--seed", "3", "gen", "--kind", kind.value, "--m", "500", "--n", "500",
+                       "--out", str(tmp_path))
+            assert (done.returncode, done.stderr) == (0, "")
+            # gen's defaults: k_plant 2 and twin factors 2 seed every kind
+            spec = GenSpec(500, 500, kind, seed=3, k_plant=2, twin_a=2, twin_b=2)
+            meta = {"generator": {"kind": kind.value, "m": 500, "n": 500, "seed": 3,
+                                  "k_plant": 2, "twin_a": 2, "twin_b": 2}}
+            path = tmp_path / f"{spec.file_stem()}.json"
+            assert done.stdout == f"{path}\n"
+            T = generate(spec)
+            text = path.read_text()
+            assert text == reference_text(T, metadata=meta)
+            assert parse_instance(text) == (T, None, meta, {})
+        shown = run("structure", str(path))
+        assert (shown.returncode, shown.stderr) == (0, "")
+        layers = json.loads(shown.stdout)["sequence"]
+        assert sorted(label for layer in layers for label in layer) == \
+            sorted(T.label(v) for v in T.vertices())
 
 
 class TestCli:

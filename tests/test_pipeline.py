@@ -807,8 +807,8 @@ class TestHandBuilt:
 
 class TestBlockView:
     def test_view_built_at_most_once_per_instance(self, monkeypatch):
-        # each seed builds its view once; every stage child inherits its
-        # parent's, so no other instance builds one
+        # each seed within budget builds its view once; every stage child
+        # inherits its parent's, so no other instance builds one
         builds = []
         original = pipeline.live_structure
 
@@ -823,7 +823,51 @@ class TestBlockView:
         _, trace, _ = run_cascade(work, 2, TOY)
         assert dict(trace)["decoupled"] > 0
         assert builds == [(work.mask_of(s.M), work.full_mask & ~work.mask_of(s.P))
-                          for s in seeds]
+                          for s in seeds if len(s.P) <= 2]
+
+    def test_over_budget_seed_builds_no_view(self, monkeypatch):
+        # a seed whose P already exceeds k has no regular-stage child; when
+        # no records are kept and that stage cannot overflow, the walk counts
+        # the seed and builds no view for it, and the trace stays the same
+        built = []
+        original = pipeline.live_structure
+
+        def counting(T, m_mask, keys, alive):
+            built.append((T.full_mask & ~alive).bit_count())  # |P| of the seed
+            return original(T, m_mask, keys, alive)
+
+        for spec, k in ((GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2), 2),
+                        (GenSpec(5, 5, GenKind.PLANTED_FVS, seed=5, k_plant=2), 1)):
+            work = solvers.reduce_instance(generate(spec), k).tournament
+            seeds = seed_instances(work, k, TOY)
+            over = sum(len(s.P) > k for s in seeds)
+            assert over > 0
+            with monkeypatch.context() as patch:
+                patch.setattr(pipeline, "live_structure", counting)
+                built.clear()
+                _, with_records, _ = run_cascade(work, k, TOY, collect=lambda *_: None)
+                assert len(built) == len(seeds)
+                built.clear()
+                _, trace, notes = run_cascade(work, k, TOY)
+                assert all(size <= k for size in built)
+                assert len(built) == len(seeds) - over
+                assert (trace, notes) == (with_records, [])
+
+    def test_over_budget_seed_keeps_its_regular_stage_overflow(self):
+        # where the regular stage can overflow (11 subsets of at most one of
+        # 10 vertices against a cap of 3), every seed is expanded, so a walk
+        # keeping no records reports each overflow as one keeping them does
+        T = solvers.reduce_instance(generate(GenSpec(5, 5, GenKind.UNIFORM_RANDOM, seed=0)),
+                                    0).tournament
+        family = pipeline._m_masks(T.num_vertices, TOY)
+        tight = dataclasses.replace(TOY, family_cap=3)
+        walks = []
+        for records in (None, []):
+            sizes, notes = [0], []
+            list(pipeline._walk(T, 0, tight, family, sizes, notes, records))
+            walks.append((sizes, notes))
+        assert walks[0] == walks[1]
+        assert any(note.startswith("regular: ") for _, note in walks[0][1])
 
     def test_seeding_scans_for_closers_once_per_seed(self, monkeypatch):
         # a seed's P holds every cycle closer, so T - P is M-consistent by
