@@ -25,15 +25,18 @@ class SplitMix64:
     finalized with two xor-shift multiplies."""
 
     MASK = (1 << 64) - 1
+    GAMMA = 0x9E3779B97F4A7C15
+    MIX1 = 0xBF58476D1CE4E5B9
+    MIX2 = 0x94D049BB133111EB
 
     def __init__(self, seed: int):
         self.state = seed & self.MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & self.MASK
+        self.state = (self.state + self.GAMMA) & self.MASK
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
+        z = ((z ^ (z >> 30)) * self.MIX1) & self.MASK
+        z = ((z ^ (z >> 27)) * self.MIX2) & self.MASK
         return z ^ (z >> 31)
 
     def coin(self) -> bool:
@@ -42,12 +45,13 @@ class SplitMix64:
     def coins(self, count: int) -> list[bool]:
         """``count`` successive :meth:`coin` flips, leaving the same final
         ``state``: one loop over locals instead of two calls per flip."""
-        mask, state, out = self.MASK, self.state, []
+        mask, gamma, mix1, mix2 = self.MASK, self.GAMMA, self.MIX1, self.MIX2
+        state, out = self.state, []
         append = out.append
         for _ in range(count):
-            state = (state + 0x9E3779B97F4A7C15) & mask
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            state = (state + gamma) & mask
+            z = ((state ^ (state >> 30)) * mix1) & mask
+            z = ((z ^ (z >> 27)) * mix2) & mask
             append((z ^ (z >> 31)) & 1 == 1)
         self.state = state
         return out

@@ -99,8 +99,8 @@ def serialize_instance(T: BipartiteTournament, k: int | None = None,
 
     The matrix is rendered by :func:`_orient_json`; every other value is
     dumped alone and its continuation lines indented one level, which is
-    exact because JSON text never holds a raw newline.  When ``extras``
-    replaces the matrix, the whole object goes through ``json.dumps``."""
+    exact because JSON text never holds a raw newline, also for an
+    ``orient`` given in ``extras``."""
     obj: dict = {"m": T.m, "n": T.n}
     if k is not None:
         obj["k"] = k
@@ -110,11 +110,10 @@ def serialize_instance(T: BipartiteTournament, k: int | None = None,
         obj["metadata"] = metadata
     if extras:
         obj.update(extras)
-    if "orient" in obj:
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
     fields = {key: json.dumps(val, sort_keys=True, indent=2).replace("\n", "\n  ")
               for key, val in obj.items()}
-    fields["orient"] = _orient_json(T.orient)
+    if "orient" not in fields:
+        fields["orient"] = _orient_json(T.orient)
     return "{\n  " + ",\n  ".join(f"{json.dumps(key)}: {fields[key]}"
                                     for key in sorted(fields)) + "\n}\n"
 
