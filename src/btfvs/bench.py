@@ -13,10 +13,8 @@ from dataclasses import dataclass
 from .errors import InstanceTooLarge
 from .graph import BipartiteTournament
 from .pipeline import ConstantsProfile, pipeline_solve
-from .solvers import (ORACLE_DEFAULT_CAP, Constraints, SolveStatus, _ms, approx4,
-                      branch_solve, exact_min_fvs, oracle_min_fvs)
-
-KNOWN_SOLVERS = ("oracle", "branch", "approx4", "exact", "pipeline")
+from .solvers import (KNOWN_SOLVERS, ORACLE_DEFAULT_CAP, Constraints, SolveStatus, _ms,
+                      approx4, branch_solve, exact_min_fvs, oracle_min_fvs)
 
 
 @dataclass(frozen=True)

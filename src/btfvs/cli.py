@@ -12,7 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import KNOWN_SOLVERS, bench, to_csv
 from .dfvc import dfvc_solve
 from .errors import FamilyCapExceeded, ParseError
 from .generators import GenKind, GenSpec, generate
@@ -20,11 +19,10 @@ from .graph import BipartiteTournament
 from .io import (canonical_sequence_json, labels_of, m_sequence_json,
                  parse_dfvc, parse_instance, resolve_edge_list,
                  resolve_labels, serialize_cfvs, serialize_instance)
-from .lemma_suite import SuiteConfig, run_lemma_suite
 from .msequence import back_edges, is_conflict_back_edge, m_sequence
 from .pipeline import ConstantsProfile, pipeline_solve
-from .solvers import (ORACLE_DEFAULT_CAP, Constraints, SolveStatus, approx4,
-                      branch_solve, exact_min_fvs, oracle_min_fvs, verify_fvs)
+from .solvers import (KNOWN_SOLVERS, ORACLE_DEFAULT_CAP, Constraints, SolveStatus,
+                      approx4, branch_solve, exact_min_fvs, oracle_min_fvs, verify_fvs)
 from .structure import canonical_sequence
 
 USAGE_ERROR = 2
@@ -210,6 +208,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_check_lemmas(args) -> int:
+    from .lemma_suite import SuiteConfig, run_lemma_suite  # only this command pays for it
     if args.config:
         config = SuiteConfig.from_mapping(json.loads(Path(args.config).read_text()))
     else:
@@ -230,6 +229,7 @@ def cmd_check_lemmas(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import bench, to_csv  # only this command pays for it
     corpus = []
     corpus_dir = Path(args.corpus)
     for path in sorted(corpus_dir.glob("*.json")):

@@ -168,10 +168,13 @@ class BipartiteTournament:
         return mask
 
     def vertices_of_mask(self, mask: int) -> list[Vertex]:
-        out = []
+        """The vertices of a gid mask, ascending by gid; each is built
+        inline, as :meth:`vertex_of_gid` would build it."""
+        out, m, new = [], self.m, tuple.__new__
         while mask:
             low = mask & -mask
-            out.append(self.vertex_of_gid(low.bit_length() - 1))
+            g = low.bit_length() - 1
+            out.append(new(Vertex, (SIDE_A, g) if g < m else (SIDE_B, g - m)))
             mask ^= low
         return out
 

@@ -235,23 +235,33 @@ def _blocks_mask(T: BipartiteTournament, m_mask: int, keys: list[tuple[int, int,
                  alive: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     """The (X_i, Y_i) gid masks of T[alive] relative to M, and gid -> block
     index (-1 outside ``alive``); ``keys`` are T[M]'s layer keys and
-    T[alive] must be M-consistent."""
+    T[alive] must be M-consistent.
+
+    A vertex's class reads only its M-neighbourhoods, so each distinct
+    (out & M, in & M) is classified once."""
     l = len(keys)
     xs = [0] * l
     ys = [0] * l
     block = [-1] * T.num_vertices
+    out, inc = T.out_mask, T.in_mask
+    placed: dict[tuple[int, int], tuple[bool, int]] = {}  # key -> (in X_i, i)
     rest = alive
     while rest:
         low = rest & -rest
         g = low.bit_length() - 1
-        kind, i = _classify_gid(T, m_mask, keys, g)
-        if kind is ClassKind.EQUIVALENT:
-            xs[i] |= low
-        else:
+        key = (out[g] & m_mask, inc[g] & m_mask)
+        spot = placed.get(key)
+        if spot is None:
+            kind, i = _classify_gid(T, m_mask, keys, g)
             if kind is ClassKind.UNIVERSAL_MINUS:
                 i = 0
             elif kind is ClassKind.UNIVERSAL_PLUS:
                 i = l - 1
+            spot = placed[key] = (kind is ClassKind.EQUIVALENT, i)
+        in_x, i = spot
+        if in_x:
+            xs[i] |= low
+        else:
             ys[i] |= low
         block[g] = i
         rest ^= low

@@ -26,8 +26,8 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
-from functools import cache, lru_cache
+from dataclasses import dataclass, fields
+from functools import lru_cache
 from itertools import chain, combinations, permutations
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
@@ -87,9 +87,11 @@ class ConstantsProfile:
             raise ValueError(f"constants profile: {exc}") from None
 
     @classmethod
+    @lru_cache(maxsize=64)
     def for_budget(cls, k: int) -> "ConstantsProfile":
         """The ``paper`` profile: published constants, with log read as
-        ceil(log2) and floors at 1."""
+        ceil(log2) and floors at 1.  Built once per budget: a profile is
+        frozen, so callers share it."""
         lg = max(1, math.ceil(math.log2(max(k, 2))))
         return cls(
             hom_window=10 * lg ** 3,
@@ -129,50 +131,95 @@ class BlockView(NamedTuple):
     conflict: frozenset
 
 
-@dataclass(frozen=True)
-class CfvsInstance:
+class _CfvsFields(NamedTuple):
+    T: BipartiteTournament
+    m: int  # gid mask of M
+    p: int  # gid mask of P
+    F: frozenset  # constraint arcs, (tail, head) Vertex pairs
+    k: int
+    view: BlockView
+    parts: tuple[frozenset, ...]
+
+
+class CfvsInstance(_CfvsFields):
     """One constrained question: an FVS of T of size <= k that avoids M,
     contains P, and covers F.
 
+    M and P are held as gid masks of T, ``m`` and ``p``, which every stage
+    and stage predicate reads; ``M`` and ``P`` give the same sets as
+    ``Vertex`` frozensets, built when read, for readers at the boundary
+    (serializers, checkers, tests).  F stays a set of ``Vertex`` arcs.
+
     ``view`` is the block structure of T - P relative to M, which every
-    stage predicate reads, in host coordinates.  An instance built without
-    one is validated and derives it here (NotMConsistent if it cannot).  A
-    seed (see :func:`seed_instances`) is valid by construction and built
+    stage predicate reads, in host coordinates.  ``CfvsInstance(T, M, P, F,
+    k)`` builds an instance from ``Vertex`` sets: it is validated and
+    derives its view (NotMConsistent if it cannot).  A seed (see
+    :func:`seed_instances`) is valid by construction and built from masks
     with its view.  So is a stage child (see :func:`_child`), as stages add
     only vertices and arcs of T; it holds its parent's view minus the
     vertices it adds to P: a vertex's block depends only on T, M and itself.
-    ``parts`` is the split :func:`stage_decoupled` verified for a child.
+    ``parts`` is the split :func:`stage_decoupled` verified for a child,
+    given when the child is built.  Instances are immutable; two are equal
+    when their T, M, P, F and k are.
     """
 
-    T: BipartiteTournament
-    M: frozenset
-    P: frozenset
-    F: frozenset
-    k: int
-    view: BlockView | None = field(default=None, compare=False, repr=False)
-    parts: tuple[frozenset, ...] = field(default=(), compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.view is not None:
-            return
-        object.__setattr__(self, "M", frozenset(self.M))
-        object.__setattr__(self, "P", frozenset(self.P))
-        object.__setattr__(self, "F", frozenset(tuple(e) for e in self.F))
-        if self.M & self.P:
+    def __new__(cls, T: BipartiteTournament, M: Iterable[Vertex], P: Iterable[Vertex],
+                F: Iterable[tuple], k: int) -> "CfvsInstance":
+        M, P = frozenset(M), frozenset(P)
+        F = frozenset(tuple(e) for e in F)
+        if M & P:
             raise ValueError("undeletable and forced sets overlap")
-        for v in self.M | self.P:
-            self.T.check_vertex(v)
-        for (u, w) in self.F:
-            if not self.T.has_arc(u, w):
+        for v in M | P:
+            T.check_vertex(v)
+        for (u, w) in F:
+            if not T.has_arc(u, w):
                 raise ValueError(f"constraint edge {u!r}->{w!r} is not an arc")
-        m_mask, alive, keys = _layers(self.T, self.M, frozenset(self.T.vertices()) - self.P,
-                                      "the block partition")
-        object.__setattr__(self, "view", live_structure(self.T, m_mask, keys, alive))
+        m_mask, alive, keys = _layers(T, M, frozenset(T.vertices()) - P, "the block partition")
+        return cls._of(T, m_mask, T.mask_of(P), F, k, live_structure(T, m_mask, keys, alive))
+
+    @classmethod
+    def _of(cls, T: BipartiteTournament, m: int, p: int, F: frozenset, k: int,
+            view: BlockView, parts: tuple[frozenset, ...] = ()) -> "CfvsInstance":
+        """An instance from gid masks and its view, unchecked: for seeds and
+        stage children, which are valid by construction."""
+        return tuple.__new__(cls, (T, m, p, F, k, view, parts))
+
+    def __reduce__(self):
+        return (CfvsInstance._of, tuple(self))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CfvsInstance):
+            return NotImplemented
+        return self[:5] == other[:5]
+
+    def __ne__(self, other) -> bool:
+        if not isinstance(other, CfvsInstance):
+            return NotImplemented
+        return self[:5] != other[:5]
+
+    def __hash__(self) -> int:
+        return hash(self[:5])
+
+    def __repr__(self) -> str:
+        return (f"CfvsInstance(T={self.T!r}, M={self.M!r}, P={self.P!r}, "
+                f"F={self.F!r}, k={self.k!r})")
+
+    @property
+    def M(self) -> frozenset:
+        """M as ``Vertex`` objects."""
+        return frozenset(self.T.vertices_of_mask(self.m))
+
+    @property
+    def P(self) -> frozenset:
+        """P as ``Vertex`` objects."""
+        return frozenset(self.T.vertices_of_mask(self.p))
 
     def live_f(self) -> frozenset:
         """Constraint edges with both endpoints outside P (still uncovered)."""
-        return frozenset((u, w) for (u, w) in self.F
-                         if u not in self.P and w not in self.P)
+        gid, p = self.T.gid, self.p
+        return frozenset((u, w) for (u, w) in self.F if not (p >> gid(u) | p >> gid(w)) & 1)
 
     def constraints(self) -> Constraints:
         return Constraints(forbidden=self.M, required_in=self.P,
@@ -197,21 +244,24 @@ def live_structure(T: BipartiteTournament, m_mask: int, keys: list[tuple[int, in
                   if _closes_m_square(T, m_mask, gid(e.tail), gid(e.head))))
 
 
-def _child(inst: CfvsInstance, P: frozenset | None = None,
+def _child(inst: CfvsInstance, p: int | None = None,
            F: frozenset | None = None) -> CfvsInstance | None:
-    """``inst`` with P grown to ``P`` (a superset of inst.P) and/or F set to
-    ``F``, holding its parent's view minus the added vertices; None when the
-    new P meets M or exceeds k, as no solution then contains it."""
-    P = inst.P if P is None else P
-    if P & inst.M or len(P) > inst.k:
+    """``inst`` with P grown to the gid mask ``p`` (a superset of inst.p)
+    and/or F set to ``F``, holding its parent's view minus the added
+    vertices; None when the new P meets M or exceeds k, as no solution then
+    contains it."""
+    p = inst.p if p is None else p
+    if p & inst.m or p.bit_count() > inst.k:
         return None
-    gone, view = P - inst.P, inst.view
+    gone, view = p & ~inst.p, inst.view
     if gone:
-        keep = ~inst.T.mask_of(gone)
+        keep = ~gone
+        dropped = frozenset(inst.T.vertices_of_mask(gone))
         view = view._replace(
             blocks=tuple((x & keep, y & keep) for (x, y) in view.blocks),
-            back=tuple(e for e in view.back if e.tail not in gone and e.head not in gone))
-    return CfvsInstance(inst.T, inst.M, P, inst.F if F is None else F, inst.k, view)
+            back=tuple(e for e in view.back
+                       if e.tail not in dropped and e.head not in dropped))
+    return CfvsInstance._of(inst.T, inst.m, p, inst.F if F is None else F, inst.k, view)
 
 
 def _short_by_pair(inst: CfvsInstance, exclude: frozenset = frozenset()) -> list[list]:
@@ -225,9 +275,9 @@ def _short_by_pair(inst: CfvsInstance, exclude: frozenset = frozenset()) -> list
 
 
 def _block_incidence(inst: CfvsInstance, edges: Iterable[tuple]) -> Counter:
-    """Block index -> number of edge endpoints inside that block."""
-    block, gid, P = inst.view.block, inst.T.gid, inst.P
-    return Counter(block[gid(v)] for e in edges for v in e if v not in P)
+    """Block index -> number of edge endpoints outside P inside that block."""
+    block, gid, p = inst.view.block, inst.T.gid, inst.p
+    return Counter(block[g] for e in edges for g in map(gid, e) if not p >> g & 1)
 
 
 def _subset_count(size: int, most: int) -> int:
@@ -398,7 +448,7 @@ def derive_forced_p(T: BipartiteTournament, M: Iterable[Vertex]) -> frozenset:
 def _seeds(T: BipartiteTournament, k: int, family: Iterable[int],
            past_k: bool = True) -> Iterator[CfvsInstance | None]:
     """The seeds of :func:`seed_instances` from the guesses ``family``, gid
-    masks of T, lazily; M is made only for the seeds yielded.  Unless
+    masks of T, lazily, each with M and P as the gid masks it found.  Unless
     ``past_k``, a seed whose P already exceeds k is yielded as None, before
     its view or its layer keys are built."""
     full = T.full_mask
@@ -413,8 +463,7 @@ def _seeds(T: BipartiteTournament, k: int, family: Iterable[int],
             yield None
             continue
         view = live_structure(T, m_mask, _layer_keys(T, m_mask, peeled), full & ~closers)
-        yield CfvsInstance(T, frozenset(T.vertices_of_mask(m_mask)),
-                           frozenset(T.vertices_of_mask(closers)), frozenset(), k, view)
+        yield CfvsInstance._of(T, m_mask, closers, frozenset(), k, view)
 
 
 def seed_instances(T: BipartiteTournament, k: int,
@@ -434,9 +483,10 @@ def seed_instances(T: BipartiteTournament, k: int,
 # oversized-block stage
 
 
-def large_sets(inst: CfvsInstance, profile: ConstantsProfile) -> frozenset:
-    """Union of oversized sub-blocks: X_i whose size reaches ``large_ratio``
-    times its M-count, and Y_i of size at least ``large_ratio``."""
+def large_sets(inst: CfvsInstance, profile: ConstantsProfile) -> int:
+    """Union of oversized sub-blocks, as a gid mask: X_i whose size reaches
+    ``large_ratio`` times its M-count, and Y_i of size at least
+    ``large_ratio``."""
     ratio, m = profile.large_ratio, inst.view.m
     picked = 0
     for (x, y) in inst.view.blocks:
@@ -444,7 +494,7 @@ def large_sets(inst: CfvsInstance, profile: ConstantsProfile) -> frozenset:
             picked |= x
         if y.bit_count() >= ratio:
             picked |= y
-    return frozenset(inst.T.vertices_of_mask(picked))
+    return picked
 
 
 def is_regular(inst: CfvsInstance, profile: ConstantsProfile) -> bool:
@@ -469,14 +519,14 @@ def stage_regular(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsIns
     never have a solution, so they are pruned rather than emitted.
     """
     big = large_sets(inst, profile)
-    mandatory = big & inst.M
-    slack = profile.budget_slack
-    if len(mandatory) > slack:
+    free = big & ~inst.m
+    slack = profile.budget_slack - (big & inst.m).bit_count()
+    if slack < 0:
         return []
+    pool = [1 << g for g in range(free.bit_length()) if free >> g & 1]  # ascending gid
     out = []
-    for combo in _small_subsets(sorted(big - inst.M), slack - len(mandatory),
-                                "oversized-block stage", profile):
-        child = _child(inst, P=inst.P | (big - mandatory - frozenset(combo)))
+    for combo in _small_subsets(pool, slack, "oversized-block stage", profile):
+        child = _child(inst, p=inst.p | (free & ~sum(combo)))
         if child is not None and is_regular(child, profile):
             out.append(child)
     return out
@@ -491,12 +541,20 @@ def long_back(inst: CfvsInstance) -> frozenset:
     return frozenset((u, w) for (u, w, bi, bj) in inst.view.back if bi - bj >= 2)
 
 
+def _matching_bound(edges: list[tuple]) -> int:
+    """An upper bound on the size of a maximum matching of the arcs
+    ``edges``: a matching uses each tail, and each head, at most once."""
+    return min(len({u for (u, _) in edges}), len({w for (_, w) in edges}))
+
+
 def short_back_large(inst: CfvsInstance, profile: ConstantsProfile) -> frozenset:
     """Union of the consecutive-block back-edge sets whose matching size
-    reaches ``weak_matching``, as host arcs."""
+    reaches ``weak_matching``, as host arcs; a set with fewer tails or
+    heads than that is not matched."""
     picked: set = set()
+    wm = profile.weak_matching
     for edges in _short_by_pair(inst):
-        if len(max_bipartite_matching(edges)) >= profile.weak_matching:
+        if _matching_bound(edges) >= wm and len(max_bipartite_matching(edges)) >= wm:
             picked.update(edges)
     return frozenset(picked)
 
@@ -506,13 +564,15 @@ def is_weakly_coupled(inst: CfvsInstance, profile: ConstantsProfile) -> bool:
     and after removing F the per-pair back-edge matchings stay small.
 
     Edges of F already covered by P are vacuous and exempt from the back-edge
-    requirement.
+    requirement.  A pair with at most ``weak_matching`` tails or heads is
+    not matched.
     """
     if not inst.live_f() <= inst.view.conflict:
         return False
     if not long_back(inst) <= inst.F:
         return False
-    return all(len(max_bipartite_matching(edges)) <= profile.weak_matching
+    wm = profile.weak_matching
+    return all(_matching_bound(edges) <= wm or len(max_bipartite_matching(edges)) <= wm
                for edges in _short_by_pair(inst, inst.F))
 
 
@@ -599,9 +659,9 @@ def stage_matched(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsIns
     """Branch until the live constraint edges form a matching; children keep
     F and grow P by the branch additions, so every child is matched."""
     out = []
-    for added in matched_branching(inst.live_f(), inst.k - len(inst.P),
+    for added in matched_branching(inst.live_f(), inst.k - inst.p.bit_count(),
                                    cap=profile.family_cap):
-        child = _child(inst, P=inst.P | added)
+        child = _child(inst, p=inst.p | inst.T.mask_of(added))
         if child is not None and is_regular(child, profile) \
                 and is_weakly_coupled(child, profile):
             out.append(child)
@@ -618,7 +678,8 @@ def is_low_block_degree(inst: CfvsInstance, profile: ConstantsProfile) -> bool:
     forced into P."""
     if not long_back(inst) <= inst.F:
         return False
-    ghost = [(u, w) for (u, w) in inst.F if u in inst.P or w in inst.P]
+    gid, p = inst.T.gid, inst.p
+    ghost = [(u, w) for (u, w) in inst.F if (p >> gid(u) | p >> gid(w)) & 1]
     return all(c <= profile.block_degree
                for c in _block_incidence(inst, ghost).values())
 
@@ -637,11 +698,14 @@ def stage_lowblockdegree(inst: CfvsInstance, profile: ConstantsProfile) -> list[
         raise PreconditionViolated("weakly-coupled")
     if not is_matched(inst):
         raise PreconditionViolated("matched")
-    host_blocks, m = inst.view.blocks, inst.view.m
-    hbe, vs = inst.view.back, inst.T.vertices_of_mask
+    T, host_blocks, m = inst.T, inst.view.blocks, inst.view.m
+    vs, gid = T.vertices_of_mask, T.gid
     live_f = sorted(inst.live_f())
     candidates = sorted(i for i, c in _block_incidence(inst, live_f).items()
                         if c >= profile.block_degree)
+    # arcs with the gid bits of their ends
+    back = [(u, w, 1 << gid(u), 1 << gid(w)) for (u, w, _, _) in inst.view.back]
+    live = [(u, w, 1 << gid(u), 1 << gid(w)) for (u, w) in live_f]
     t_cap = max(0, (2 * inst.k) // profile.block_degree)
 
     out = []
@@ -660,40 +724,40 @@ def stage_lowblockdegree(inst: CfvsInstance, profile: ConstantsProfile) -> list[
                 for j in (i - 1, i + 1):
                     if 0 <= j < len(host_blocks):
                         pool |= host_blocks[j][0] & ~m
-            x_union, y_union, pool = frozenset(vs(x_union)), frozenset(vs(y_union)), vs(pool)
+            xy = x_union | y_union
+            xy_set, pool = frozenset(vs(xy)), vs(pool)  # pool ascending, so each fringe is sorted
             m_cap = 3 * profile.hom_window * max(1, len(fam))
             for fringe_size in range(min(m_cap, len(pool)) + 1):
                 for fringe in combinations(pool, fringe_size):
                     bump()
-                    fringe = frozenset(fringe)
-                    p1 = set(inst.P) | (y_union - fringe)
+                    in_fringe = T.mask_of(fringe)
+                    inner = x_union & ~in_fringe
+                    p1 = inst.p | (y_union & ~in_fringe)
                     # back-edge neighbors of the fringe
-                    for (u, w, _, _) in hbe:
-                        if u in fringe and w not in fringe:
-                            p1.add(w)
-                        elif w in fringe and u not in fringe:
-                            p1.add(u)
-                    for order in permutations(sorted(fringe)):
+                    for (_, _, bu, bw) in back:
+                        if bu & in_fringe and not bw & in_fringe:
+                            p1 |= bw
+                        elif bw & in_fringe and not bu & in_fringe:
+                            p1 |= bu
+                    for order in permutations(fringe):
                         bump()
-                        p2 = set(p1)
-                        for v in sorted(x_union - fringe - inst.M):
-                            if not consistent_with_mixed(inst.T, list(order), v):
-                                p2.add(v)
-                        rem_back = [(u, w) for (u, w, _, _) in hbe
-                                    if (u in x_union - fringe or w in x_union - fringe)
-                                    and u not in p2 and w not in p2]
+                        p2 = p1
+                        for v in vs(inner & ~m):
+                            if not consistent_with_mixed(T, list(order), v):
+                                p2 |= 1 << gid(v)
+                        rem_back = [(u, w) for (u, w, bu, bw) in back
+                                    if (bu | bw) & inner and not (bu | bw) & p2]
                         for cover in enumerate_min_vertex_covers(rem_back,
                                                                  cap=profile.family_cap):
                             bump()
-                            p3 = p2 | cover
-                            q_edges = [(u, w) for (u, w) in live_f
-                                       if (u in (x_union | y_union) or w in (x_union | y_union))
-                                       and u not in p3 and w not in p3]
-                            p4 = frozenset(p3 | x_preferred_cover(q_edges, x_union | y_union))
+                            p3 = p2 | T.mask_of(cover)
+                            q_edges = [(u, w) for (u, w, bu, bw) in live
+                                       if (bu | bw) & xy and not (bu | bw) & p3]
+                            p4 = p3 | T.mask_of(x_preferred_cover(q_edges, xy_set))
                             if p4 in seen:  # another guess collapsed onto it
                                 continue
                             seen.add(p4)
-                            child = _child(inst, P=p4)
+                            child = _child(inst, p=p4)
                             if child is not None and is_low_block_degree(child, profile):
                                 out.append(child)
     return out
@@ -718,12 +782,15 @@ def _split_search(inst: CfvsInstance, profile: ConstantsProfile):
     blocks = [x | y for (x, y) in inst.view.blocks]  # disjoint: a sum is a union
     block, gid, vs = inst.view.block, inst.T.gid, inst.T.vertices_of_mask
     live = [(block[gid(u)], block[gid(w)]) for (u, w) in inst.live_f()]
+    memo: dict[tuple[int, int], tuple[int | None, int]] = {}
 
-    @cache
     def windows(i: int, j: int) -> tuple[int | None, int]:
-        approx = _approx4_mask(inst.T, profile.part_fvs_f, sum(blocks[i:j + 1]))
-        deg = sum(1 for (bu, bw) in live if i <= bu <= j or i <= bw <= j)
-        return None if approx is None else approx.bit_count(), deg
+        got = memo.get((i, j))
+        if got is None:
+            approx = _approx4_mask(inst.T, profile.part_fvs_f, sum(blocks[i:j + 1]))
+            deg = sum(1 for (bu, bw) in live if i <= bu <= j or i <= bw <= j)
+            got = memo[i, j] = (None if approx is None else approx.bit_count(), deg)
+        return got
 
     def runs(cuts: int) -> list[tuple[int, int]]:
         out, first = [], 0
@@ -812,33 +879,34 @@ def stage_decoupled(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsI
     cross = sorted({(u, w) for (u, w, _, _) in inst.view.back
                     if part_of.get(u) != part_of.get(w)})
     cap_b = 2 * len(parts) * (2 * profile.hom_window ** 2)
+    gid = inst.T.gid
     out = []
-    seen: set = set()
+    seen: set = set()  # the P masks already tried
     meter = CapMeter("decoupling stage", profile.family_cap)
     for combo in _small_subsets(cross, cap_b, "decoupling stage", profile):
         uncovered = set(combo)
         must_hit = [e for e in cross if e not in uncovered]
-        cover = sorted(min_vertex_cover(must_hit, profile.family_cap))
-        neigh: dict = {}
+        neigh: dict = {}  # vertex -> gid mask of its must_hit neighbours
         for (u, w) in must_hit:
-            neigh.setdefault(u, set()).add(w)
-            neigh.setdefault(w, set()).add(u)
+            neigh[u] = neigh.get(u, 0) | 1 << gid(w)
+            neigh[w] = neigh.get(w, 0) | 1 << gid(u)
+        cover = [(1 << gid(v), neigh[v])
+                 for v in sorted(min_vertex_cover(must_hit, profile.family_cap))]
         meter.spend(2 ** len(cover))
         for csize in range(len(cover) + 1):
             for chosen in combinations(cover, csize):
-                chosen = set(chosen)
-                forced = set(chosen)
-                for v in cover:
-                    if v not in chosen:
-                        forced |= neigh.get(v, set())
-                new_p = inst.P | forced
+                picked = sum(bit for (bit, _) in chosen)
+                new_p = inst.p | picked
+                for (bit, nbrs) in cover:
+                    if not bit & picked:
+                        new_p |= nbrs
                 if new_p in seen:
                     continue
                 seen.add(new_p)
-                child = _child(inst, P=new_p)
+                child = _child(inst, p=new_p)
                 if child is not None and is_low_block_degree(child, profile) \
                         and (split := find_decoupling(child, profile)) is not None:
-                    out.append(replace(child, parts=tuple(split)))
+                    out.append(child._replace(parts=tuple(split)))
     return out
 
 
@@ -875,10 +943,10 @@ def to_dfvc(inst: CfvsInstance, profile: ConstantsProfile) -> DfvcReduction:
             continue
         undirected.append(((pi, from_host_maps[pi][u]), (pj, from_host_maps[pj][w])))
     forbidden = frozenset((part_of[v], from_host_maps[part_of[v]][v])
-                          for v in inst.M if v in part_of)
+                          for v in inst.T.vertices_of_mask(inst.m) if v in part_of)
     graph = MixedMultigraph(tournaments, undirected)
     return DfvcReduction(
-        DfvcInstance(graph, forbidden, inst.k - len(inst.P)), to_host)
+        DfvcInstance(graph, forbidden, inst.k - inst.p.bit_count()), to_host)
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,9 @@ def satisfies(T: BipartiteTournament, S: Iterable[Vertex], constraints: Constrai
 
 
 ORACLE_DEFAULT_CAP = 16
+# the solver names ``bench`` runs; here so the CLI can list them without
+# importing the benchmark runner
+KNOWN_SOLVERS = ("oracle", "branch", "approx4", "exact", "pipeline")
 
 
 def oracle_min_fvs(T: BipartiteTournament, constraints: Constraints | None = None,

@@ -512,6 +512,23 @@ class TestCli:
         missing = run("solve", str(tmp_path / "missing.json"))
         assert missing.returncode == 2 and missing.stderr.startswith("error: ")
 
+    def test_cli_import_loads_neither_lemma_suite_nor_bench(self):
+        # only check-lemmas and bench need them; every other command skips
+        # compiling them
+        env = dict(os.environ, PYTHONPATH=str(Path(btfvs.__file__).parent.parent))
+        probe = ("import sys, btfvs.cli; "
+                 "print(sorted(m for m in ('btfvs.lemma_suite', 'btfvs.bench') "
+                 "if m in sys.modules))")
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+    def test_bench_help_lists_every_known_solver(self, capsys):
+        from btfvs.bench import KNOWN_SOLVERS
+        assert main(["bench", "--help"]) == 0
+        assert f"comma list from {','.join(KNOWN_SOLVERS)}" in \
+            " ".join(capsys.readouterr().out.split())
+
     def test_cold_toy_pipeline_in_a_fresh_interpreter(self, tmp_path):
         # in-process tests share warm sample-space and family caches; a
         # fresh interpreter builds them, and must print what it always did

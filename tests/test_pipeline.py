@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import hashlib
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -14,13 +15,15 @@ from btfvs.dfvc import dfvc_solve
 from btfvs.errors import FamilyCapExceeded, NotMConsistent, PreconditionViolated
 from btfvs.generators import GenKind, GenSpec, SplitMix64, generate
 from btfvs.graph import BipartiteTournament
+from btfvs.matching import max_bipartite_matching
 from btfvs.io import serialize_cfvs, serialize_instance
-from btfvs.msequence import back_edges, is_conflict_back_edge, m_sequence
+from btfvs.msequence import BackEdge, back_edges, is_conflict_back_edge, m_sequence
 from btfvs.pipeline import (STAGES, CfvsInstance, ConstantsProfile,
                             derive_forced_p, find_decoupling, is_low_block_degree,
                             is_m_homogeneous, is_matched, is_regular,
                             is_weakly_coupled, long_back,
                             m_family, matched_branching, partition_parts,
+                            short_back_large,
                             pipeline_solve, run_cascade, seed_instances,
                             stage_decoupled, stage_regular, stage_weak,
                             to_dfvc)
@@ -64,6 +67,18 @@ class TestProfile:
         assert p.hom_window == 10 * 6 ** 3
         assert p.large_ratio == 10 * 6 ** 5
         assert p.sample_q == 36
+
+    def test_paper_profile_built_once_per_budget(self):
+        p = ConstantsProfile.for_budget(7)
+        assert ConstantsProfile.for_budget(7) is p
+        lg = 3  # ceil(log2 7)
+        assert p == ConstantsProfile(
+            hom_window=10 * lg ** 3, large_ratio=10 * lg ** 5, weak_matching=201 * lg ** 8,
+            block_degree=201 * lg ** 10, part_fvs_f=201 * lg ** 12,
+            part_degree_d=201 * lg ** 12, budget_slack=max(1, 14 // lg ** 2),
+            sample_q=lg ** 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.hom_window = 1
 
     def test_all_fields_positive(self):
         with pytest.raises(ValueError):
@@ -341,6 +356,57 @@ class TestStageWeak:
                     assert child.F >= long_back(parent)
 
 
+def _short_pairs(inst, exclude=frozenset()):
+    """The short back edges outside ``exclude``, one arc list per block pair."""
+    by_pair: dict = {}
+    for e in inst.view.back:
+        if e.tail_block - e.head_block == 1 and (e.tail, e.head) not in exclude:
+            by_pair.setdefault(e.head_block, []).append((e.tail, e.head))
+    return list(by_pair.values())
+
+
+class TestMatchingBound:
+    """A block pair's matching is never larger than its number of tails or
+    of heads, so the predicates skip the matching when that bound decides;
+    on random short back-edge sets they must decide as a checker that
+    always matches."""
+
+    @pytest.mark.parametrize("wm", [1, 2, 3, 4])
+    def test_bounded_predicates_decide_as_the_matching(self, wm):
+        profile = dataclasses.replace(TOY, weak_matching=wm)
+        T = generate(GenSpec(6, 6, GenKind.UNIFORM_RANDOM, seed=wm))
+        base = CfvsInstance(T, {a(0)}, {b(0)}, (), 3)
+        rng = SplitMix64(wm)
+        by_bound = by_matching = 0
+        for _ in range(150):
+            back = []
+            for j in range(3):  # the pair of blocks j + 1 -> j
+                tails, heads = (T.a_vertices(), T.b_vertices()) if rng.coin() else \
+                    (T.b_vertices(), T.a_vertices())
+                tails = rng.sample(tails, 1 + rng.below(4))
+                heads = rng.sample(heads, 1 + rng.below(4))
+                back += [BackEdge(u, w, j + 1, j) for u in tails for w in heads if rng.coin()]
+            if rng.coin():
+                back.append(BackEdge(a(5), b(5), 3, 0))  # a long back edge
+            arcs = [(e.tail, e.head) for e in back]
+            F = frozenset(e for e in arcs if rng.below(4) == 0)
+            inst = base._replace(F=F, view=base.view._replace(back=tuple(back),
+                                                              conflict=frozenset(arcs)))
+            for es in _short_pairs(inst):
+                bound = min(len({u for u, _ in es}), len({w for _, w in es}))
+                by_bound += bound <= wm
+                by_matching += wm <= bound and len(max_bipartite_matching(es)) < bound
+            want_large = frozenset(e for es in _short_pairs(inst)
+                                   if len(max_bipartite_matching(es)) >= wm for e in es)
+            assert short_back_large(inst, profile) == want_large
+            want_weak = (inst.live_f() <= inst.view.conflict
+                         and long_back(inst) <= inst.F
+                         and all(len(max_bipartite_matching(es)) <= wm
+                                 for es in _short_pairs(inst, inst.F)))
+            assert is_weakly_coupled(inst, profile) == want_weak
+        assert by_bound > 0 and by_matching > 0
+
+
 class TestMatchedBranching:
     def path_edges(self, length: int):
         # alternating path a0-b0-a1-b1-...
@@ -533,6 +599,38 @@ class TestEndgamePinned:
     ])
     def test_final_family_reductions_unchanged(self, spec, k, want):
         assert _endgame_digest(generate(spec), k) == want
+
+
+class TestCascadePinned:
+    """Every output field of pipeline_solve under the toy profile (all but
+    the wall time), pinned over uniform, planted and twin-heavy instances at
+    4-6 per side with k in {opt - 1, opt}, to values recorded before M and P
+    became gid masks; any drift in an answer, node count, trace or
+    diagnostic shows here."""
+
+    @staticmethod
+    def specs():
+        for seed in range(12):
+            m, n = 4 + seed % 3, 4 + (seed // 3) % 3
+            yield GenSpec(m, n, GenKind.UNIFORM_RANDOM, seed=seed)
+            yield GenSpec(m, n, GenKind.PLANTED_FVS, seed=seed, k_plant=2 + seed % 2)
+            yield GenSpec(m, n, GenKind.TWIN_HEAVY, seed=seed, twin_a=2, twin_b=1 + seed % 2)
+
+    def test_every_field_unchanged(self):
+        rows = []
+        for spec in self.specs():
+            T = generate(spec)
+            opt = len(exact_min_fvs(T))
+            if not opt:
+                continue
+            for k in (opt - 1, opt):
+                res = pipeline_solve(T, k, TOY)
+                rows.append((res.status.name,
+                             None if res.solution is None else sorted(map(T.label, res.solution)),
+                             res.stats.nodes, res.trace, res.diagnostics, res.used_fallback))
+        by_cascade = sum(r[0] == "SOLUTION" and r[3][0][0] == "seed" for r in rows)
+        assert (len(rows), by_cascade) == (56, 28)
+        assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "b491985da558a738"
 
 
 def _breadth_first(T, k, profile):
@@ -786,6 +884,24 @@ class TestHandBuilt:
         assert inst.view.m == square_2x2.mask_of(M)
         assert sum(1 << g for g, i in enumerate(inst.view.block) if i >= 0) == inst.view.m
         assert inst.parts == ()
+
+    def test_reads_and_compares_as_vertex_sets(self):
+        # M and P are held as gid masks; read back, compared and hashed,
+        # the instance behaves as one built from Vertex sets
+        T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2))
+        seed = seed_instances(T, 2, TOY)[0]
+        M, P = frozenset(seed.M), frozenset(seed.P)
+        inst = CfvsInstance(T, list(M), set(P), [], 2)
+        assert (inst.M, inst.P, inst.F, inst.k) == (M, P, frozenset(), 2)
+        assert type(inst.M) is frozenset and type(inst.P) is frozenset
+        assert (inst.m, inst.p) == (T.mask_of(M), T.mask_of(P))
+        assert inst == seed and not inst != seed and hash(inst) == hash(seed)
+        assert len({inst, seed, CfvsInstance(T, M, P, (), 2)}) == 1
+        assert inst != CfvsInstance(T, M, P, (), 3) and inst != (T, M, P, frozenset(), 2)
+        assert repr(inst) == (f"CfvsInstance(T={T!r}, M={M!r}, P={P!r}, "
+                              f"F=frozenset(), k=2)")
+        copied = pickle.loads(pickle.dumps(inst))
+        assert copied == inst and copied.view == inst.view
 
     def test_validation_peels_m_once(self, monkeypatch):
         # the consistency check's peel of T[M] also gives the layer keys
