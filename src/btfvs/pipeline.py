@@ -139,6 +139,13 @@ class _CfvsFields(NamedTuple):
     k: int
     view: BlockView
     parts: tuple[frozenset, ...]
+    holds: int  # the stage predicates known to hold, bits of _REGULAR .. _LOW_DEGREE
+
+
+# Bits of CfvsInstance.holds, in the order the stages check their predicates.
+_REGULAR, _WEAK, _MATCHED, _LOW_DEGREE = 1, 2, 4, 8
+_KEPT_BY_P = _REGULAR | _WEAK | _MATCHED  # what a child with a larger P inherits
+_KEPT_BY_F = _REGULAR  # what a child with a new F inherits
 
 
 class CfvsInstance(_CfvsFields):
@@ -161,6 +168,25 @@ class CfvsInstance(_CfvsFields):
     ``parts`` is the split :func:`stage_decoupled` verified for a child,
     given when the child is built.  Instances are immutable; two are equal
     when their T, M, P, F and k are.
+
+    ``holds`` marks the stage predicates known to hold, so a stage does not
+    decide one twice (it takes no part in equality, hashing or the repr).
+    A bit is set only when a stage computed its predicate as true on this
+    instance, or when the instance inherited it from its parent.  A seed or
+    hand-built instance starts with none.  A child inherits:
+
+    * with a larger P: ``regular``, ``weakly-coupled`` and ``matched``.
+      Blocks, back edges and live F only shrink, the view's conflict set
+      is kept, and a matching of a subset is no larger;
+    * with a new F: ``regular`` only, as :func:`is_regular` reads just the
+      blocks and M;
+    * with neither: every bit, as it is its parent.  Only then does it keep
+      ``low-block-degree``, as ghost edges grow with P and F.
+
+    The bits are relative to the profile of the stage that set them: a
+    stage trusts them under any profile, so an instance taken to a profile
+    with another ``large_ratio``, ``weak_matching`` or ``block_degree`` is
+    rebuilt with ``CfvsInstance(T, M, P, F, k)`` first.
     """
 
     __slots__ = ()
@@ -181,10 +207,11 @@ class CfvsInstance(_CfvsFields):
 
     @classmethod
     def _of(cls, T: BipartiteTournament, m: int, p: int, F: frozenset, k: int,
-            view: BlockView, parts: tuple[frozenset, ...] = ()) -> "CfvsInstance":
+            view: BlockView, parts: tuple[frozenset, ...] = (),
+            holds: int = 0) -> "CfvsInstance":
         """An instance from gid masks and its view, unchecked: for seeds and
         stage children, which are valid by construction."""
-        return tuple.__new__(cls, (T, m, p, F, k, view, parts))
+        return tuple.__new__(cls, (T, m, p, F, k, view, parts, holds))
 
     def __reduce__(self):
         return (CfvsInstance._of, tuple(self))
@@ -244,13 +271,22 @@ def live_structure(T: BipartiteTournament, m_mask: int, keys: list[tuple[int, in
                   if _closes_m_square(T, m_mask, gid(e.tail), gid(e.head))))
 
 
-def _child(inst: CfvsInstance, p: int | None = None,
-           F: frozenset | None = None) -> CfvsInstance | None:
+def _child(inst: CfvsInstance, profile: ConstantsProfile, p: int | None = None,
+           F: frozenset | None = None, need: int = 0) -> CfvsInstance | None:
     """``inst`` with P grown to the gid mask ``p`` (a superset of inst.p)
     and/or F set to ``F``, holding its parent's view minus the added
-    vertices; None when the new P meets M or exceeds k, as no solution then
-    contains it."""
-    p = inst.p if p is None else p
+    vertices and the ``holds`` bits it inherits, plus ``need``.  None when
+    the new P meets M or exceeds k, as no solution then contains it, or
+    when the child fails a predicate of ``need`` it did not inherit."""
+    holds = inst.holds
+    if F is None:
+        F = inst.F
+    else:
+        holds &= _KEPT_BY_F
+    if p is None:
+        p = inst.p
+    elif p != inst.p:
+        holds &= _KEPT_BY_P
     if p & inst.m or p.bit_count() > inst.k:
         return None
     gone, view = p & ~inst.p, inst.view
@@ -261,7 +297,37 @@ def _child(inst: CfvsInstance, p: int | None = None,
             blocks=tuple((x & keep, y & keep) for (x, y) in view.blocks),
             back=tuple(e for e in view.back
                        if e.tail not in dropped and e.head not in dropped))
-    return CfvsInstance._of(inst.T, inst.m, p, inst.F if F is None else F, inst.k, view)
+    child = CfvsInstance._of(inst.T, inst.m, p, F, inst.k, view, (), holds | need)
+    if need & ~holds and _failing(child, profile, need & ~holds) is not None:
+        return None
+    return child
+
+
+def _failing(inst: CfvsInstance, profile: ConstantsProfile, bits: int) -> str | None:
+    """The name of the first predicate of ``bits``, in stage order, that
+    ``inst`` fails, or None; ``inst.holds`` is not read."""
+    if bits & _REGULAR and not is_regular(inst, profile):
+        return "regular"
+    if bits & _WEAK and not is_weakly_coupled(inst, profile):
+        return "weakly-coupled"
+    if bits & _MATCHED and not is_matched(inst):
+        return "matched"
+    if bits & _LOW_DEGREE and not is_low_block_degree(inst, profile):
+        return "low-block-degree"
+    return None
+
+
+def _require(inst: CfvsInstance, profile: ConstantsProfile, bits: int) -> CfvsInstance:
+    """``inst`` carrying the predicates of ``bits``, checking in stage order
+    only those it does not carry yet; the first that fails raises
+    PreconditionViolated naming it."""
+    missing = bits & ~inst.holds
+    if not missing:
+        return inst
+    failed = _failing(inst, profile, missing)
+    if failed is not None:
+        raise PreconditionViolated(failed)
+    return inst._replace(holds=inst.holds | missing)
 
 
 def _short_by_pair(inst: CfvsInstance, exclude: frozenset = frozenset()) -> list[list]:
@@ -526,8 +592,8 @@ def stage_regular(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsIns
     pool = [1 << g for g in range(free.bit_length()) if free >> g & 1]  # ascending gid
     out = []
     for combo in _small_subsets(pool, slack, "oversized-block stage", profile):
-        child = _child(inst, p=inst.p | (free & ~sum(combo)))
-        if child is not None and is_regular(child, profile):
+        child = _child(inst, profile, p=inst.p | (free & ~sum(combo)), need=_REGULAR)
+        if child is not None:
             out.append(child)
     return out
 
@@ -585,8 +651,8 @@ def stage_weak(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsInstan
     out = []
     for combo in _small_subsets(sorted(big), profile.budget_slack,
                                 "back-edge coupling stage", profile):
-        child = _child(inst, F=(big - frozenset(combo)) | longs | inst.F)
-        if child is not None and is_weakly_coupled(child, profile):
+        child = _child(inst, profile, F=(big - frozenset(combo)) | longs | inst.F, need=_WEAK)
+        if child is not None:
             out.append(child)
     return out
 
@@ -622,48 +688,53 @@ def matched_branching(edges: Iterable[tuple], budget: int,
     edges = sorted(set(tuple(e) for e in edges))
     leaves: list[frozenset] = []
     meter = CapMeter("conflict branching", cap)
-
-    def residual_lower_bound(es: list) -> int:
-        used: set = set()
-        count = 0
-        for (u, w) in es:
-            if u in used or w in used:
-                continue
-            used.update((u, w))
-            count += 1
-        return count
-
     stack = [(edges, frozenset(), budget)]
     while stack:
         es, added, left = stack.pop()
         meter.spend()
-        if left < 0 or residual_lower_bound(es) > left:
+        if left < 0:
             continue
-        deg: dict = {}
+        used: set = set()  # the greedy count of pairwise disjoint edges
+        disjoint = 0
         for (u, w) in es:
-            deg[u] = deg.get(u, 0) + 1
-            deg[w] = deg.get(w, 0) + 1
-        heavy = sorted(v for v, d in deg.items() if d >= 2)
+            if u not in used and w not in used:
+                used.add(u)
+                used.add(w)
+                disjoint += 1
+        if disjoint > left:
+            continue
+        heavy = [v for v, d in Counter(chain.from_iterable(es)).items() if d >= 2]
         if not heavy:
             leaves.append(added)
             continue
-        v = heavy[0]
-        # pushed in reverse: first v joins, then v stays and its neighbors join
-        nbrs = frozenset(u if w == v else w for (u, w) in es if v in (u, w))
-        stack.append(([e for e in es if not (set(e) & nbrs)], added | nbrs, left - len(nbrs)))
-        stack.append(([e for e in es if v not in e], added | {v}, left - 1))
+        v = min(heavy)
+        nbrs, rest = set(), []  # v's neighbours, and the edges v does not meet
+        for e in es:
+            if e[0] == v:
+                nbrs.add(e[1])
+            elif e[1] == v:
+                nbrs.add(e[0])
+            else:
+                rest.append(e)
+        # pushed in reverse: first v joins, then v stays and its neighbors join;
+        # an edge at v meets a neighbour, so the second filter can start from rest
+        stack.append(([e for e in rest if e[0] not in nbrs and e[1] not in nbrs],
+                      added | nbrs, left - len(nbrs)))
+        stack.append((rest, added | {v}, left - 1))
     return leaves
 
 
 def stage_matched(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsInstance]:
     """Branch until the live constraint edges form a matching; children keep
-    F and grow P by the branch additions, so every child is matched."""
+    F and grow P by the branch additions, so every child is matched.  A
+    child is kept when it is regular and weakly coupled, which it inherits
+    from a parent known to be both."""
     out = []
     for added in matched_branching(inst.live_f(), inst.k - inst.p.bit_count(),
                                    cap=profile.family_cap):
-        child = _child(inst, p=inst.p | inst.T.mask_of(added))
-        if child is not None and is_regular(child, profile) \
-                and is_weakly_coupled(child, profile):
+        child = _child(inst, profile, p=inst.p | inst.T.mask_of(added),
+                       need=_REGULAR | _WEAK)
+        if child is not None:
             out.append(child)
     return out
 
@@ -693,24 +764,33 @@ def stage_lowblockdegree(inst: CfvsInstance, profile: ConstantsProfile) -> list[
     back edges, and a preferred cover of the incident constraint edges are
     all forced into P.  Children that force an M-vertex are impossible and
     pruned.
+
+    The preconditions (weakly coupled, matched) are checked only where
+    ``inst.holds`` does not already carry them.  With no heavy block to
+    choose (or no room for one in the budget), the only family is the empty
+    one, whose single guess adds nothing to P: the parent is then the only
+    child, kept if it has low block degree, after the four spends the loop
+    would make on that guess (family, fringe, order, cover).
     """
-    if not is_weakly_coupled(inst, profile):
-        raise PreconditionViolated("weakly-coupled")
-    if not is_matched(inst):
-        raise PreconditionViolated("matched")
+    inst = _require(inst, profile, _WEAK | _MATCHED)
     T, host_blocks, m = inst.T, inst.view.blocks, inst.view.m
     vs, gid = T.vertices_of_mask, T.gid
     live_f = sorted(inst.live_f())
     candidates = sorted(i for i, c in _block_incidence(inst, live_f).items()
                         if c >= profile.block_degree)
+    t_cap = max(0, (2 * inst.k) // profile.block_degree)
+    bump = CapMeter("block-degree stage", profile.family_cap).spend
+    if t_cap == 0 or not candidates:
+        for _ in range(4):
+            bump()
+        child = _child(inst, profile, need=_LOW_DEGREE)
+        return [] if child is None else [child]
     # arcs with the gid bits of their ends
     back = [(u, w, 1 << gid(u), 1 << gid(w)) for (u, w, _, _) in inst.view.back]
     live = [(u, w, 1 << gid(u), 1 << gid(w)) for (u, w) in live_f]
-    t_cap = max(0, (2 * inst.k) // profile.block_degree)
 
     out = []
     seen: set = set()
-    bump = CapMeter("block-degree stage", profile.family_cap).spend
     for fam_size in range(min(t_cap, len(candidates)) + 1):
         for fam in combinations(candidates, fam_size):
             bump()
@@ -757,8 +837,8 @@ def stage_lowblockdegree(inst: CfvsInstance, profile: ConstantsProfile) -> list[
                             if p4 in seen:  # another guess collapsed onto it
                                 continue
                             seen.add(p4)
-                            child = _child(inst, p=p4)
-                            if child is not None and is_low_block_degree(child, profile):
+                            child = _child(inst, profile, p=p4, need=_LOW_DEGREE)
+                            if child is not None:
                                 out.append(child)
     return out
 
@@ -837,7 +917,14 @@ def find_decoupling(inst: CfvsInstance, profile: ConstantsProfile) -> list[froze
     would turn each skip into a FamilyCapExceeded diagnostic, which changes
     the cascade's outputs.
     """
-    parts, runs, windows, greedy = _split_search(inst, profile)
+    return _decoupling(inst, profile, _split_search(inst, profile))
+
+
+def _decoupling(inst: CfvsInstance, profile: ConstantsProfile,
+                search) -> list[frozenset] | None:
+    """:func:`find_decoupling` from ``search``, the :func:`_split_search`
+    of ``inst`` or of an instance with the same view, live F and k."""
+    parts, runs, windows, greedy = search
     f, d = profile.part_fvs_f, profile.part_degree_d
     deg_lo = max(1, (200 * d) // 201)
     crossed = 0  # bit i: a short conflict back edge outside F joins blocks i, i + 1
@@ -866,15 +953,15 @@ def stage_decoupled(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsI
     then branch over the sides of a minimum vertex cover D of the rest
     (each subset C of D joins the solution together with the uncovered
     neighbors of D - C).  A larger P keeps the instance regular, weakly
-    coupled and matched, so children are checked only for the rest."""
-    for name, pred in (("regular", is_regular), ("weakly-coupled", is_weakly_coupled)):
-        if not pred(inst, profile):
-            raise PreconditionViolated(name)
-    if not is_matched(inst):
-        raise PreconditionViolated("matched")
-    if not is_low_block_degree(inst, profile):
-        raise PreconditionViolated("low-block-degree")
-    parts = partition_parts(inst, profile)
+    coupled and matched, so children are checked only for the rest.
+
+    The four preconditions are checked only where ``inst.holds`` does not
+    already carry them.  The parent's split search gives its partition,
+    and the decoupling of a child whose P is the parent's."""
+    inst = _require(inst, profile, _REGULAR | _WEAK | _MATCHED | _LOW_DEGREE)
+    search = _split_search(inst, profile)
+    split_parts, _, _, greedy = search
+    parts = split_parts(greedy)
     part_of = {v: i for i, part in enumerate(parts) for v in part}
     cross = sorted({(u, w) for (u, w, _, _) in inst.view.back
                     if part_of.get(u) != part_of.get(w)})
@@ -903,9 +990,12 @@ def stage_decoupled(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsI
                 if new_p in seen:
                     continue
                 seen.add(new_p)
-                child = _child(inst, p=new_p)
-                if child is not None and is_low_block_degree(child, profile) \
-                        and (split := find_decoupling(child, profile)) is not None:
+                child = _child(inst, profile, p=new_p, need=_LOW_DEGREE)
+                if child is None:
+                    continue
+                split = _decoupling(child, profile, search) if new_p == inst.p \
+                    else find_decoupling(child, profile)
+                if split is not None:
                     out.append(child._replace(parts=tuple(split)))
     return out
 

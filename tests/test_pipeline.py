@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
+import functools
 import gc
 import hashlib
 import pickle
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from btfvs import msequence, pipeline, solvers
 from btfvs.cli import main
 from btfvs.dfvc import dfvc_solve
-from btfvs.errors import FamilyCapExceeded, NotMConsistent, PreconditionViolated
+from btfvs.errors import CapMeter, FamilyCapExceeded, NotMConsistent, PreconditionViolated
 from btfvs.generators import GenKind, GenSpec, SplitMix64, generate
 from btfvs.graph import BipartiteTournament
 from btfvs.matching import max_bipartite_matching
@@ -27,7 +29,8 @@ from btfvs.pipeline import (STAGES, CfvsInstance, ConstantsProfile,
                             pipeline_solve, run_cascade, seed_instances,
                             stage_decoupled, stage_regular, stage_weak,
                             to_dfvc)
-from btfvs.reference import brute_squares, dfs_has_cycle, window_property_brute
+from btfvs.reference import (brute_squares, dfs_has_cycle, low_block_degree_ref, matched_ref,
+                             regular_ref, weakly_coupled_ref, window_property_brute)
 from btfvs.samplespace import twise_space, twise_space_size
 from btfvs.solvers import (Constraints, SolveStatus, branch_solve, exact_min_fvs,
                            oracle_min_fvs, verify_fvs)
@@ -477,6 +480,68 @@ class TestMatchedBranching:
             assert leaves and gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_visits_as_recounting_every_degree(self):
+        # the same leaves in the same order, or the same overflow, as a
+        # visit that recounts every degree and sorts every heavy vertex, on
+        # random arcs over 5 + 5 vertices with random budgets and caps
+        rng = SplitMix64(11)
+        outcomes = collections.Counter()
+        for _ in range(600):
+            arcs = sorted({(a(rng.below(5)), b(rng.below(5))) if rng.below(2)
+                           else (b(rng.below(5)), a(rng.below(5)))
+                           for _ in range(rng.below(16))})
+            budget = rng.below(11) - 1
+            cap = None if rng.below(3) == 0 else 1 + rng.below(40)
+
+            def outcome(branching):
+                try:
+                    return branching(arcs, budget, cap)
+                except FamilyCapExceeded as exc:
+                    return str(exc), exc.would_be
+
+            got = outcome(matched_branching)
+            assert got == outcome(_recounting_branching), (arcs, budget, cap)
+            outcomes["overflow" if isinstance(got, tuple) else "leaves" if got else "none"] += 1
+        assert len(outcomes) == 3 and min(outcomes.values()) > 20, outcomes
+
+
+def _recounting_branching(edges, budget, cap=None):
+    """matched_branching written as a visit that counts every degree and
+    sorts every vertex: the greedy bound, the degrees and each child's
+    edges in passes of their own."""
+    edges = sorted(set(tuple(e) for e in edges))
+    leaves = []
+    meter = CapMeter("conflict branching", cap)
+
+    def residual_lower_bound(es):
+        used, count = set(), 0
+        for (u, w) in es:
+            if u in used or w in used:
+                continue
+            used.update((u, w))
+            count += 1
+        return count
+
+    stack = [(edges, frozenset(), budget)]
+    while stack:
+        es, added, left = stack.pop()
+        meter.spend()
+        if left < 0 or residual_lower_bound(es) > left:
+            continue
+        deg: dict = {}
+        for (u, w) in es:
+            deg[u] = deg.get(u, 0) + 1
+            deg[w] = deg.get(w, 0) + 1
+        heavy = sorted(v for v, d in deg.items() if d >= 2)
+        if not heavy:
+            leaves.append(added)
+            continue
+        v = heavy[0]
+        nbrs = frozenset(u if w == v else w for (u, w) in es if v in (u, w))
+        stack.append(([e for e in es if not (set(e) & nbrs)], added | nbrs, left - len(nbrs)))
+        stack.append(([e for e in es if v not in e], added | {v}, left - 1))
+    return leaves
 
 
 class TestCascade:
@@ -1183,6 +1248,152 @@ class TestDecoupling:
         assert hand_built == family[0] and hand_built.parts == ()
         assert to_dfvc(hand_built, TOY) == to_dfvc(family[0], TOY)
         assert searched == [hand_built]
+
+
+@functools.lru_cache(maxsize=1)
+def _expansions():
+    """(stage, parent, children) of every expansion and seed run_cascade
+    collects on uniform, planted and twin-heavy instances at 4 per side,
+    k in {opt - 1, opt}; the instances carry the bits the walk gave them."""
+    out = []
+    for spec in (GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=1),
+                 GenSpec(4, 4, GenKind.PLANTED_FVS, seed=2, k_plant=2),
+                 GenSpec(4, 4, GenKind.TWIN_HEAVY, seed=3, twin_a=2, twin_b=1)):
+        T = generate(spec)
+        opt = len(exact_min_fvs(T))
+        for k in (opt - 1, opt):
+            run_cascade(T, k, TOY, collect=lambda *expansion: out.append(expansion))
+    return tuple(out)
+
+
+_BITS = (
+    (pipeline._REGULAR, lambda inst: is_regular(inst, TOY), lambda inst: regular_ref(inst, TOY)),
+    (pipeline._WEAK, lambda inst: is_weakly_coupled(inst, TOY),
+     lambda inst: weakly_coupled_ref(inst, TOY)),
+    (pipeline._MATCHED, is_matched, matched_ref),
+    (pipeline._LOW_DEGREE, lambda inst: is_low_block_degree(inst, TOY),
+     lambda inst: low_block_degree_ref(inst, TOY)),
+)
+_ALL_BITS = sum(bit for bit, _, _ in _BITS)
+
+
+class TestKnownPredicates:
+    """``CfvsInstance.holds`` marks the stage predicates an instance is known
+    to satisfy, so a stage skips deciding them again; the bits change no
+    stage's output and are not part of the instance's value."""
+
+    @staticmethod
+    def outcome(stage, inst, profile):
+        try:
+            return [tuple(child)[:7] for child in getattr(pipeline, f"stage_{stage}")(inst, profile)]
+        except (FamilyCapExceeded, PreconditionViolated) as exc:
+            return type(exc).__name__, str(exc)
+
+    def test_bits_change_no_stage_output(self):
+        # every parent the walk expands, with its bits and with none: the
+        # same children (T, m, p, F, k, view, parts), or the same error, at
+        # the toy cap and at caps 1-5
+        profiles = [TOY] + [dataclasses.replace(TOY, family_cap=cap) for cap in range(1, 6)]
+        checked = collections.Counter()
+        for stage, parent, _ in _expansions():
+            if parent is None or not parent.holds:  # a seed: nothing to clear
+                continue
+            cleared = parent._replace(holds=0)
+            for profile in profiles:
+                assert self.outcome(stage, parent, profile) == \
+                    self.outcome(stage, cleared, profile), stage
+            checked[stage] += 1
+        assert set(checked) == set(STAGES[2:]) and min(checked.values()) > 100
+
+    def test_every_bit_holds(self):
+        # each bit an expanded or yielded instance carries is true by the
+        # predicate on the instance built from scratch, and by the reference
+        carried = {bit: {} for bit, _, _ in _BITS}  # the distinct instances with each bit
+        for _, parent, children in _expansions():
+            for inst in (parent, *children):
+                for bit in carried:
+                    if inst is not None and inst.holds & bit:
+                        carried[bit].setdefault((id(inst.T), inst.m, inst.p, inst.F), inst)
+        for bit, predicate, reference in _BITS:
+            for inst in carried[bit].values():
+                fresh = CfvsInstance(inst.T, inst.M, inst.P, inst.F, inst.k)
+                assert fresh.holds == 0
+                assert predicate(fresh) and reference(inst), (bit, inst)
+            assert len(carried[bit]) > 50
+
+    def test_children_inherit_what_their_change_keeps(self):
+        # from a parent carrying every bit: a larger P keeps regular,
+        # weakly coupled and matched, a new F keeps regular, and a child
+        # equal to its parent keeps all four; each kept bit holds
+        grown_keeps = pipeline._REGULAR | pipeline._WEAK | pipeline._MATCHED
+        leaves = [child for stage, _, children in _expansions() if stage == "decoupled"
+                  for child in children]
+        made = collections.Counter()
+        for leaf in leaves:
+            T = leaf.T
+            taken = leaf.m | leaf.p
+            cases = [(pipeline._child(leaf, TOY), _ALL_BITS)]
+            cases += [(pipeline._child(leaf, TOY, p=leaf.p | 1 << g), grown_keeps)
+                      for g in range(T.num_vertices) if not taken >> g & 1]
+            cases += [(pipeline._child(leaf, TOY, F=leaf.F | {arc}), pipeline._REGULAR)
+                      for arc in T.arcs()[::5]]
+            for child, keeps in cases:
+                if child is None:  # a P past k
+                    continue
+                assert child.holds == keeps
+                for bit, predicate, _ in _BITS:
+                    assert not keeps & bit or predicate(child), (bit, child)
+                made[keeps] += 1
+        assert len(made) == 3 and min(made.values()) > 20, made
+
+    def test_bits_are_not_part_of_the_value(self):
+        leaf = next(child for stage, _, children in _expansions() if stage == "decoupled"
+                    for child in children)
+        assert leaf.holds == _ALL_BITS and leaf.parts
+        hand_built = CfvsInstance(leaf.T, leaf.M, leaf.P, leaf.F, leaf.k)
+        cleared = leaf._replace(holds=0)
+        for other in (hand_built, cleared):
+            assert other.holds == 0
+            assert other == leaf and not other != leaf and hash(other) == hash(leaf)
+            assert repr(other) == repr(leaf) and serialize_cfvs(other) == serialize_cfvs(leaf)
+        copied = pickle.loads(pickle.dumps(leaf))
+        assert copied == leaf and tuple(copied)[5:] == tuple(leaf)[5:]
+
+    def test_no_heavy_block_passes_the_parent_through(self, monkeypatch):
+        # a low-block-degree parent with no block of block_degree live
+        # incidence has one child, itself, and no guess is built
+        parents = [parent for stage, parent, _ in _expansions() if stage == "lowblockdegree"
+                   and max(pipeline._block_incidence(parent, parent.live_f()).values(),
+                           default=0) < TOY.block_degree]
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a guess was built")
+
+        monkeypatch.setattr(pipeline, "enumerate_min_vertex_covers", unreachable)
+        monkeypatch.setattr(pipeline, "consistent_with_mixed", unreachable)
+        for parent in parents:
+            want = [tuple(parent)[:6] + ((),)] if is_low_block_degree(parent, TOY) else []
+            assert self.outcome("lowblockdegree", parent, TOY) == want
+        assert len(parents) > 100
+
+    def test_one_split_search_per_decoupled_parent(self, monkeypatch):
+        # the parent's search gives its partition and the decoupling of a
+        # child with the parent's P; only a child with a larger P searches
+        parents = [parent for stage, parent, _ in _expansions() if stage == "decoupled"]
+        original = pipeline._split_search
+        searched = []
+
+        def recording(inst, profile):
+            searched.append(inst.p)
+            return original(inst, profile)
+
+        monkeypatch.setattr(pipeline, "_split_search", recording)
+        for parent in parents:
+            searched.clear()
+            stage_decoupled(parent, TOY)
+            assert searched[0] == parent.p and len(set(searched)) == len(searched)
+            assert all(p & parent.p == parent.p for p in searched)
+        assert len(parents) > 100
 
 
 class TestEndgame:
