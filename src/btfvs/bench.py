@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from .errors import InstanceTooLarge
 from .graph import BipartiteTournament
 from .pipeline import ConstantsProfile, pipeline_solve
-from .solvers import (KNOWN_SOLVERS, ORACLE_DEFAULT_CAP, Constraints, SolveStatus, _ms,
-                      approx4, branch_solve, exact_min_fvs, oracle_min_fvs)
+from .solvers import (KNOWN_SOLVERS, ORACLE_DEFAULT_CAP, Constraints, SolveStatus, _minimise,
+                      _ms, approx4, branch_solve, oracle_min_fvs)
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,9 @@ def _run_one(args) -> BenchRecord:
     budget = k if k is not None else T.num_vertices
     t0 = time.perf_counter()
     if solver == "exact":
-        sol = exact_min_fvs(T)
+        sol, nodes = _minimise(T, frozenset(), frozenset())
         return BenchRecord(instance_id, solver, SolveStatus.SOLUTION.value,
-                           len(sol), 0, _ms(t0))
+                           len(sol), nodes, _ms(t0))
     if solver == "approx4":
         out = approx4(T, budget)
         status = SolveStatus.SOLUTION.value if out is not None \

@@ -88,7 +88,11 @@ def dfvc_solve(inst: DfvcInstance) -> SolveResult:
     edge, so more edges than the budget answer no at once, and an incumbent
     of exactly that many deletions ends the loop.  Each part is minimised
     in place, with the leaf's endpoints in it required, so none is
-    re-induced.  ``stats.nodes`` counts the leaves tried.
+    re-induced, and only up to the deletions the leaf may still spend: the
+    budget, or one less than the incumbent, minus what the leaf has spent
+    so far.  A part past that drops the leaf, as an unbreakable part does,
+    so every full leaf is a strict improvement.  ``stats.nodes`` counts the
+    leaves tried.
     """
     t0 = time.perf_counter()
     g = inst.graph
@@ -104,19 +108,22 @@ def dfvc_solve(inst: DfvcInstance) -> SolveResult:
     for chosen in product(*choices):
         nodes += 1
         total = set(chosen)
+        # the deletions the leaf may still spend: within the budget, and
+        # below the incumbent, which only a strictly smaller total replaces
+        left = (inst.budget if best is None else len(best) - 1) - len(chosen)
         for pi, part in enumerate(g.parts):
             sol = _min_fvs(part, {v for (pj, v) in chosen if pj == pi},
-                           {v for (pj, v) in inst.forbidden if pj == pi})
+                           {v for (pj, v) in inst.forbidden if pj == pi}, left)
             if sol is None:
                 break
+            left -= len(sol)
             total |= {(pi, v) for v in sol}
         else:
-            if best is None or len(total) < len(best):
-                best = frozenset(total)
-                if len(best) == len(edges):
-                    break
+            best = frozenset(total)
+            if len(best) == len(edges):
+                break
     stats = SolveStats(nodes, _ms(t0))
-    if best is None or len(best) > inst.budget:
+    if best is None:
         return SolveResult(SolveStatus.NO_SOLUTION, None, stats)
     return SolveResult(SolveStatus.SOLUTION, best, stats)
 

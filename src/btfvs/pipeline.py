@@ -272,12 +272,13 @@ def live_structure(T: BipartiteTournament, m_mask: int, keys: list[tuple[int, in
 
 
 def _child(inst: CfvsInstance, profile: ConstantsProfile, p: int | None = None,
-           F: frozenset | None = None, need: int = 0) -> CfvsInstance | None:
+           F: frozenset | None = None, need: int = 0, made: int = 0) -> CfvsInstance | None:
     """``inst`` with P grown to the gid mask ``p`` (a superset of inst.p)
     and/or F set to ``F``, holding its parent's view minus the added
-    vertices and the ``holds`` bits it inherits, plus ``need``.  None when
-    the new P meets M or exceeds k, as no solution then contains it, or
-    when the child fails a predicate of ``need`` it did not inherit."""
+    vertices and the ``holds`` bits it inherits, plus ``need`` and ``made``
+    (the predicates the change makes true by construction).  None when the
+    new P meets M or exceeds k, as no solution then contains it, or when
+    the child fails a predicate of ``need`` it did not inherit."""
     holds = inst.holds
     if F is None:
         F = inst.F
@@ -297,7 +298,7 @@ def _child(inst: CfvsInstance, profile: ConstantsProfile, p: int | None = None,
             blocks=tuple((x & keep, y & keep) for (x, y) in view.blocks),
             back=tuple(e for e in view.back
                        if e.tail not in dropped and e.head not in dropped))
-    child = CfvsInstance._of(inst.T, inst.m, p, F, inst.k, view, (), holds | need)
+    child = CfvsInstance._of(inst.T, inst.m, p, F, inst.k, view, (), holds | need | made)
     if need & ~holds and _failing(child, profile, need & ~holds) is not None:
         return None
     return child
@@ -726,14 +727,16 @@ def matched_branching(edges: Iterable[tuple], budget: int,
 
 def stage_matched(inst: CfvsInstance, profile: ConstantsProfile) -> list[CfvsInstance]:
     """Branch until the live constraint edges form a matching; children keep
-    F and grow P by the branch additions, so every child is matched.  A
-    child is kept when it is regular and weakly coupled, which it inherits
-    from a parent known to be both."""
+    F and grow P by the branch additions, so every child is matched: its
+    live edges are the branching leaf's residual edges, those that meet no
+    added vertex, and a leaf has no vertex on two of them.  A child is kept
+    when it is regular and weakly coupled, which it inherits from a parent
+    known to be both, and it carries the matched bit."""
     out = []
     for added in matched_branching(inst.live_f(), inst.k - inst.p.bit_count(),
                                    cap=profile.family_cap):
         child = _child(inst, profile, p=inst.p | inst.T.mask_of(added),
-                       need=_REGULAR | _WEAK)
+                       need=_REGULAR | _WEAK, made=_MATCHED)
         if child is not None:
             out.append(child)
     return out

@@ -6,9 +6,14 @@ Four routes with very different trust stories:
   other solver is tested against; capped at small instances.
 * ``approx4``         -- greedy square deletion, factor-4 approximation.
 * ``branch_solve``    -- budgeted branching over squares and constraint
-  edges, with safe reduction, a packing lower bound read at each node from
-  one list of the A-pairs, and each failed sibling kept out of the later
-  ones.
+  edges, with safe reduction, a lower bound read at each node from one list
+  of the A-pairs, and each failed sibling kept out of the later ones.  The
+  bound packs vertex-disjoint squares, worth one deletion each, and triangle
+  pieces, worth two: three A vertices pairwise in squares, one square per
+  pair.  No vertex lies in all three squares of a piece (each A vertex is in
+  two; a B vertex is in a pair's square only if the pair splits on it, one
+  vertex beating it and one beaten by it, and three vertices have at most
+  two such pairs), so one deletion leaves one of them whole.
 * ``exact_min_fvs``   -- ascending budgets over ``branch_solve`` from the
   square-packing lower bound up, by the one minimiser :func:`_min_fvs`.
 
@@ -260,6 +265,85 @@ def _packing(groups: _PairGroups, used: int, cap: int) -> int:
     return count
 
 
+_PIECE_TRIES = 4  # third vertices a scan may try and fail before it packs squares only
+
+
+def _pieces(groups: _PairGroups, used: int, cap: int) -> int:
+    """Greedy vertex-disjoint packing of squares and triangle pieces that
+    miss the gid mask ``used``, counting 1 per square and 2 per piece: a
+    lower bound on the deletions left.  Stops once the count passes
+    ``cap``; the count is 0 exactly when no square misses ``used``.
+
+    The scan is :func:`_packing`'s.  When group a's first packable pair is
+    (a, a'), it looks among the pairs (a', a'') of a' for an a'' whose
+    squares with a' and with a both miss ``used``, reading (a, a'')'s D
+    masks from the live out-rows, and packs the three squares as one piece.
+    Each square takes its lowest free D1 and D0 vertex, preferring those
+    the piece has taken already.  At most ``_PIECE_TRIES`` such a'' fail
+    per scan, and an a' that heads no group is not tried: no later row is
+    incomparable with its own (as when the later A vertices are its false
+    twins), so no a'' pairs with it.
+
+    No vertex lies in all three squares of a piece: each A vertex lies in
+    two, and a B vertex lies in a pair's square only if the pair splits on
+    it, one vertex beating it and the other beaten by it, which at most two
+    pairs of three vertices do.  So a piece needs two deletions, and the
+    disjoint squares and pieces need their counts added up."""
+    count = 0
+    free = ~used
+    tries = _PIECE_TRIES
+    heads, rows = groups.heads, None
+    for a, union, pairs in groups:
+        if a & used or not union & free:
+            continue
+        for a2, d1, d0 in pairs:
+            if a2 & used:
+                continue
+            d1 &= free
+            if d1:
+                d0 &= free
+                if d0:
+                    got = (d1 & -d1) | (d0 & -d0)
+                    piece = a | a2
+                    count += 1
+                    if a2 & heads and tries > 0:
+                        if rows is None:
+                            rows, lists = groups.index()
+                        row = rows[a]
+                        for a3, f1, f0 in lists[a2]:
+                            if a3 & used:
+                                continue
+                            f1 &= free
+                            if f1:
+                                f0 &= free
+                                if f0:
+                                    row3 = rows[a3]
+                                    e1 = row & ~row3 & free
+                                    if e1:
+                                        e0 = row3 & ~row & free
+                                        if e0:
+                                            e1 = (e1 & got) or e1
+                                            got |= e1 & -e1
+                                            e0 = (e0 & got) or e0
+                                            got |= e0 & -e0
+                                            f1 = (f1 & got) or f1
+                                            got |= f1 & -f1
+                                            f0 = (f0 & got) or f0
+                                            got |= f0 & -f0
+                                            piece |= a3
+                                            count += 1
+                                            break
+                            tries -= 1
+                            if not tries:
+                                break
+                    if count > cap:
+                        return count
+                    used |= piece | got
+                    free = ~used
+                    break
+    return count
+
+
 def squares_packing_lower_bound(T: BipartiteTournament, forbidden: int = 0,
                                 alive: int | None = None) -> int | None:
     """Greedy vertex-disjoint square packing of T[alive] (gid masks; all of
@@ -267,8 +351,9 @@ def squares_packing_lower_bound(T: BipartiteTournament, forbidden: int = 0,
     is made of ``forbidden`` vertices only, which certifies infeasibility.
 
     Read from one :func:`structure._a_pairs` scan (:func:`_pair_groups`),
-    with no square listed: the packing :func:`branch_solve` makes at a node
-    that has deleted nothing.
+    with no square listed: the squares of the packing :func:`branch_solve`
+    makes at a node that has deleted nothing, which adds triangle pieces
+    (:func:`_pieces`).
     """
     groups = _pair_groups(T, T.full_mask if alive is None else alive, forbidden)
     return None if groups is None else _packing(groups, 0, T.num_vertices)
@@ -367,9 +452,15 @@ def branch_solve(T: BipartiteTournament, constraints: Constraints | None = None,
     call would build for its own alive and forbidden masks:
     ``_pair_groups(T, _survivors(T, budget))`` for an unconstrained call,
     ``_pair_groups(T, T.full_mask, forbidden)`` for a constrained one.
-    Each node packs the list greedily from ``removed`` (:func:`_packing`):
-    a count above the budget left prunes the node, and a count of 0 means
-    no square misses ``removed``, which is then a solution.
+    Each node with budget left packs the list greedily from ``removed``
+    into squares and triangle pieces (:func:`_pieces`), a node with none
+    into squares (:func:`_packing`): a count above the budget left prunes
+    the node, and a count of 0 means no square misses ``removed``, which is
+    then a solution.  A piece is three A vertices pairwise in squares with
+    one square per pair, and it counts two deletions: each A vertex lies in
+    two of the squares, and a B vertex lies in a pair's square only if the
+    pair splits on it, which at most two pairs of three vertices do, so no
+    vertex lies in all three.
 
     Each node also carries a forbidden gid mask ``forb``, the constraint's
     to start with.  When the child that deletes g finds nothing, no solution
@@ -400,7 +491,8 @@ def branch_solve(T: BipartiteTournament, constraints: Constraints | None = None,
             return SolveResult(SolveStatus.NO_SOLUTION, None, SolveStats(0, _ms(t0)))
     nodes = 0
 
-    packing, square_gids = _packing, _square_gids  # local names: one lookup less per node
+    # local names: one lookup less per node
+    packing, pieces, square_gids = _packing, _pieces, _square_gids
 
     def branch(removed: int, gids, left: int, cover_idx: int, forb: int) -> int | None:
         """Try deleting each vertex of ``gids`` not in ``forb``, in order."""
@@ -426,7 +518,7 @@ def branch_solve(T: BipartiteTournament, constraints: Constraints | None = None,
             if left <= 0:
                 return None
             return branch(removed, gids, left, cover_idx + 1, forb)
-        count = packing(groups, removed, left)
+        count = pieces(groups, removed, left) if left > 0 else packing(groups, removed, 0)
         if not count:
             return removed
         if count > left:
@@ -450,28 +542,49 @@ def exact_min_fvs(T: BipartiteTournament) -> frozenset:
     """Minimum feedback vertex set by ascending-budget iteration over
     ``branch_solve``, starting at the greedy square-packing bound: no budget
     below it can succeed, so the first budget that does is the optimum."""
-    return _min_fvs(T, frozenset(), frozenset())
+    return _minimise(T, frozenset(), frozenset())[0]
 
 
-def _min_fvs(T: BipartiteTournament, required, forbidden) -> frozenset | None:
+def _min_fvs(T: BipartiteTournament, required, forbidden,
+             cap: int | None = None) -> frozenset | None:
     """The one ascending-budget minimiser: a minimum feedback vertex set of T
     that contains ``required`` (dropped from the answer) and avoids
-    ``forbidden``; None when some square cannot be broken.  Budgets start at
-    the packing bound of the squares that miss ``required``, read from one
-    scan of T's A-pairs with the forbidden mask.  Each restart gets the list
-    ``branch_solve`` would build itself: that one under a constraint, else
-    the A-pairs of T[survivors], rescanned only when the survivor mask
-    changes."""
+    ``forbidden``; None when some square cannot be broken, or when every
+    such set deletes more than ``cap`` vertices besides ``required``.  Its
+    loop is :func:`_minimise`.
+
+    Every budget below the optimum is a proof of no, and those proofs carry
+    the cost.  Their nodes prune on squares and triangle pieces
+    (:func:`_pieces`).  A piece's three A vertices are pairwise in squares,
+    one square per pair, and it counts two deletions: each A vertex lies in
+    two of the squares, and a B vertex lies in a pair's square only if the
+    pair splits on it, which at most two pairs of three vertices do, so no
+    single deletion breaks all three squares."""
+    return _minimise(T, required, forbidden, cap)[0]
+
+
+def _minimise(T: BipartiteTournament, required, forbidden,
+              cap: int | None = None) -> tuple[frozenset | None, int]:
+    """:func:`_min_fvs`'s answer and the branch nodes its restarts spent.
+    Budgets start at the packing bound of the squares that miss
+    ``required``, read from one scan of T's A-pairs with the forbidden
+    mask, and stop at ``cap``.  Each restart gets the list ``branch_solve``
+    would build itself: that one under a constraint, else the A-pairs of
+    T[survivors], rescanned only when the survivor mask changes."""
     groups = _pair_groups(T, T.full_mask, T.mask_of(forbidden))
     if groups is None:
-        return None
+        return None, 0
     alive, free = T.full_mask, not required and not forbidden
-    for k in range(_packing(groups, T.mask_of(required), T.num_vertices),
-                   T.num_vertices - len(required) - len(forbidden) + 1):
+    top = T.num_vertices - len(required) - len(forbidden)
+    if cap is not None:
+        top = min(top, cap)
+    nodes = 0
+    for k in range(_packing(groups, T.mask_of(required), T.num_vertices), top + 1):
         if free and (survivors := _survivors(T, k)) != alive:
             alive, groups = survivors, _pair_groups(T, survivors)
         res = branch_solve(T, Constraints(forbidden=forbidden, required_in=required,
                                           budget=len(required) + k), groups=groups)
+        nodes += res.stats.nodes
         if res.found:
-            return res.solution - required
-    return None
+            return res.solution - required, nodes
+    return None, nodes

@@ -46,7 +46,21 @@ class CanonicalSequence(NamedTuple):
         return iter(self.sets)
 
 
-_PairGroups = list[tuple[int, int, list[tuple[int, int, int]]]]  # (a, U0, [(a', D1, D0), ...])
+class _PairGroups(list):
+    """The grouped A-pairs of :func:`_a_pairs`: ``(a, U0, [(a', D1, D0),
+    ...])`` per group.  ``heads`` is the mask of the vertices that head a
+    group; :meth:`index` keys the live out-rows and the groups by bit.
+    """
+
+    __slots__ = ("heads", "_rows", "_index")
+
+    def index(self) -> tuple[dict, dict]:
+        """``(rows, lists)``: the live out-row of each live A vertex and the
+        pairs of each head, keyed by bit; built at the first call."""
+        if self._index is None:
+            self._index = ({a: row for a, row, _ in self._rows},
+                           {a: pairs for a, _, pairs in self})
+        return self._index
 
 
 def _a_pairs(T: BipartiteTournament, alive: int) -> _PairGroups:
@@ -59,16 +73,19 @@ def _a_pairs(T: BipartiteTournament, alive: int) -> _PairGroups:
     is free holds no square that misses the used vertices.
     """
     out = T.out_mask
-    rows = [(1 << i, out[i] & alive) for i in range(T.m) if alive >> i & 1]
-    table: _PairGroups = []
-    for x, (a, row) in enumerate(rows):
-        pairs = [(a2, d1, d0) for a2, row2 in rows[x + 1:]
-                 if (d1 := row & ~row2) and (d0 := row2 & ~row)]
+    rows = [(1 << i, row := out[i] & alive, ~row) for i in range(T.m) if alive >> i & 1]
+    table = _PairGroups()
+    heads = 0
+    for x, (a, row, off) in enumerate(rows):
+        pairs = [(a2, d1, d0) for a2, row2, off2 in rows[x + 1:]
+                 if (d1 := row & off2) and (d0 := row2 & off)]
         if pairs:
             union = 0
             for _, _, d0 in pairs:
                 union |= d0
             table.append((a, union, pairs))
+            heads |= a
+    table.heads, table._rows, table._index = heads, rows, None
     return table
 
 

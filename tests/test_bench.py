@@ -88,6 +88,28 @@ class TestBench:
         with pytest.raises(ValueError):
             bench(small_corpus(count=1), ["magic"])
 
+    def test_exact_rows_count_every_restart(self, monkeypatch):
+        # an exact row's nodes are the branch nodes of every budget restart
+        # its minimiser ran, the proofs of no included
+        from btfvs import solvers
+        spent = []
+
+        def counting(*args, _original=solvers.branch_solve, **kwargs):
+            res = _original(*args, **kwargs)
+            spent[-1] += res.stats.nodes
+            return res
+
+        monkeypatch.setattr(solvers, "branch_solve", counting)
+        restarted = 0
+        for spec in (GenSpec(6, 6, GenKind.UNIFORM_RANDOM, seed=3),
+                     GenSpec(7, 6, GenKind.PLANTED_FVS, seed=4, k_plant=3),
+                     GenSpec(5, 5, GenKind.ACYCLIC, seed=5)):
+            spent.append(0)
+            [record] = bench([(spec.file_stem(), generate(spec), None)], ["exact"])
+            assert record.nodes == spent[-1]
+            restarted += record.nodes > 1
+        assert restarted >= 2
+
     def test_csv_shape(self):
         records = [BenchRecord("x", "oracle", "solution", 2, 10, 1.25)]
         text = to_csv(records)

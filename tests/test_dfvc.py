@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import time
+from itertools import product
 
 import pytest
 
@@ -132,9 +133,9 @@ class TestDfvcSolve:
         inst = DfvcInstance(matched_acyclic_parts(4), frozenset(), 4)
         solved = []
 
-        def solving(part, removed, forbidden, _original=dfvc._min_fvs):
+        def solving(part, removed, forbidden, cap=None, _original=dfvc._min_fvs):
             solved.append(part)
-            return _original(part, removed, forbidden)
+            return _original(part, removed, forbidden, cap)
 
         monkeypatch.setattr(dfvc, "_min_fvs", solving)
         res = dfvc_solve(inst)
@@ -176,6 +177,33 @@ class TestDfvcSolve:
             checked += 1
         assert checked >= 80
 
+    def test_capped_endgame_matches_the_uncapped_one(self, monkeypatch):
+        # each part is minimised only up to what its leaf may still spend;
+        # on random mixed instances the status, set and leaves tried equal
+        # those of the leaf loop that minimises every part in full
+        stopped = [0]
+
+        def watching(part, required, forbidden, cap=None, _original=dfvc._min_fvs):
+            sol = _original(part, required, forbidden, cap)
+            stopped[0] += sol is None and _original(part, required, forbidden) is not None
+            return sol
+
+        monkeypatch.setattr(dfvc, "_min_fvs", watching)
+        checked = answered = 0
+        for seed in range(150):
+            g = random_mixed(seed, max_parts=3, max_side=4, max_edges=4)
+            if not g.is_undirected_matching():
+                continue
+            rng = SplitMix64(seed + 4242)
+            forbidden = frozenset(gv for gv in g.vertices() if rng.below(9) == 0)
+            inst = DfvcInstance(g, forbidden, rng.below(2 + g.num_vertices // 2))
+            got = dfvc_solve(inst)
+            want, leaves = _uncapped_endgame(inst)
+            assert (got.solution, got.stats.nodes) == (want, leaves), seed
+            checked += 1
+            answered += want is not None
+        assert stopped[0] >= 40 and 100 <= answered < checked
+
     def test_independence_of_parts(self):
         # once edges are resolved, the total equals the sum of part minima
         for seed in range(30):
@@ -185,6 +213,33 @@ class TestDfvcSolve:
             from btfvs.solvers import oracle_min_fvs
             expected = sum(len(oracle_min_fvs(p).solution) for p in g.parts)
             assert res.found and len(res.solution) == expected
+
+
+def _uncapped_endgame(inst):
+    """dfvc_solve's leaf loop with every part minimised in full: the first
+    strictly smallest leaf total within the budget, or None, and the leaves
+    tried."""
+    g = inst.graph
+    edges = sorted(g.undirected)
+    choices = [[end for end in edge if end not in inst.forbidden] for edge in edges]
+    if len(edges) > inst.budget or not all(choices):
+        return None, 0
+    best, leaves = None, 0
+    for chosen in product(*choices):
+        leaves += 1
+        total = set(chosen)
+        for pi, part in enumerate(g.parts):
+            sol = _min_fvs(part, {v for (pj, v) in chosen if pj == pi},
+                           {v for (pj, v) in inst.forbidden if pj == pi})
+            if sol is None:
+                break
+            total |= {(pi, v) for v in sol}
+        else:
+            if best is None or len(total) < len(best):
+                best = frozenset(total)
+                if len(best) == len(edges):
+                    break
+    return (best if best is not None and len(best) <= inst.budget else None), leaves
 
 
 def _part_min_fvs_on_remainder(part, removed, forbidden):

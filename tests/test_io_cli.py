@@ -476,7 +476,7 @@ class TestCli:
             main(["--json", "--profile", "toy", "pipeline", str(path)])
             routes[k] = json.loads(capsys.readouterr().out)
         no, yes = routes[1], routes[2]
-        assert no == {"status": "no-solution", "nodes": 5, "trace": [["search", 5]],
+        assert no == {"status": "no-solution", "nodes": 1, "trace": [["search", 1]],
                       "diagnostics": [], "used_fallback": False}
         assert yes["status"] == "solution" and yes["nodes"] == 3
         assert yes["trace"] == [["seed", 4], ["regular", 5], ["weak", 5], ["matched", 5],

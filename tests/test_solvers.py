@@ -14,7 +14,7 @@ from btfvs.reference import brute_squares, dfs_has_cycle
 from btfvs.solvers import (Constraints, SolveStatus, approx4, branch_solve,
                            exact_min_fvs, oracle_min_fvs, reduce_instance,
                            satisfies, squares_packing_lower_bound, verify_fvs)
-from btfvs.structure import _a_pairs, _on_cycles, all_squares, find_square
+from btfvs.structure import _a_pairs, _on_cycles, _rows_nested, all_squares, find_square
 
 from conftest import a, b, tournament
 
@@ -200,6 +200,48 @@ class TestSquareIndex:
             assert branch_solve(T, cons).status is SolveStatus.NO_SOLUTION
             checked += 1
         assert checked > 50
+
+
+def _piece_cases(count: int):
+    """(T, removed, forbidden) on seeded uniform, planted and twin-heavy
+    tournaments of at most 16 vertices, with disjoint random gid masks:
+    removed takes about one vertex in twelve, forbidden one in four."""
+    kinds = (GenKind.UNIFORM_RANDOM, GenKind.PLANTED_FVS, GenKind.TWIN_HEAVY)
+    for seed in range(count):
+        rng = SplitMix64(seed + 12000)
+        m = 2 + rng.below(7)
+        T = generate(GenSpec(m, 2 + rng.below(15 - m), kinds[seed % 3], seed=seed,
+                             k_plant=3, twin_a=2, twin_b=2))
+        removed = forbidden = 0
+        for g in range(T.num_vertices):
+            r = rng.below(12)
+            removed |= (r < 1) << g
+            forbidden |= (1 <= r < 4) << g
+        yield T, removed, forbidden
+
+
+class TestPieceBound:
+    def test_pieces_lower_bound_the_remainder(self):
+        # the squares and triangle pieces packed from a removed mask never
+        # count more than the deletions the remainder needs under the
+        # forbidden mask, count 0 exactly when the remainder is square-free,
+        # and a cap changes no count at or below it
+        solved = above = 0
+        for T, removed, forbidden in _piece_cases(240):
+            groups = solvers._pair_groups(T, T.full_mask)
+            count = solvers._pieces(groups, removed, T.num_vertices)
+            assert (count == 0) == _rows_nested(T, T.full_mask & ~removed)
+            for cap in range(count + 1):
+                capped = solvers._pieces(groups, removed, cap)
+                assert capped == count if cap == count else capped > cap
+            cons = Constraints(forbidden=frozenset(T.vertices_of_mask(forbidden)),
+                               required_in=frozenset(T.vertices_of_mask(removed)))
+            res = oracle_min_fvs(T, cons)
+            if res.found:
+                assert count <= len(res.solution) - removed.bit_count()
+                solved += 1
+            above += count > solvers._packing(groups, removed, T.num_vertices)
+        assert solved >= 150 and above >= 20
 
 
 @st.composite
@@ -421,21 +463,37 @@ class TestBranchSolve:
         res = branch_solve(square_2x2, cons2)
         assert res.found and res.solution == {a(0), b(0)}
 
-    def test_pruning_keeps_the_first_solution(self):
-        # the packing bound and the failed-sibling exclusion only cut subtrees
+    def test_pruning_keeps_the_first_solution(self, monkeypatch):
+        # the piece bound and the failed-sibling exclusion only cut subtrees
         # without a solution, so the unpruned search in the same order finds
-        # the same first one; cover edges branch with the exclusion too
+        # the same first one; cover edges branch with the exclusion too.  The
+        # uniform instances have 2-5 vertices per side, the uniform, planted
+        # and twin-heavy ones after them 6-9, where triangle pieces prune
+        # nodes that the square packing alone would keep
+        pieces, piece_prunes = solvers._pieces, [0]
+
+        def watching(groups, used, cap):
+            count = pieces(groups, used, cap)
+            piece_prunes[0] += count > cap >= solvers._packing(groups, used, cap)
+            return count
+
+        monkeypatch.setattr(solvers, "_pieces", watching)
+        kinds = (GenKind.UNIFORM_RANDOM, GenKind.PLANTED_FVS, GenKind.TWIN_HEAVY)
+        specs = [GenSpec(2 + seed % 4, 2 + (seed // 4) % 4, GenKind.UNIFORM_RANDOM,
+                         seed=seed + 3000) for seed in range(200)]
+        specs += [GenSpec(6 + seed % 4, 6 + (seed // 4) % 4, kinds[seed % 3], seed=seed + 5000,
+                          k_plant=2 + seed % 3, twin_a=2, twin_b=2) for seed in range(60)]
         outcomes = set()
-        for seed in range(200):
-            T = generate(GenSpec(2 + seed % 4, 2 + (seed // 4) % 4,
-                                 GenKind.UNIFORM_RANDOM, seed=seed + 3000))
-            cons = random_constraints(T, SplitMix64(seed + 3000))
+        for spec in specs:
+            T = generate(spec)
+            cons = random_constraints(T, SplitMix64(spec.seed))
             for c in (cons, Constraints(budget=cons.budget)):
                 want = _unpruned_branch(T, c)
                 got = branch_solve(T, c)
-                assert got.solution == want, f"seed {seed}, {c}"
+                assert got.solution == want, f"{spec}, {c}"
                 outcomes.add((bool(c.cover_edges), got.found))
         assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+        assert piece_prunes[0] > 0
 
     @pytest.mark.parametrize("size, seed", [(9, 11), (10, 12), (10, 13), (11, 14)])
     def test_failed_siblings_stay_out(self, size, seed, monkeypatch):
@@ -624,9 +682,9 @@ class TestSquareLayerPinned:
         assert _square_layer_answers(spec)[:3] == want
 
     @pytest.mark.parametrize("spec, nodes", list(zip(PINNED_SPECS, [
-        (1, 10, 5),
-        (63, 8, 4),
-        (80, 124, 20),
+        (1, 6, 5),
+        (42, 8, 1),
+        (34, 82, 13),
         (1, 5, 1),
         (1, 6, 3),
         (0, 1, 1),
