@@ -8,7 +8,7 @@ never touching forbidden vertices.
 The solver tries every way of deleting one endpoint of each undirected
 edge, as one product over the edges' choices; the parts are then fully
 independent, so the leaf total is the sum of each part's minimum feedback
-vertex set, from the solvers' one minimiser (:func:`solvers._min_fvs`).
+vertex set, from the solvers' one minimiser (:func:`solvers._minimise`).
 Exponentially worse than clever alternatives in theory, but exact, simple,
 and fast at the scale the pipeline produces.
 """
@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import NotAMatching
 from .graph import MixedMultigraph
-from .solvers import (ORACLE_DEFAULT_CAP, SolveResult, SolveStats, SolveStatus, _min_fvs,
+from .solvers import (ORACLE_DEFAULT_CAP, SolveResult, SolveStats, SolveStatus, _minimise,
                       _ms, approx4, oracle_min_fvs)
 from .solvers import branch_solve  # noqa: F401  (a lookup site perfbench's tracer wraps)
 
@@ -112,8 +112,8 @@ def dfvc_solve(inst: DfvcInstance) -> SolveResult:
         # below the incumbent, which only a strictly smaller total replaces
         left = (inst.budget if best is None else len(best) - 1) - len(chosen)
         for pi, part in enumerate(g.parts):
-            sol = _min_fvs(part, {v for (pj, v) in chosen if pj == pi},
-                           {v for (pj, v) in inst.forbidden if pj == pi}, left)
+            sol = _minimise(part, {v for (pj, v) in chosen if pj == pi},
+                            {v for (pj, v) in inst.forbidden if pj == pi}, left)[0]
             if sol is None:
                 break
             left -= len(sol)

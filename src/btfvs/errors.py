@@ -17,10 +17,6 @@ class EmptyM(ValueError):
     """The undeletable set M must be nonempty for block-structure operations."""
 
 
-class BlockIndexOutOfRange(IndexError):
-    """A block index does not address a block of the sequence."""
-
-
 class GroundSetMismatch(ValueError):
     """Two partitions do not cover the same ground set."""
 

@@ -127,28 +127,6 @@ def x_preferred_cover(matching_edges: Iterable[tuple], x_set: Iterable[Vertex]) 
     return frozenset(chosen)
 
 
-def inconsistent_vertices(T, order: Sequence[Vertex]) -> frozenset:
-    """Opposite-side vertices admitting no split of ``order`` into a prefix
-    of in-neighbors followed by a suffix of out-neighbors.
-
-    ``order`` must list vertices of a single side; the scan covers every
-    vertex of the other side.
-    """
-    order = list(order)
-    if not order:
-        return frozenset()
-    sides = {v.side for v in order}
-    if len(sides) != 1:
-        raise ValueError("order mixes the two sides")
-    side = sides.pop()
-    others = [v for v in T.vertices() if v.side != side]
-    bad = set()
-    for v in others:
-        if not _consistent_with(T, order, v):
-            bad.add(v)
-    return frozenset(bad)
-
-
 def _consistent_with(T, order: Sequence[Vertex], v: Vertex) -> bool:
     for i in range(len(order) + 1):
         if all(T.has_arc(u, v) for u in order[:i]) and \

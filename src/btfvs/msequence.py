@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import BlockIndexOutOfRange, EmptyM, GroundSetMismatch, NotMConsistent
+from .errors import EmptyM, GroundSetMismatch, NotMConsistent
 from .graph import SIDE_A, SIDE_B, BipartiteTournament, Vertex
 from .structure import _peel_layers_mask
 
@@ -333,47 +333,6 @@ def is_conflict_back_edge(T: BipartiteTournament, M: Iterable[Vertex], e: BackEd
     T.check_vertex(e.tail)
     T.check_vertex(e.head)
     return _closes_m_square(T, T.mask_of(M), T.gid(e.tail), T.gid(e.head))
-
-
-class Boundaries(NamedTuple):
-    left: frozenset
-    right: frozenset
-
-
-def boundaries(T: BipartiteTournament, seq: MSequence,
-               order: Sequence[Vertex], i: int) -> Boundaries:
-    """Vertices of X_i placed before the first / after the last M-vertex of
-    X_i by the topological order ``order``.
-
-    M-sequence layers always contain an M-vertex, so both boundaries are
-    proper (possibly empty) fringes.
-    """
-    if not (0 <= i < len(seq)):
-        raise BlockIndexOutOfRange(f"block {i} of {len(seq)}")
-    M = seq.m_set
-    xi = seq.x(i)
-    ordered = [v for v in order if v in xi]
-    m_positions = [p for p, v in enumerate(ordered) if v in M]
-    if not m_positions:
-        return Boundaries(frozenset(ordered), frozenset(ordered))
-    first, last = m_positions[0], m_positions[-1]
-    return Boundaries(frozenset(ordered[:first]), frozenset(ordered[last + 1:]))
-
-
-def vicinity(T: BipartiteTournament, seq: MSequence,
-             order: Sequence[Vertex], i: int) -> frozenset:
-    """Union of block i's boundaries, the right boundary of block i-1, Y_i,
-    and the left boundary of block i+1; missing neighbor blocks contribute
-    nothing."""
-    if not (0 <= i < len(seq)):
-        raise BlockIndexOutOfRange(f"block {i} of {len(seq)}")
-    own = boundaries(T, seq, order, i)
-    parts = set(own.left) | set(own.right) | set(seq.y(i))
-    if i > 0:
-        parts |= boundaries(T, seq, order, i - 1).right
-    if i + 1 < len(seq):
-        parts |= boundaries(T, seq, order, i + 1).left
-    return frozenset(parts)
 
 
 def is_refinement(p1: Sequence[Iterable[Vertex]], p2: Sequence[Iterable[Vertex]]) -> bool:

@@ -43,8 +43,8 @@ from .msequence import (BackEdge, _back_edges, _blocks_mask, _closes_m_square,
                         _layer_keys, _layers, cycle_closers)
 from .msequence import m_sequence  # noqa: F401  (a lookup site perfbench's tracer wraps)
 from .samplespace import SampleSpace, prime_power_decompose, twise_space, twise_space_size
-from .solvers import (Constraints, SolveStats, SolveStatus, _approx4_mask, _ms, _packing,
-                      _pair_groups, _survivors, branch_solve, reduce_instance, verify_fvs)
+from .solvers import (Constraints, SolveStats, SolveStatus, _approx4_mask, _ms, _pair_groups,
+                      _pieces, _survivors, branch_solve, reduce_instance, verify_fvs)
 from .structure import _peel_layers_mask
 
 
@@ -381,7 +381,7 @@ EXACT_Q_BITS = 32  # a sample_q this short is rounded up to a prime power in mil
 
 
 def _sample_space(n: int, profile: ConstantsProfile) -> tuple[int, int]:
-    """The field size q and window t of :func:`m_family`'s sample space over
+    """The field size q and window t of :func:`_m_masks`' sample space over
     n vertices, once both its size checks pass; they read n alone.
 
     The space has unit ** t members, unit >= q >= sample_q.  A sample_q
@@ -426,10 +426,16 @@ def _exempted(space: SampleSpace, slack: int) -> tuple[int, ...]:
 
 
 def _m_masks(n: int, profile: ConstantsProfile) -> tuple[int, ...]:
-    """:func:`m_family` over n vertices as n-bit masks, after both size
-    checks, which read n alone: bit i is the vertex of gid i of any
-    tournament on n vertices, ``T.vertices()[i]``.
+    """Candidate undeletable sets over n vertices as n-bit masks: one
+    selection per sample-space function, minus every exemption subset of
+    size up to ``budget_slack``; deduplicated, in deterministic order.  Bit
+    i is the vertex of gid i of any tournament on n vertices,
+    ``T.vertices()[i]``: the family depends on T only through its vertex
+    count.
 
+    Both size checks come first, and read n alone.  A sample space of more
+    than 2 ** SIZE_BITS members (and more than the cap) overflows with that
+    power of two as its size, so a huge ``hom_window`` costs no huge power.
     The selections and their ``would_be`` are cached per (n, t, q, slack)
     and checked against ``family_cap`` on every call; the family itself is
     built, and cached, only once a caller's cap admits it."""
@@ -451,18 +457,6 @@ def _sized_family(n: int, profile: ConstantsProfile, notes: list) -> tuple[int, 
     except FamilyCapExceeded as exc:
         notes.append((0, str(exc)))
         return None
-
-
-def m_family(T: BipartiteTournament, profile: ConstantsProfile) -> Iterator[frozenset]:
-    """Candidate undeletable sets: one selection per sample-space function,
-    minus every exemption subset of size up to ``budget_slack``;
-    deduplicated, deterministic order, yielded lazily after both size checks.
-    A sample space of more than 2 ** SIZE_BITS members (and more than the
-    cap) overflows with that power of two as its size, so a huge
-    ``hom_window`` costs no huge power.  The family depends on T only
-    through its vertex count: it is built once per (n, t, q, slack) as gid
-    masks, and each set is made as it is yielded."""
-    return (frozenset(T.vertices_of_mask(m)) for m in _m_masks(T.num_vertices, profile))
 
 
 def is_m_homogeneous(T: BipartiteTournament, M: Iterable[Vertex],
@@ -1184,7 +1178,7 @@ def pipeline_solve(T: BipartiteTournament, k: int,
         return PipelineResult(SolveStatus.SOLUTION, frozenset(),
                               SolveStats(0, _ms(t0)), (("reduce", 0),), (), False)
     groups = _pair_groups(T, alive)
-    bound = _packing(groups, 0, T.num_vertices)
+    bound = _pieces(groups, 0, T.num_vertices, 0)
     if bound > k:  # k + 1 vertex-disjoint squares, each needing its own deletion
         return PipelineResult(SolveStatus.NO_SOLUTION, None, SolveStats(0, _ms(t0)),
                               (("screen", bound),), (), False)

@@ -9,13 +9,9 @@ Four routes with very different trust stories:
   edges, with safe reduction, a lower bound read at each node from one list
   of the A-pairs, and each failed sibling kept out of the later ones.  The
   bound packs vertex-disjoint squares, worth one deletion each, and triangle
-  pieces, worth two: three A vertices pairwise in squares, one square per
-  pair.  No vertex lies in all three squares of a piece (each A vertex is in
-  two; a B vertex is in a pair's square only if the pair splits on it, one
-  vertex beating it and one beaten by it, and three vertices have at most
-  two such pairs), so one deletion leaves one of them whole.
+  pieces, worth two (:func:`_pieces`, which proves the two).
 * ``exact_min_fvs``   -- ascending budgets over ``branch_solve`` from the
-  square-packing lower bound up, by the one minimiser :func:`_min_fvs`.
+  square-packing lower bound up, by the one minimiser :func:`_minimise`.
 
 All solvers honor ``Constraints``: a set of undeletable vertices, a set of
 vertices forced into the solution, an edge set the solution must cover, and
@@ -233,19 +229,42 @@ def _pair_groups(T: BipartiteTournament, alive: int, forbidden: int = 0) -> _Pai
     return groups
 
 
-def _packing(groups: _PairGroups, used: int, cap: int) -> int:
-    """Greedy vertex-disjoint packing, in ``all_squares`` order, of the
-    squares of the pair groups that miss the gid mask ``used``: each packed
-    square needs its own deletion, so the count lower-bounds the deletions
-    left.  Stops at cap + 1.
+_PIECE_TRIES = 4  # third vertices a scan may try and fail before it packs squares only
 
-    All squares of an A-pair share a and a', so at most one per pair is
-    packed, the first in ``all_squares`` order: {min live D1, min live D0}.
-    Once one is packed, a is used and the rest of its group is skipped; so
-    is a group whose D0 union U0 has no free vertex, as none of its pairs
-    can pack."""
+
+def _pieces(groups: _PairGroups, used: int, cap: int, tries: int = _PIECE_TRIES) -> int:
+    """Greedy vertex-disjoint packing of squares and triangle pieces that
+    miss the gid mask ``used``, counting 1 per square and 2 per piece: a
+    lower bound on the deletions left.  Stops once the count passes
+    ``cap``; the count is 0 exactly when no square misses ``used``.
+
+    The scan takes the pair groups in order.  All squares of an A-pair
+    share a and a', so at most one per pair is packed, the first in
+    ``all_squares`` order: {min free D1, min free D0}.  Once one is packed,
+    a is used and the rest of its group is skipped; so is a group whose D0
+    union U0 has no free vertex, as none of its pairs can pack.  With
+    ``tries=0`` that is all: the greedy packing of the squares in
+    ``all_squares`` order.
+
+    Otherwise, when group a's first packable pair is (a, a'), the scan
+    looks among the pairs (a', a'') of a' for an a'' whose squares with a'
+    and with a both miss ``used``, reading (a, a'')'s D masks from the live
+    out-rows, and packs the three squares as one piece.  Each square takes
+    its lowest free D1 and D0 vertex, preferring those the piece has taken
+    already.  At most ``tries`` such a'' fail per scan, and an a' that
+    heads no group is not tried: no later row is incomparable with its own
+    (as when the later A vertices are its false twins), so no a'' pairs
+    with it.
+
+    A piece needs two deletions.  No vertex lies in all three of its
+    squares: each A vertex lies in two, and a B vertex lies in a pair's
+    square only if the pair splits on it, one vertex beating it and the
+    other beaten by it, which at most two pairs of three vertices do.  So
+    one deletion leaves one square of the piece whole, and the counts of
+    disjoint squares and pieces add up."""
     count = 0
     free = ~used
+    heads, rows = groups.heads, None
     for a, union, pairs in groups:
         if a & used or not union & free:
             continue
@@ -259,53 +278,8 @@ def _packing(groups: _PairGroups, used: int, cap: int) -> int:
                     count += 1
                     if count > cap:
                         return count
-                    used |= a | a2 | (d1 & -d1) | (d0 & -d0)
-                    free = ~used
-                    break
-    return count
-
-
-_PIECE_TRIES = 4  # third vertices a scan may try and fail before it packs squares only
-
-
-def _pieces(groups: _PairGroups, used: int, cap: int) -> int:
-    """Greedy vertex-disjoint packing of squares and triangle pieces that
-    miss the gid mask ``used``, counting 1 per square and 2 per piece: a
-    lower bound on the deletions left.  Stops once the count passes
-    ``cap``; the count is 0 exactly when no square misses ``used``.
-
-    The scan is :func:`_packing`'s.  When group a's first packable pair is
-    (a, a'), it looks among the pairs (a', a'') of a' for an a'' whose
-    squares with a' and with a both miss ``used``, reading (a, a'')'s D
-    masks from the live out-rows, and packs the three squares as one piece.
-    Each square takes its lowest free D1 and D0 vertex, preferring those
-    the piece has taken already.  At most ``_PIECE_TRIES`` such a'' fail
-    per scan, and an a' that heads no group is not tried: no later row is
-    incomparable with its own (as when the later A vertices are its false
-    twins), so no a'' pairs with it.
-
-    No vertex lies in all three squares of a piece: each A vertex lies in
-    two, and a B vertex lies in a pair's square only if the pair splits on
-    it, one vertex beating it and the other beaten by it, which at most two
-    pairs of three vertices do.  So a piece needs two deletions, and the
-    disjoint squares and pieces need their counts added up."""
-    count = 0
-    free = ~used
-    tries = _PIECE_TRIES
-    heads, rows = groups.heads, None
-    for a, union, pairs in groups:
-        if a & used or not union & free:
-            continue
-        for a2, d1, d0 in pairs:
-            if a2 & used:
-                continue
-            d1 &= free
-            if d1:
-                d0 &= free
-                if d0:
                     got = (d1 & -d1) | (d0 & -d0)
                     piece = a | a2
-                    count += 1
                     if a2 & heads and tries > 0:
                         if rows is None:
                             rows, lists = groups.index()
@@ -332,12 +306,12 @@ def _pieces(groups: _PairGroups, used: int, cap: int) -> int:
                                             got |= f0 & -f0
                                             piece |= a3
                                             count += 1
+                                            if count > cap:
+                                                return count
                                             break
                             tries -= 1
                             if not tries:
                                 break
-                    if count > cap:
-                        return count
                     used |= piece | got
                     free = ~used
                     break
@@ -351,12 +325,10 @@ def squares_packing_lower_bound(T: BipartiteTournament, forbidden: int = 0,
     is made of ``forbidden`` vertices only, which certifies infeasibility.
 
     Read from one :func:`structure._a_pairs` scan (:func:`_pair_groups`),
-    with no square listed: the squares of the packing :func:`branch_solve`
-    makes at a node that has deleted nothing, which adds triangle pieces
-    (:func:`_pieces`).
+    with no square listed: :func:`_pieces` with no piece tries.
     """
     groups = _pair_groups(T, T.full_mask if alive is None else alive, forbidden)
-    return None if groups is None else _packing(groups, 0, T.num_vertices)
+    return None if groups is None else _pieces(groups, 0, T.num_vertices, 0)
 
 
 class Reduction(NamedTuple):
@@ -452,15 +424,11 @@ def branch_solve(T: BipartiteTournament, constraints: Constraints | None = None,
     call would build for its own alive and forbidden masks:
     ``_pair_groups(T, _survivors(T, budget))`` for an unconstrained call,
     ``_pair_groups(T, T.full_mask, forbidden)`` for a constrained one.
-    Each node with budget left packs the list greedily from ``removed``
-    into squares and triangle pieces (:func:`_pieces`), a node with none
-    into squares (:func:`_packing`): a count above the budget left prunes
-    the node, and a count of 0 means no square misses ``removed``, which is
-    then a solution.  A piece is three A vertices pairwise in squares with
-    one square per pair, and it counts two deletions: each A vertex lies in
-    two of the squares, and a B vertex lies in a pair's square only if the
-    pair splits on it, which at most two pairs of three vertices do, so no
-    vertex lies in all three.
+    Each node packs the list greedily from ``removed`` into squares and
+    triangle pieces, which count two deletions each (:func:`_pieces`): a
+    count above the budget left prunes the node, and a count of 0 means no
+    square misses ``removed``, which is then a solution.  A node with no
+    budget left stops at its first packed square.
 
     Each node also carries a forbidden gid mask ``forb``, the constraint's
     to start with.  When the child that deletes g finds nothing, no solution
@@ -492,7 +460,7 @@ def branch_solve(T: BipartiteTournament, constraints: Constraints | None = None,
     nodes = 0
 
     # local names: one lookup less per node
-    packing, pieces, square_gids = _packing, _pieces, _square_gids
+    pieces, square_gids = _pieces, _square_gids
 
     def branch(removed: int, gids, left: int, cover_idx: int, forb: int) -> int | None:
         """Try deleting each vertex of ``gids`` not in ``forb``, in order."""
@@ -518,7 +486,7 @@ def branch_solve(T: BipartiteTournament, constraints: Constraints | None = None,
             if left <= 0:
                 return None
             return branch(removed, gids, left, cover_idx + 1, forb)
-        count = pieces(groups, removed, left) if left > 0 else packing(groups, removed, 0)
+        count = pieces(groups, removed, left)
         if not count:
             return removed
         if count > left:
@@ -545,32 +513,22 @@ def exact_min_fvs(T: BipartiteTournament) -> frozenset:
     return _minimise(T, frozenset(), frozenset())[0]
 
 
-def _min_fvs(T: BipartiteTournament, required, forbidden,
-             cap: int | None = None) -> frozenset | None:
-    """The one ascending-budget minimiser: a minimum feedback vertex set of T
-    that contains ``required`` (dropped from the answer) and avoids
-    ``forbidden``; None when some square cannot be broken, or when every
-    such set deletes more than ``cap`` vertices besides ``required``.  Its
-    loop is :func:`_minimise`.
-
-    Every budget below the optimum is a proof of no, and those proofs carry
-    the cost.  Their nodes prune on squares and triangle pieces
-    (:func:`_pieces`).  A piece's three A vertices are pairwise in squares,
-    one square per pair, and it counts two deletions: each A vertex lies in
-    two of the squares, and a B vertex lies in a pair's square only if the
-    pair splits on it, which at most two pairs of three vertices do, so no
-    single deletion breaks all three squares."""
-    return _minimise(T, required, forbidden, cap)[0]
-
-
 def _minimise(T: BipartiteTournament, required, forbidden,
               cap: int | None = None) -> tuple[frozenset | None, int]:
-    """:func:`_min_fvs`'s answer and the branch nodes its restarts spent.
+    """The one ascending-budget minimiser: a minimum feedback vertex set of T
+    that contains ``required`` (dropped from the answer) and avoids
+    ``forbidden``, or None when some square cannot be broken or when every
+    such set deletes more than ``cap`` vertices besides ``required``; and
+    the branch nodes its restarts spent.
+
     Budgets start at the packing bound of the squares that miss
-    ``required``, read from one scan of T's A-pairs with the forbidden
-    mask, and stop at ``cap``.  Each restart gets the list ``branch_solve``
-    would build itself: that one under a constraint, else the A-pairs of
-    T[survivors], rescanned only when the survivor mask changes."""
+    ``required`` (:func:`_pieces` with no piece tries), read from one scan
+    of T's A-pairs with the forbidden mask, and stop at ``cap``.  Every
+    budget below the optimum is a proof of no, and those proofs carry the
+    cost; their nodes prune on squares and triangle pieces.  Each restart
+    gets the list ``branch_solve`` would build itself: that one under a
+    constraint, else the A-pairs of T[survivors], rescanned only when the
+    survivor mask changes."""
     groups = _pair_groups(T, T.full_mask, T.mask_of(forbidden))
     if groups is None:
         return None, 0
@@ -579,7 +537,7 @@ def _minimise(T: BipartiteTournament, required, forbidden,
     if cap is not None:
         top = min(top, cap)
     nodes = 0
-    for k in range(_packing(groups, T.mask_of(required), T.num_vertices), top + 1):
+    for k in range(_pieces(groups, T.mask_of(required), T.num_vertices, 0), top + 1):
         if free and (survivors := _survivors(T, k)) != alive:
             alive, groups = survivors, _pair_groups(T, survivors)
         res = branch_solve(T, Constraints(forbidden=forbidden, required_in=required,

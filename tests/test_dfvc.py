@@ -11,7 +11,7 @@ from btfvs.errors import NotAMatching
 from btfvs.generators import GenKind, GenSpec, SplitMix64, generate
 from btfvs.graph import MixedMultigraph
 from btfvs.reference import dfvc_oracle
-from btfvs.solvers import Constraints, SolveStatus, _min_fvs, branch_solve
+from btfvs.solvers import Constraints, SolveStatus, _minimise, branch_solve
 
 from conftest import a, b, tournament
 
@@ -133,11 +133,11 @@ class TestDfvcSolve:
         inst = DfvcInstance(matched_acyclic_parts(4), frozenset(), 4)
         solved = []
 
-        def solving(part, removed, forbidden, cap=None, _original=dfvc._min_fvs):
+        def solving(part, removed, forbidden, cap=None, _original=dfvc._minimise):
             solved.append(part)
             return _original(part, removed, forbidden, cap)
 
-        monkeypatch.setattr(dfvc, "_min_fvs", solving)
+        monkeypatch.setattr(dfvc, "_minimise", solving)
         res = dfvc_solve(inst)
         assert res.found and res.solution == {(0, a(i)) for i in range(4)}
         assert len(solved) == 2 and res.stats.nodes == 1
@@ -183,12 +183,12 @@ class TestDfvcSolve:
         # those of the leaf loop that minimises every part in full
         stopped = [0]
 
-        def watching(part, required, forbidden, cap=None, _original=dfvc._min_fvs):
-            sol = _original(part, required, forbidden, cap)
-            stopped[0] += sol is None and _original(part, required, forbidden) is not None
-            return sol
+        def watching(part, required, forbidden, cap=None, _original=dfvc._minimise):
+            answer = _original(part, required, forbidden, cap)
+            stopped[0] += answer[0] is None and _original(part, required, forbidden)[0] is not None
+            return answer
 
-        monkeypatch.setattr(dfvc, "_min_fvs", watching)
+        monkeypatch.setattr(dfvc, "_minimise", watching)
         checked = answered = 0
         for seed in range(150):
             g = random_mixed(seed, max_parts=3, max_side=4, max_edges=4)
@@ -229,8 +229,8 @@ def _uncapped_endgame(inst):
         leaves += 1
         total = set(chosen)
         for pi, part in enumerate(g.parts):
-            sol = _min_fvs(part, {v for (pj, v) in chosen if pj == pi},
-                           {v for (pj, v) in inst.forbidden if pj == pi})
+            sol = _minimise(part, {v for (pj, v) in chosen if pj == pi},
+                            {v for (pj, v) in inst.forbidden if pj == pi})[0]
             if sol is None:
                 break
             total |= {(pi, v) for v in sol}
@@ -271,7 +271,7 @@ class TestPartMinFvs:
             if seed % 4:
                 forbidden = {v for v in verts if v not in removed and rng.below(4) == 0}
             reduced_only_there += bool(removed) and not forbidden
-            assert _min_fvs(part, removed, forbidden) == \
+            assert _minimise(part, removed, forbidden)[0] == \
                 _part_min_fvs_on_remainder(part, removed, forbidden), seed
         assert reduced_only_there >= 30
 
@@ -295,7 +295,7 @@ class TestPartMinFvs:
             part = generate(GenSpec(5, 5, GenKind.PLANTED_FVS, seed=seed, k_plant=3))
             verts = part.vertices()
             scans[0] = restarts[0] = 0
-            _min_fvs(part, {verts[seed % 10]}, {verts[(seed + 3) % 10]})
+            _minimise(part, {verts[seed % 10]}, {verts[(seed + 3) % 10]})
             assert scans[0] == 1, seed
             repeated += restarts[0] >= 2
         assert repeated >= 5

@@ -131,7 +131,7 @@ def test_benchmark_calls_bind_to_btfvs_signatures():
 def test_branch_solve_lookup_sites_are_the_solver():
     # the tracer counts part searches and fallback time by wrapping
     # branch_solve where it is looked up; part searches reach it through
-    # solvers' own binding (solvers._min_fvs), and dfvc keeps its import
+    # solvers' own binding (solvers._minimise), and dfvc keeps its import
     # only as a site the tracer's list names; a local wrapper or copy in
     # pipeline would hide the fallback search from it
     import btfvs.dfvc
@@ -139,3 +139,36 @@ def test_branch_solve_lookup_sites_are_the_solver():
     import btfvs.solvers
     assert btfvs.dfvc.branch_solve is btfvs.solvers.branch_solve
     assert btfvs.pipeline.branch_solve is btfvs.solvers.branch_solve
+
+
+# documented helpers exported for callers outside the package, which no
+# module of it calls
+KEPT_HELPERS = {"partition_parts", "some_topological_sort", "squares_packing_lower_bound",
+                "validate_class"}
+
+
+def _package_references() -> set[str]:
+    """Every name the package's modules reference, but ``__init__``: each
+    ``Name``, ``Attribute`` and imported name."""
+    names = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_exported_helpers_have_callers():
+    # an exported function or class that no module of the package names is
+    # kept alive by its tests alone; only the documented helpers may be
+    referenced = _package_references()
+    unused = {name for name in btfvs.__all__
+              if (inspect.isfunction(getattr(btfvs, name)) or inspect.isclass(getattr(btfvs, name)))
+              and name not in referenced}
+    assert unused == KEPT_HELPERS

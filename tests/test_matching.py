@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from btfvs.errors import FamilyCapExceeded
 from btfvs.generators import GenKind, GenSpec, generate
 from btfvs.matching import (consistent_with_mixed, enumerate_min_vertex_covers,
-                            inconsistent_vertices, max_bipartite_matching,
-                            min_vertex_cover, x_preferred_cover)
+                            max_bipartite_matching, min_vertex_cover, x_preferred_cover)
 from btfvs.reference import max_matching_size_brute, min_vertex_covers_brute
 
 from conftest import a, b, tournament
@@ -158,26 +157,22 @@ class TestPreferredCover:
 
 
 class TestInconsistency:
-    def test_single_in_neighbor_consistent(self):
-        T = tournament([[False]])  # b0 -> a0... order over B side
-        assert inconsistent_vertices(T, [b(0)]) == frozenset()
-
-    def test_out_before_in_inconsistent(self):
-        # order (b0, b1); a0 -> b0 and b1 -> a0: out first, then in
-        T = tournament([[True, False]])
-        assert inconsistent_vertices(T, [b(0), b(1)]) == frozenset({a(0)})
-
     def test_matches_bruteforce_split_scan(self):
+        # on mixed-side orders, v is consistent exactly when some cut of the
+        # whole order puts only in-neighbors of v before it and only
+        # out-neighbors after it, among the vertices on v's other side
+        outcomes = set()
         for seed in range(30):
             T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=seed))
-            order = sorted(T.b_vertices())[:3]
-            got = inconsistent_vertices(T, order)
-            for v in T.a_vertices():
+            order = random.Random(seed).sample(T.vertices(), 3 + seed % 4)
+            for v in T.vertices():
                 splits_ok = any(
-                    all(T.has_arc(u, v) for u in order[:i])
-                    and all(T.has_arc(v, u) for u in order[i:])
+                    all(T.has_arc(u, v) for u in order[:i] if u.side != v.side)
+                    and all(T.has_arc(v, u) for u in order[i:] if u.side != v.side)
                     for i in range(len(order) + 1))
-                assert (v in got) == (not splits_ok)
+                assert consistent_with_mixed(T, order, v) == splits_ok
+                outcomes.add((len({u.side for u in order}), splits_ok))
+        assert outcomes == {(1, False), (1, True), (2, False), (2, True)}
 
     def test_mixed_consistency_uses_opposite_side_only(self):
         T = tournament([[True, False], [True, True]])

@@ -4,12 +4,11 @@ import pytest
 
 from btfvs.errors import EmptyM, GroundSetMismatch, NotMConsistent
 from btfvs.generators import GenKind, GenSpec, SplitMix64, generate
-from btfvs.msequence import (BackEdgeKind, ClassKind, back_edges, boundaries,
-                             classify, is_conflict_back_edge, is_m_consistent,
-                             is_refinement, m_sequence, vicinity)
+from btfvs.msequence import (BackEdgeKind, ClassKind, back_edges, classify,
+                             is_conflict_back_edge, is_m_consistent, is_refinement,
+                             m_sequence)
 from btfvs.reference import brute_blocks, classify_brute
-from btfvs.structure import (canonical_sequence, is_acyclic,
-                             some_topological_sort)
+from btfvs.structure import canonical_sequence, is_acyclic
 
 from conftest import a, b, tournament
 
@@ -390,49 +389,6 @@ class TestConflictBackEdges:
         seq = m_sequence(T, M)
         e = back_edges(T, seq)[0]
         assert not is_conflict_back_edge(T, M, e)
-
-
-class TestBoundaries:
-    def test_all_m_block_has_empty_boundaries(self):
-        T = generate(GenSpec(3, 3, GenKind.ACYCLIC, seed=5))
-        M = frozenset(T.vertices())
-        seq = m_sequence(T, M)
-        order = some_topological_sort(T)
-        for i in range(len(seq)):
-            bnd = boundaries(T, seq, order, i)
-            assert bnd.left == frozenset() and bnd.right == frozenset()
-
-    def test_single_outsider_on_the_left(self):
-        # a1 equivalent to a0; order placing a1 first puts it in the left
-        # boundary of block 0
-        T = tournament([[True, True], [True, True]])
-        M = frozenset({a(0), b(0), b(1)})
-        seq = m_sequence(T, M)
-        order = [a(1), a(0), b(0), b(1)]
-        bnd = boundaries(T, seq, order, 0)
-        assert bnd.left == frozenset({a(1)})
-        assert bnd.right == frozenset()
-        order2 = [a(0), a(1), b(0), b(1)]
-        bnd2 = boundaries(T, seq, order2, 0)
-        assert bnd2.left == frozenset()
-        assert bnd2.right == frozenset({a(1)})
-
-    def test_vicinity_equals_handrolled_union(self):
-        for seed in range(40):
-            T = generate(GenSpec(4, 4, GenKind.ACYCLIC, seed=seed))
-            rng = SplitMix64(seed + 1000)
-            vs = T.vertices()
-            M = {v for v in vs if rng.coin()} or {vs[0]}
-            seq = m_sequence(T, M)
-            order = some_topological_sort(T)
-            for i in range(len(seq)):
-                own = boundaries(T, seq, order, i)
-                expect = set(own.left) | set(own.right) | set(seq.y(i))
-                if i > 0:
-                    expect |= boundaries(T, seq, order, i - 1).right
-                if i + 1 < len(seq):
-                    expect |= boundaries(T, seq, order, i + 1).left
-                assert vicinity(T, seq, order, i) == frozenset(expect)
 
 
 class TestRefinementPredicate:

@@ -24,7 +24,7 @@ from btfvs.pipeline import (STAGES, CfvsInstance, ConstantsProfile,
                             derive_forced_p, find_decoupling, is_low_block_degree,
                             is_m_homogeneous, is_matched, is_regular,
                             is_weakly_coupled, long_back,
-                            m_family, matched_branching, partition_parts,
+                            matched_branching, partition_parts,
                             short_back_large,
                             pipeline_solve, run_cascade, seed_instances,
                             stage_decoupled, stage_regular, stage_weak,
@@ -90,13 +90,18 @@ class TestProfile:
                 part_fvs_f=1, part_degree_d=1, budget_slack=1, sample_q=2)
 
 
+def _m_family(T, profile):
+    """The undeletable-set guesses of T as vertex sets, in family order."""
+    return [frozenset(T.vertices_of_mask(m)) for m in pipeline._m_masks(T.num_vertices, profile)]
+
+
 class TestMFamily:
     def test_no_exemptions(self):
         T = generate(GenSpec(2, 2, GenKind.UNIFORM_RANDOM, seed=4))
         prof = ConstantsProfile(hom_window=1, large_ratio=3, weak_matching=2,
                                 block_degree=3, part_fvs_f=1, part_degree_d=2,
                                 budget_slack=1, sample_q=2)
-        fam = list(m_family(T, prof))
+        fam = _m_family(T, prof)
         # slack 1 still allows the bare selections; all must be present
         space_size = twise_space_size(4, 1, 2)
         assert len(fam) <= space_size * (1 + 4)
@@ -109,7 +114,7 @@ class TestMFamily:
         prof = ConstantsProfile(hom_window=2, large_ratio=3, weak_matching=2,
                                 block_degree=3, part_fvs_f=1, part_degree_d=2,
                                 budget_slack=1, sample_q=2)
-        fam = m_family(T, prof)
+        fam = _m_family(T, prof)
         space = twise_space(6, 2, 2)
         verts = T.vertices()
         expect = set()
@@ -127,7 +132,7 @@ class TestMFamily:
                                 block_degree=3, part_fvs_f=1, part_degree_d=2,
                                 budget_slack=1, sample_q=2, family_cap=10)
         with pytest.raises(FamilyCapExceeded) as exc:
-            m_family(T, prof)
+            pipeline._m_masks(T.num_vertices, prof)
         assert exc.value.would_be > 10
 
     def test_sample_space_built_once(self):
@@ -137,7 +142,7 @@ class TestMFamily:
 
     def test_deterministic(self):
         T = generate(GenSpec(3, 2, GenKind.UNIFORM_RANDOM, seed=7))
-        assert list(m_family(T, TOY)) == list(m_family(T, TOY))
+        assert _m_family(T, TOY) == _m_family(T, TOY)
 
     def test_order_is_first_occurrence(self):
         # selection by selection, exemption subsets by size and each size in
@@ -155,23 +160,23 @@ class TestMFamily:
                     for combo in combinations(sorted(z), r):
                         if z - frozenset(combo) not in expect:
                             expect.append(z - frozenset(combo))
-            assert list(m_family(T, prof)) == expect
+            assert _m_family(T, prof) == expect
 
     def test_cold_caches_give_the_warm_sequence(self):
         T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=8))
-        warm = list(m_family(T, TOY))
+        warm = _m_family(T, TOY)
         for cached in (twise_space, pipeline._selections, pipeline._exempted):
             cached.cache_clear()
-        assert list(m_family(T, TOY)) == warm
+        assert _m_family(T, TOY) == warm
 
     def test_warm_shape_still_checks_the_callers_cap(self):
         # the selections of this shape are cached by the first call; a
         # smaller cap still raises, with the count and message it always had
         T = generate(GenSpec(3, 4, GenKind.UNIFORM_RANDOM, seed=3))
         prof = dataclasses.replace(TOY, hom_window=1)
-        assert len(list(m_family(T, prof))) == 9
+        assert len(_m_family(T, prof)) == 9
         with pytest.raises(FamilyCapExceeded) as exc:
-            m_family(T, dataclasses.replace(prof, family_cap=10))
+            pipeline._m_masks(T.num_vertices, dataclasses.replace(prof, family_cap=10))
         assert exc.value.would_be == 36
         assert str(exc.value) == "undeletable-set family: family of size >= 36 exceeds cap 10"
 
@@ -890,9 +895,9 @@ class TestDepthFirstWalk:
                              [(1, 2, False, 5), (3, 1, False, 1), (3, 2, True, 6)])
     def test_paper_profile_seeding_overflow_is_pinned(self, seed, k, found, nodes):
         # 8x8 under the paper profile: a no-instance is the search's no, in
-        # its node count; on a yes-instance m_family's up-front check
-        # overflows, so the walk yields nothing and the search's answer is
-        # the fallback answer
+        # its node count; on a yes-instance the up-front size check of
+        # pipeline._m_masks overflows, so the walk yields nothing and the
+        # search's answer is the fallback answer
         T = generate(GenSpec(8, 8, GenKind.PLANTED_FVS, seed=seed, k_plant=3))
         res = pipeline_solve(T, k)
         route = ((("seed", 0),),
@@ -1703,9 +1708,8 @@ class TestPipelineSolve:
         def unreachable(*args, **kwargs):
             raise AssertionError("screened inputs are not seeded")
 
-        monkeypatch.setattr(pipeline, "m_family", unreachable)
         monkeypatch.setattr(pipeline, "_m_masks", unreachable)
-        monkeypatch.setattr(pipeline, "seed_instances", unreachable)
+        monkeypatch.setattr(pipeline, "_seeds", unreachable)
         monkeypatch.setattr(pipeline, "branch_solve", unreachable)
         res = pipeline_solve(T, 1, TOY)
         assert (res.status, res.solution, res.stats.nodes, res.trace,

@@ -164,9 +164,9 @@ def _greedy_packing(masks: list[int]) -> int:
 
 class TestSquareIndex:
     def test_packing_bound_is_the_list_greedy(self):
-        # the bound, and each branch_solve node's packing of the grouped
-        # A-pairs from its removed mask: the greedy over the squares that
-        # miss it, stopped at cap + 1
+        # the bound, and the packing with no piece tries of the grouped
+        # A-pairs from a removed mask: the greedy over the squares that miss
+        # it, stopped at cap + 1
         outcomes, packed = set(), set()
         for seed, (T, alive, forbidden) in enumerate(_index_cases(300)):
             for within in (None, alive):
@@ -183,7 +183,7 @@ class TestSquareIndex:
                     removed |= (rng.below(5) == 0) << g
                 cap = rng.below(4)
                 want = _greedy_packing([q for q in all_squares(T, alive) if not q & removed])
-                assert solvers._packing(groups, removed, cap) == min(want, cap + 1)
+                assert solvers._pieces(groups, removed, cap, 0) == min(want, cap + 1)
                 packed.add((want == 0, want > cap))
         assert outcomes == {(False, False), (False, True), (True, True)}
         assert packed == {(True, False), (False, False), (False, True)}
@@ -240,7 +240,7 @@ class TestPieceBound:
             if res.found:
                 assert count <= len(res.solution) - removed.bit_count()
                 solved += 1
-            above += count > solvers._packing(groups, removed, T.num_vertices)
+            above += count > solvers._pieces(groups, removed, T.num_vertices, 0)
         assert solved >= 150 and above >= 20
 
 
@@ -342,7 +342,7 @@ class TestRowKernels:
                 for g in range(T.num_vertices):
                     removed |= (rng.below(3) == 0) << g
                 want = _greedy_packing([q for q in masks if not q & removed])
-                assert solvers._packing(groups, removed, cap) == min(want, cap + 1)
+                assert solvers._pieces(groups, removed, cap, 0) == min(want, cap + 1)
 
 
 class TestReduce:
@@ -472,9 +472,9 @@ class TestBranchSolve:
         # nodes that the square packing alone would keep
         pieces, piece_prunes = solvers._pieces, [0]
 
-        def watching(groups, used, cap):
-            count = pieces(groups, used, cap)
-            piece_prunes[0] += count > cap >= solvers._packing(groups, used, cap)
+        def watching(groups, used, cap, tries=solvers._PIECE_TRIES):
+            count = pieces(groups, used, cap, tries)
+            piece_prunes[0] += count > cap >= pieces(groups, used, cap, 0)
             return count
 
         monkeypatch.setattr(solvers, "_pieces", watching)
