@@ -264,17 +264,19 @@ class BipartiteTournament:
     def twin_gids(self, alive: int) -> Iterable[list[int]]:
         """The false-twin classes of the gid bitmask ``alive``, each as its
         gids ascending, ordered by smallest member: the vertices grouped by
-        ``(out & alive, in & alive)``.  Two vertices of opposite sides never
-        share that key: an A vertex's key covers every live B vertex, and a
-        B vertex's key none.
+        ``out & alive`` alone.  Within ``alive`` a vertex's in-set is the
+        other side's live vertices outside its out-set, so the out-set
+        decides the class.  Two vertices of opposite sides never share it:
+        their out-sets lie on opposite sides, and they are not both empty,
+        as one of the two beats the other.
         """
-        groups: dict[tuple[int, int], list[int]] = {}
-        out, inc = self.out_mask, self.in_mask
+        groups: dict[int, list[int]] = {}
+        out = self.out_mask
         rest = alive
         while rest:
             low = rest & -rest
             g = low.bit_length() - 1
-            groups.setdefault((out[g] & alive, inc[g] & alive), []).append(g)
+            groups.setdefault(out[g] & alive, []).append(g)
             rest ^= low
         return groups.values()
 

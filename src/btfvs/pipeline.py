@@ -43,9 +43,9 @@ from .msequence import (BackEdge, _back_edges, _blocks_mask, _closes_m_square,
                         _layer_keys, _layers, cycle_closers)
 from .msequence import m_sequence  # noqa: F401  (a lookup site perfbench's tracer wraps)
 from .samplespace import SampleSpace, prime_power_decompose, twise_space, twise_space_size
-from .solvers import (Constraints, SolveStats, SolveStatus, _approx4_mask, _ms, _pair_groups,
-                      _pieces, _survivors, branch_solve, reduce_instance, verify_fvs)
-from .structure import _peel_layers_mask
+from .solvers import (Constraints, SolveStats, SolveStatus, _approx4_mask, _ms, _pieces,
+                      _survivors, branch_solve, reduce_instance, verify_fvs)
+from .structure import _a_pair_scan, _PairGroups, _peel_layers_mask
 
 
 @dataclass(frozen=True)
@@ -1133,15 +1133,17 @@ def pipeline_solve(T: BipartiteTournament, k: int,
     """Full composition: reduce, screen, decide, seed, cascade, endgame,
     verify.  The bounded search decides; the cascade only constructs.
 
-    The screen reads the greedy square-packing bound of T[survivors], the
-    vertices the reduction keeps, from one scan of its A-pairs: more than k
-    vertex-disjoint squares need more than k deletions, so the answer is no,
-    with the trace ``(("screen", bound),)``, no diagnostics, no fallback and
-    ``stats.nodes`` 0; nothing is induced or seeded.
+    The screen packs the squares of T[survivors], the vertices the
+    reduction keeps, greedily while their A-pairs are scanned, and stops at
+    k + 1: more than k vertex-disjoint squares need more than k deletions,
+    so the answer is no, with the trace ``(("screen", k + 1),)``, no
+    diagnostics, no fallback and ``stats.nodes`` 0; the rest of the scan is
+    skipped, and nothing is induced or seeded.
 
-    An unscreened solve then runs ``branch_solve`` on T once, on the
-    screen's A-pair list.  Hitting every square is 4-Hitting Set, which
-    that bounded search decides, so its no is final: the trace is
+    An unscreened solve has scanned every A-pair, and then runs
+    ``branch_solve`` on T once, on the screen's finished A-pair list.
+    Hitting every square is 4-Hitting Set, which that bounded search
+    decides, so its no is final: the trace is
     ``(("search", nodes),)``, with no diagnostics, no fallback and
     ``stats.nodes`` the search's nodes; nothing is induced or seeded.
 
@@ -1177,11 +1179,13 @@ def pipeline_solve(T: BipartiteTournament, k: int,
         # reduction removed everything: the input was square-free
         return PipelineResult(SolveStatus.SOLUTION, frozenset(),
                               SolveStats(0, _ms(t0)), (("reduce", 0),), (), False)
-    groups = _pair_groups(T, alive)
-    bound = _pieces(groups, 0, T.num_vertices, 0)
-    if bound > k:  # k + 1 vertex-disjoint squares, each needing its own deletion
+    groups = _PairGroups()
+    # the greedy square packing, read while the A-pairs are scanned
+    count = _pieces(_a_pair_scan(T, alive, groups), 0, k, 0)
+    if count > k:  # k + 1 vertex-disjoint squares, each needing its own deletion
         return PipelineResult(SolveStatus.NO_SOLUTION, None, SolveStats(0, _ms(t0)),
-                              (("screen", bound),), (), False)
+                              (("screen", count),), (), False)
+    # the screen reached the scan's end, so groups is _pair_groups(T, alive)
     search = branch_solve(T, Constraints(budget=k), groups=groups)
     if not search.found:
         return PipelineResult(SolveStatus.NO_SOLUTION, None,

@@ -11,7 +11,8 @@ Four routes with very different trust stories:
   bound packs vertex-disjoint squares, worth one deletion each, and triangle
   pieces, worth two (:func:`_pieces`, which proves the two).
 * ``exact_min_fvs``   -- ascending budgets over ``branch_solve`` from the
-  square-packing lower bound up, by the one minimiser :func:`_minimise`.
+  packing bounds of squares and pieces up, by the one minimiser
+  :func:`_minimise`.
 
 All solvers honor ``Constraints``: a set of undeletable vertices, a set of
 vertices forced into the solution, an edge set the solution must cover, and
@@ -244,7 +245,9 @@ def _pieces(groups: _PairGroups, used: int, cap: int, tries: int = _PIECE_TRIES)
     a is used and the rest of its group is skipped; so is a group whose D0
     union U0 has no free vertex, as none of its pairs can pack.  With
     ``tries=0`` that is all: the greedy packing of the squares in
-    ``all_squares`` order.
+    ``all_squares`` order, which reads nothing but the groups, so
+    ``groups`` may then be any iterable of them, such as a scan still
+    being built (:func:`structure._a_pair_scan`).
 
     Otherwise, when group a's first packable pair is (a, a'), the scan
     looks among the pairs (a', a'') of a' for an a'' whose squares with a'
@@ -264,7 +267,7 @@ def _pieces(groups: _PairGroups, used: int, cap: int, tries: int = _PIECE_TRIES)
     disjoint squares and pieces add up."""
     count = 0
     free = ~used
-    heads, rows = groups.heads, None
+    heads, rows = groups.heads if tries else 0, None
     for a, union, pairs in groups:
         if a & used or not union & free:
             continue
@@ -338,7 +341,8 @@ class Reduction(NamedTuple):
 
 
 def reduce_instance(T: BipartiteTournament, k: int) -> Reduction:
-    """Two safe reduction rules, applied to a fixpoint.
+    """Two safe reduction rules, R1 then R2, for a budget k >= 0; one round
+    of each already reaches their joint fixpoint.
 
     R1 deletes every vertex contained in no square, which removes no square.
     It lists no square: in a bipartite tournament the vertices on a square
@@ -356,6 +360,17 @@ def reduce_instance(T: BipartiteTournament, k: int) -> Reduction:
     squares, so any budget-k solution leaves a surviving representative that
     can stand in for a truncated twin.
 
+    One round of each is their joint fixpoint when k >= 0, as every class
+    then keeps a twin.  R1 removes nothing more: a square through a dropped
+    vertex maps to a square of the survivors, each dropped vertex replaced
+    by a kept twin.  Twins have equal neighbourhoods, and the two vertices
+    of one side in a square a -> b -> a' -> b' -> a are never twins (a beats
+    b, b beats a'), so the image is again a square, and each vertex R1 kept
+    still lies on one.  R2 removes nothing more: two survivors that were not
+    twins are told apart by some vertex, and when that vertex was dropped a
+    kept twin of it, with the same arcs, tells them apart too.  So no two
+    classes merge, and each already holds at most k + 1 vertices.
+
     The budget is unchanged; solutions of the reduced instance are solutions
     of the original verbatim (the mapping records identities).  The rules
     run on a bitmask of T's survivors (:func:`_survivors`), induced once (T
@@ -370,7 +385,7 @@ def reduce_instance(T: BipartiteTournament, k: int) -> Reduction:
 
 def _survivors(T: BipartiteTournament, k: int) -> int:
     """The gid mask of the vertices of T that :func:`reduce_instance`'s
-    rules keep at budget k.
+    rules keep at budget k >= 0: R1, then R2 once, which is their fixpoint.
 
     T caches the mask of its last reduction, which also holds at a larger
     budget when R2 removed nothing: R1 does not depend on k, and R2 only
@@ -381,19 +396,14 @@ def _survivors(T: BipartiteTournament, k: int) -> int:
         k0, truncated, alive = T._reduction
         if k == k0 or (k > k0 and not truncated):
             return alive
-    alive = _on_cycles(T, T.full_mask)  # R1, which a second pass would not change
-    truncated = False
-    while True:
-        keep = alive
-        for gids in T.twin_gids(alive):  # R2
-            for g in gids[k + 1:]:
-                keep &= ~(1 << g)
-        if keep == alive:
-            break
-        truncated = True
-        alive = _on_cycles(T, keep)
-    object.__setattr__(T, "_reduction", (k, truncated, alive))
-    return alive
+    alive = _on_cycles(T, T.full_mask)  # R1
+    keep = alive
+    for gids in T.twin_gids(alive):  # R2
+        for g in gids[k + 1:]:
+            keep &= ~(1 << g)
+    # one round is the fixpoint (see reduce_instance)
+    object.__setattr__(T, "_reduction", (k, keep != alive, keep))
+    return keep
 
 
 def branch_solve(T: BipartiteTournament, constraints: Constraints | None = None, *,
@@ -508,8 +518,9 @@ def branch_solve(T: BipartiteTournament, constraints: Constraints | None = None,
 
 def exact_min_fvs(T: BipartiteTournament) -> frozenset:
     """Minimum feedback vertex set by ascending-budget iteration over
-    ``branch_solve``, starting at the greedy square-packing bound: no budget
-    below it can succeed, so the first budget that does is the optimum."""
+    ``branch_solve``, starting at greedy packing bounds of squares and
+    triangle pieces (:func:`_pieces`): no budget below them can succeed, so
+    the first budget that does is the optimum."""
     return _minimise(T, frozenset(), frozenset())[0]
 
 
@@ -521,14 +532,16 @@ def _minimise(T: BipartiteTournament, required, forbidden,
     such set deletes more than ``cap`` vertices besides ``required``; and
     the branch nodes its restarts spent.
 
-    Budgets start at the packing bound of the squares that miss
-    ``required`` (:func:`_pieces` with no piece tries), read from one scan
-    of T's A-pairs with the forbidden mask, and stop at ``cap``.  Every
-    budget below the optimum is a proof of no, and those proofs carry the
-    cost; their nodes prune on squares and triangle pieces.  Each restart
-    gets the list ``branch_solve`` would build itself: that one under a
-    constraint, else the A-pairs of T[survivors], rescanned only when the
-    survivor mask changes."""
+    Budgets start at the larger of two greedy packings of what misses
+    ``required``, both read from one scan of T's A-pairs with the forbidden
+    mask: of squares and triangle pieces, the bound the search's nodes read
+    (:func:`_pieces`), and of squares alone, which is sometimes the larger
+    as both are greedy.  Budgets stop at ``cap``.  Every budget below the
+    optimum is a proof of no, and those proofs carry the cost; their nodes
+    prune on squares and triangle pieces.  Each restart gets the list
+    ``branch_solve`` would build itself: that one under a constraint, else
+    the A-pairs of T[survivors], rescanned only when the survivor mask
+    changes."""
     groups = _pair_groups(T, T.full_mask, T.mask_of(forbidden))
     if groups is None:
         return None, 0
@@ -536,8 +549,9 @@ def _minimise(T: BipartiteTournament, required, forbidden,
     top = T.num_vertices - len(required) - len(forbidden)
     if cap is not None:
         top = min(top, cap)
-    nodes = 0
-    for k in range(_pieces(groups, T.mask_of(required), T.num_vertices, 0), top + 1):
+    used, nodes = T.mask_of(required), 0
+    start = max(_pieces(groups, used, T.num_vertices), _pieces(groups, used, T.num_vertices, 0))
+    for k in range(start, top + 1):
         if free and (survivors := _survivors(T, k)) != alive:
             alive, groups = survivors, _pair_groups(T, survivors)
         res = branch_solve(T, Constraints(forbidden=forbidden, required_in=required,

@@ -12,7 +12,7 @@ a chain under inclusion.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NotAcyclic
 from .graph import SIDE_A, SIDE_B, BipartiteTournament, Vertex
@@ -71,10 +71,24 @@ def _a_pairs(T: BipartiteTournament, alive: int) -> _PairGroups:
     {a, a', b, b'} is a square exactly when b is in D1 and b' in D0.  U0 is
     the union of the group's D0 masks, so a group none of whose D0 vertices
     is free holds no square that misses the used vertices.
+
+    Built by draining :func:`_a_pair_scan`, the one builder.
+    """
+    table = _PairGroups()
+    for _ in _a_pair_scan(T, alive, table):
+        pass
+    return table
+
+
+def _a_pair_scan(T: BipartiteTournament, alive: int, table: _PairGroups) -> Iterator[tuple]:
+    """Fill the empty ``table`` with the groups of :func:`_a_pairs`, yielding
+    each group as it is appended.  Once the scan is exhausted, ``table``
+    (its ``heads`` too) is ``_a_pairs(T, alive)``; a reader that stops early
+    leaves a prefix of it, and pays only for the groups it reached.
     """
     out = T.out_mask
     rows = [(1 << i, row := out[i] & alive, ~row) for i in range(T.m) if alive >> i & 1]
-    table = _PairGroups()
+    table._rows, table._index = rows, None
     heads = 0
     for x, (a, row, off) in enumerate(rows):
         pairs = [(a2, d1, d0) for a2, row2, off2 in rows[x + 1:]
@@ -83,10 +97,11 @@ def _a_pairs(T: BipartiteTournament, alive: int) -> _PairGroups:
             union = 0
             for _, _, d0 in pairs:
                 union |= d0
-            table.append((a, union, pairs))
+            group = (a, union, pairs)
+            table.append(group)
             heads |= a
-    table.heads, table._rows, table._index = heads, rows, None
-    return table
+            yield group
+    table.heads = heads
 
 
 def _square_gids(T: BipartiteTournament, alive: int) -> tuple[int, int, int, int] | None:

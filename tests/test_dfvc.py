@@ -291,7 +291,7 @@ class TestPartMinFvs:
         monkeypatch.setattr(solvers, "_a_pairs", counting_scan)
         monkeypatch.setattr(solvers, "branch_solve", counting_search)
         repeated = 0
-        for seed in range(40):
+        for seed in range(80):
             part = generate(GenSpec(5, 5, GenKind.PLANTED_FVS, seed=seed, k_plant=3))
             verts = part.vertices()
             scans[0] = restarts[0] = 0

@@ -183,6 +183,34 @@ class TestTwins:
         assert union == set(T.vertices())
         assert total == T.num_vertices
 
+    @given(orient_matrices(6), st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_twin_gids_group_by_live_out_and_in_masks(self, orient, data):
+        # keying by the live out-set alone gives the classes, in the same
+        # order, of grouping by both live neighbour masks of the cells
+        m, n = len(orient), len(orient[0]) if orient else 0
+        T = BipartiteTournament(m, n, orient)
+        alive = data.draw(st.integers(0, (1 << (m + n)) - 1))
+        out, inc = _cell_masks(m, n, orient)
+        want: dict = {}
+        for g in range(m + n):
+            if alive >> g & 1:
+                want.setdefault((out[g] & alive, inc[g] & alive), []).append(g)
+        assert [list(c) for c in T.twin_gids(alive)] == list(want.values())
+
+    @pytest.mark.parametrize("alive, classes", [
+        (0b111111, [[0, 1], [2], [3, 4], [5]]),  # b2 beats no live vertex
+        (0b011011, [[0, 1], [3, 4]]),  # a0 and a1 beat no live vertex
+        (0b100101, [[0, 2], [5]]),  # b2 again
+        (0b000111, [[0, 1, 2]]),  # A alone: every out-set is empty
+        (0b111000, [[3, 4, 5]]),  # B alone
+        (0, []),
+    ])
+    def test_twin_gids_with_empty_out_sets(self, alive, classes):
+        # a0, a1 -> b2 and a2 -> b0, b1, b2; b0, b1 -> a0, a1 (gids 0-2, 3-5)
+        T = tournament([[False, False, True], [False, False, True], [True, True, True]])
+        assert [list(c) for c in T.twin_gids(alive)] == classes
+
     @given(orient_matrices(4))
     @settings(max_examples=40, deadline=None)
     def test_twins_never_share_a_square(self, orient):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btfvs import msequence, pipeline, solvers
+from btfvs import msequence, pipeline, solvers, structure
 from btfvs.cli import main
 from btfvs.dfvc import dfvc_solve
 from btfvs.errors import CapMeter, FamilyCapExceeded, NotMConsistent, PreconditionViolated
@@ -32,8 +32,8 @@ from btfvs.pipeline import (STAGES, CfvsInstance, ConstantsProfile,
 from btfvs.reference import (brute_squares, dfs_has_cycle, low_block_degree_ref, matched_ref,
                              regular_ref, weakly_coupled_ref, window_property_brute)
 from btfvs.samplespace import twise_space, twise_space_size
-from btfvs.solvers import (Constraints, SolveStatus, branch_solve, exact_min_fvs,
-                           oracle_min_fvs, verify_fvs)
+from btfvs.solvers import (Constraints, SolveResult, SolveStats, SolveStatus, branch_solve,
+                           exact_min_fvs, oracle_min_fvs, verify_fvs)
 from btfvs.structure import is_acyclic
 
 from conftest import a, b, tournament
@@ -1439,6 +1439,95 @@ class TestEndgame:
             pytest.skip("endgame not reached at this scale")
 
 
+def _cell_pair_table(T, alive):
+    """``(groups, heads, rows)`` of the A-pairs of T[alive], read from the
+    matrix cells: per live a, the pairs (a', D1, D0) with a < a' and both D
+    masks non-empty, as gid bits and masks, a group per a with a pair."""
+    m, o = T.m, T.orient
+    live_a = [i for i in range(m) if alive >> i & 1]
+    live_b = [j for j in range(T.n) if alive >> (m + j) & 1]
+
+    def beaten(i, i2):  # live b with i -> b and b -> i2
+        return sum(1 << (m + j) for j in live_b if o[i][j] and not o[i2][j])
+
+    rows = []
+    for i in live_a:
+        row = sum(1 << (m + j) for j in live_b if o[i][j])
+        rows.append((1 << i, row, ~row))
+    groups, heads = [], 0
+    for x, i in enumerate(live_a):
+        pairs = [(1 << i2, beaten(i, i2), beaten(i2, i)) for i2 in live_a[x + 1:]]
+        pairs = [pair for pair in pairs if pair[1] and pair[2]]
+        if pairs:
+            union = 0
+            for _, _, d0 in pairs:
+                union |= d0
+            groups.append((1 << i, union, pairs))
+            heads |= 1 << i
+    return groups, heads, rows
+
+
+def _cell_square_packing(T, alive) -> int:
+    """Greedy vertex-disjoint packing of the squares of T[alive], taken in
+    (a, a', lower b, higher b) order, read from the matrix cells."""
+    m, o = T.m, T.orient
+    live_a = [i for i in range(m) if alive >> i & 1]
+    live_b = [j for j in range(T.n) if alive >> (m + j) & 1]
+    squares = sorted((i, i2, *sorted((j, j2)))
+                     for i in live_a for i2 in live_a if i < i2
+                     for j in live_b for j2 in live_b
+                     if (o[i][j] and not o[i2][j] and o[i2][j2] and not o[i][j2]))
+    used, count = set(), 0
+    for i, i2, j, j2 in squares:
+        square = {("A", i), ("A", i2), ("B", j), ("B", j2)}
+        if not used & square:
+            used |= square
+            count += 1
+    return count
+
+
+class TestScreen:
+    """The screen packs squares while T[survivors]'s A-pairs are scanned and
+    stops at k + 1; when it does not answer no, the search gets the whole
+    list.  Checked against tables and packings read from the cells."""
+
+    def test_screen_stops_at_k_plus_one_or_hands_over_the_full_table(self, monkeypatch):
+        handed = []
+
+        def searching(tournament, constraints, *, groups):
+            handed.append(groups)
+            return SolveResult(SolveStatus.NO_SOLUTION, None, SolveStats(0, 0.0))
+
+        monkeypatch.setattr(pipeline, "branch_solve", searching)
+        kinds = (GenKind.UNIFORM_RANDOM, GenKind.PLANTED_FVS, GenKind.TWIN_HEAVY)
+        screened = searched = cut_short = 0
+        for seed in range(45):
+            spec = GenSpec(4 + seed % 5, 4 + (seed // 5) % 5, kinds[seed % 3], seed=seed + 500,
+                           k_plant=3, twin_a=3, twin_b=2)
+            T = generate(spec)
+            opt = len(exact_min_fvs(generate(spec)))
+            for k in range(opt + 1):
+                alive = solvers._survivors(T, k)
+                bound = _cell_square_packing(T, alive)
+                assert bound == solvers.squares_packing_lower_bound(T, alive=alive)
+                handed.clear()
+                res = pipeline_solve(T, k, TOY)
+                if not alive:  # square-free: answered before the screen
+                    assert (res.trace, handed) == ((("reduce", 0),), [])
+                    continue
+                if bound > k:
+                    screened += 1
+                    cut_short += bound > k + 1
+                    assert (res.trace, handed) == ((("screen", k + 1),), [])
+                    continue
+                searched += 1
+                [groups] = handed
+                assert res.trace == (("search", 0),)
+                assert (list(groups), groups.heads, groups._rows) == \
+                    _cell_pair_table(T, alive)
+        assert screened >= 40 and cut_short >= 10 and searched >= 40
+
+
 class TestPipelineSolve:
     def test_square_budget_one(self, square_2x2):
         res = pipeline_solve(square_2x2, 1, TOY)
@@ -1639,7 +1728,8 @@ class TestPipelineSolve:
     def test_one_search_and_one_pair_scan_per_solve(self, spec, k, profile, route, monkeypatch):
         # an unscreened solve runs branch_solve once, whichever route
         # answers, and T's A-pairs are scanned once: the search reads the
-        # screen's list; a screened solve scans once and searches nothing
+        # screen's finished list; a screened solve scans a prefix of the
+        # groups once and searches nothing
         T = generate(spec)
         searches, scans = [], []
 
@@ -1647,20 +1737,26 @@ class TestPipelineSolve:
             searches.append((tournament is T, constraints))
             return branch_solve(tournament, constraints, **kwargs)
 
-        def scanning(tournament, *args, _original=solvers._pair_groups):
-            scans.append(tournament is T)
-            return _original(tournament, *args)
+        def scanning(tournament, alive, table, _original=structure._a_pair_scan):
+            if tournament is T:
+                scans.append((alive, table))
+            return _original(tournament, alive, table)
 
         monkeypatch.setattr(pipeline, "branch_solve", searching)
-        for mod in (solvers, pipeline):
-            monkeypatch.setattr(mod, "_pair_groups", scanning)
+        for mod in (structure, pipeline):
+            monkeypatch.setattr(mod, "_a_pair_scan", scanning)
         res = pipeline_solve(T, k, profile)
         monkeypatch.undo()
         name = "fallback" if res.used_fallback else "cascade" if res.found \
             else res.trace[0][0]
         assert name == route
         assert searches == ([] if route == "screen" else [(True, Constraints(budget=k))])
-        assert scans.count(True) == 1
+        [(alive, table)] = scans
+        full = structure._a_pairs(T, alive)
+        if route == "screen":
+            assert 0 < len(table) < len(full) and table == full[:len(table)]
+        else:
+            assert table == full
 
     def test_overflowing_seeding_induces_nothing(self, monkeypatch):
         # both seeding checks read the survivor count alone, so an overflow
