@@ -12,7 +12,9 @@ Four routes with very different trust stories:
   pieces, worth two (:func:`_pieces`, which proves the two).
 * ``exact_min_fvs``   -- ascending budgets over ``branch_solve`` from the
   packing bounds of squares and pieces up, by the one minimiser
-  :func:`_minimise`.
+  :func:`_minimise`, whose restarts each hand the next what they decided
+  at every removed set, so a set that comes back is decided without a
+  packing scan.
 
 All solvers honor ``Constraints``: a set of undeletable vertices, a set of
 vertices forced into the solution, an edge set the solution must cover, and
@@ -372,7 +374,8 @@ def reduce_instance(T: BipartiteTournament, k: int) -> Reduction:
     classes merge, and each already holds at most k + 1 vertices.
 
     The budget is unchanged; solutions of the reduced instance are solutions
-    of the original verbatim (the mapping records identities).  The rules
+    of the original verbatim (the mapping records identities).  A negative
+    budget raises ValueError: no set has negative size.  The rules
     run on a bitmask of T's survivors (:func:`_survivors`), induced once (T
     itself if all survive).
     """
@@ -390,8 +393,10 @@ def _survivors(T: BipartiteTournament, k: int) -> int:
     T caches the mask of its last reduction, which also holds at a larger
     budget when R2 removed nothing: R1 does not depend on k, and R2 only
     caps twin classes at k + 1.  Only the mask is cached, so a caller that
-    keeps T keeps no reduced tournament.
+    keeps T keeps no reduced tournament.  A negative k raises ValueError.
     """
+    if k < 0:
+        raise ValueError(f"reduction budget must be non-negative, got {k}")
     if T._reduction is not None:
         k0, truncated, alive = T._reduction
         if k == k0 or (k > k0 and not truncated):
@@ -407,7 +412,8 @@ def _survivors(T: BipartiteTournament, k: int) -> int:
 
 
 def branch_solve(T: BipartiteTournament, constraints: Constraints | None = None, *,
-                 groups: _PairGroups | None = None) -> SolveResult:
+                 groups: _PairGroups | None = None,
+                 carry: tuple[dict, dict | None] | None = None) -> SolveResult:
     """Budgeted branching solver, sound and complete within its budget.
 
     Uncovered constraint edges are resolved first by two-way branching on
@@ -440,6 +446,23 @@ def branch_solve(T: BipartiteTournament, constraints: Constraints | None = None,
     square misses ``removed``, which is then a solution.  A node with no
     budget left stops at its first packed square.
 
+    ``carry`` serves :func:`_minimise`'s budget restarts, each of which
+    comes back to every removed set of the one before with one more
+    deletion left.  It is a pair ``(seen, made)`` of dicts keyed by the
+    removed gid mask, both for this ``groups``: ``seen`` holds what the
+    restart before decided at each set it reached, and unless ``made`` is
+    None this call writes its own decisions there for the next.  Without
+    it nothing is read or written.  The records are exact because the
+    count depends on the list and ``removed`` alone, not on the budget,
+    and a scan capped at c returns ``min(count, c + 1)``.  A node that
+    branched records the square it branched on, which depends only on
+    ``alive & ~removed``; any later restart branches on it with no scan,
+    as the count is still nonzero and within budget.  A pruned node that
+    writes scans with cap left + 1 and records the result: in the next
+    restart, with one more left, a record above left prunes, and any other
+    is the exact count, which is nonzero, so the node branches.  A count
+    is read by the next restart only; squares carry on.
+
     Each node also carries a forbidden gid mask ``forb``, the constraint's
     to start with.  When the child that deletes g finds nothing, no solution
     within budget contains ``removed | 1 << g`` and avoids ``forb``, so the
@@ -469,8 +492,11 @@ def branch_solve(T: BipartiteTournament, constraints: Constraints | None = None,
             return SolveResult(SolveStatus.NO_SOLUTION, None, SolveStats(0, _ms(t0)))
     nodes = 0
 
+    seen, made = carry if carry is not None else ({}, None)
+    ahead = made is not None  # one count above the budget, for the next restart
+
     # local names: one lookup less per node
-    pieces, square_gids = _pieces, _square_gids
+    pieces, square_gids, seen_get = _pieces, _square_gids, seen.get
 
     def branch(removed: int, gids, left: int, cover_idx: int, forb: int) -> int | None:
         """Try deleting each vertex of ``gids`` not in ``forb``, in order."""
@@ -496,12 +522,23 @@ def branch_solve(T: BipartiteTournament, constraints: Constraints | None = None,
             if left <= 0:
                 return None
             return branch(removed, gids, left, cover_idx + 1, forb)
-        count = pieces(groups, removed, left)
-        if not count:
-            return removed
-        if count > left:
-            return None
-        return branch(removed, square_gids(T, alive & ~removed), left, cover_idx, forb)
+        gids = seen_get(removed)
+        if gids is None:
+            count = pieces(groups, removed, left + ahead)
+            if not count:
+                return removed
+            if count > left:
+                if ahead:
+                    made[removed] = count
+                return None
+            gids = square_gids(T, alive & ~removed)
+        elif type(gids) is int:  # the last restart's count, one less budget
+            if gids > left:
+                return None
+            gids = square_gids(T, alive & ~removed)
+        if ahead:
+            made[removed] = gids
+        return branch(removed, gids, left, cover_idx, forb)
 
     answer = rec(removed0, remaining, 0, forb_mask)
     # the two closures refer to each other; unbind them so the cycle they
@@ -541,7 +578,15 @@ def _minimise(T: BipartiteTournament, required, forbidden,
     prune on squares and triangle pieces.  Each restart gets the list
     ``branch_solve`` would build itself: that one under a constraint, else
     the A-pairs of T[survivors], rescanned only when the survivor mask
-    changes."""
+    changes.
+
+    Iterative deepening expands each restart's nodes again in the next, so
+    each restart also gets, as ``branch_solve``'s ``carry``, what the one
+    before decided at every removed set: the square it branched on, or the
+    count, scanned one above its budget, that pruned it.  A set that comes
+    back is then decided without a packing scan.  The records start afresh
+    when the survivor mask, and so the list, changes; the top budget, after
+    which no restart follows, writes none."""
     groups = _pair_groups(T, T.full_mask, T.mask_of(forbidden))
     if groups is None:
         return None, 0
@@ -551,12 +596,16 @@ def _minimise(T: BipartiteTournament, required, forbidden,
         top = min(top, cap)
     used, nodes = T.mask_of(required), 0
     start = max(_pieces(groups, used, T.num_vertices), _pieces(groups, used, T.num_vertices, 0))
+    seen: dict = {}
     for k in range(start, top + 1):
         if free and (survivors := _survivors(T, k)) != alive:
-            alive, groups = survivors, _pair_groups(T, survivors)
+            alive, groups, seen = survivors, _pair_groups(T, survivors), {}
+        made = {} if k < top else None
         res = branch_solve(T, Constraints(forbidden=forbidden, required_in=required,
-                                          budget=len(required) + k), groups=groups)
+                                          budget=len(required) + k), groups=groups,
+                           carry=(seen, made))
         nodes += res.stats.nodes
         if res.found:
             return res.solution - required, nodes
+        seen = made
     return None, nodes

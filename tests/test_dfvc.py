@@ -310,13 +310,14 @@ class TestPartMinFvs:
         from btfvs.solvers import _pair_groups, _survivors, exact_min_fvs
         given = []
 
-        def checking(T, constraints=None, *, groups=None, _original=solvers.branch_solve):
+        def checking(T, constraints=None, *, groups=None, _original=solvers.branch_solve,
+                     **kwargs):
             if groups is not None:
                 alive = _survivors(T, constraints.budget) if constraints.is_free() \
                     else T.full_mask
                 assert groups == _pair_groups(T, alive, T.mask_of(constraints.forbidden))
                 given.append(constraints.budget)
-            return _original(T, constraints, groups=groups)
+            return _original(T, constraints, groups=groups, **kwargs)
 
         for module in (solvers, pipeline, dfvc):
             monkeypatch.setattr(module, "branch_solve", checking)

@@ -225,15 +225,15 @@ class TestPieceBound:
         # the squares and triangle pieces packed from a removed mask never
         # count more than the deletions the remainder needs under the
         # forbidden mask, count 0 exactly when the remainder is square-free,
-        # and a cap changes no count at or below it
+        # and a cap stops the count at one above it: min(count, cap + 1),
+        # which budget restarts read back from one to the next
         solved = above = 0
         for T, removed, forbidden in _piece_cases(240):
             groups = solvers._pair_groups(T, T.full_mask)
             count = solvers._pieces(groups, removed, T.num_vertices)
             assert (count == 0) == _rows_nested(T, T.full_mask & ~removed)
-            for cap in range(count + 1):
-                capped = solvers._pieces(groups, removed, cap)
-                assert capped == count if cap == count else capped > cap
+            for cap in range(count + 2):
+                assert solvers._pieces(groups, removed, cap) == min(count, cap + 1)
             cons = Constraints(forbidden=frozenset(T.vertices_of_mask(forbidden)),
                                required_in=frozenset(T.vertices_of_mask(removed)))
             res = oracle_min_fvs(T, cons)
@@ -462,6 +462,18 @@ class TestReduce:
                     reused += k2 > k and T._reduction[0] == k
         assert reused > 0
 
+    def test_negative_budget_rejected(self):
+        # R2 keeps k + 1 twins of each class, which means nothing for k < 0;
+        # the cached survivor mask of an earlier call is not handed out either
+        T = generate(GenSpec(6, 6, GenKind.TWIN_HEAVY, seed=4, twin_a=3, twin_b=2))
+        for k in (-3, -1):
+            with pytest.raises(ValueError, match="non-negative"):
+                reduce_instance(T, k)
+        reduce_instance(T, 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            reduce_instance(T, -1)
+        assert reduce_instance(T, 0).tournament.num_vertices == 4
+
     def test_lifted_solutions_stay_valid(self):
         for seed in range(30):
             T = generate(GenSpec(5, 5, GenKind.UNIFORM_RANDOM, seed=seed))
@@ -657,9 +669,9 @@ class TestExact:
             scans[0] += 1
             return _original(*args)
 
-        def recording(T, constraints=None, groups=None):
+        def recording(T, constraints=None, groups=None, **kwargs):
             masks.append(solvers._survivors(T, constraints.budget))
-            return branch_solve(T, constraints, groups=groups)
+            return branch_solve(T, constraints, groups=groups, **kwargs)
 
         monkeypatch.setattr(solvers, "_a_pairs", counting_scan)
         monkeypatch.setattr(solvers, "branch_solve", recording)
@@ -675,6 +687,66 @@ class TestExact:
             rebuilt += changes
             reused += len(masks) - changes
         assert rebuilt >= 20 and reused >= 20
+
+    def test_carried_restarts_match_fresh_searches(self, monkeypatch):
+        # each restart of _minimise reads what the one before decided at each
+        # removed set; its budgets, per-restart nodes and answers equal those
+        # of a fresh branch_solve at each budget, on uniform, planted and
+        # twin-heavy instances, free, with a required and a forbidden vertex,
+        # and under a cap, and on instances whose survivor mask grows between
+        # budgets: the corpus of the rescan test, and a class of seven false
+        # twins made by copying one row of a uniform tournament
+        runs, unwritten, tally = [], [], {"read": 0, "changed": 0, "capped": 0}
+
+        def recording(T, constraints=None, **kwargs):
+            res = branch_solve(T, constraints, **kwargs)
+            runs.append((constraints.budget, res.solution, res.stats.nodes))
+            seen, made = kwargs["carry"]
+            tally["read"] += bool(seen)
+            unwritten.append(made is None)
+            return res
+
+        def three_ways(T, seed):
+            verts = T.vertices()
+            return [(T, set(), set(), None),
+                    (T, {verts[seed % len(verts)]}, {verts[(seed + 3) % len(verts)]}, None),
+                    (T, set(), set(), 2 + seed % 3)]
+
+        monkeypatch.setattr(solvers, "branch_solve", recording)
+        kinds = (GenKind.UNIFORM_RANDOM, GenKind.TWIN_HEAVY, GenKind.PLANTED_FVS)
+        cases = []
+        for seed in range(60):
+            cases += three_ways(generate(GenSpec(4 + seed % 4, 4 + (seed // 3) % 4,
+                                                 kinds[seed % 3], seed=seed, k_plant=3,
+                                                 twin_a=3, twin_b=3)), seed)
+            rows = generate(GenSpec(9, 9, GenKind.UNIFORM_RANDOM, seed=seed)).orient
+            cases.append((tournament([rows[seed % 9]] * 6 + list(rows)), set(), set(), None))
+        for seed in range(30):
+            cases += three_ways(generate(GenSpec(10 + seed % 3, 10 + seed % 2,
+                                                 GenKind.UNIFORM_RANDOM, seed=seed)), seed)
+        for T, required, forbidden, cap in cases:
+            runs[:], unwritten[:] = [], []
+            answer, nodes = solvers._minimise(T, required, forbidden, cap)
+            top = T.num_vertices - len(required) - len(forbidden)
+            top = top if cap is None else min(top, cap)
+            fresh = []
+            for k in range(runs[0][0] - len(required) if runs else top + 1, top + 1):
+                res = branch_solve(T, Constraints(forbidden=forbidden, required_in=required,
+                                                  budget=len(required) + k))
+                fresh.append((len(required) + k, res.solution, res.stats.nodes))
+                if res.found:
+                    break
+            assert runs == fresh
+            # the top budget, after which no restart follows, records nothing
+            assert unwritten == [run[0] == len(required) + top for run in runs]
+            assert nodes == sum(run[2] for run in runs)
+            assert answer == (None if not runs or runs[-1][1] is None
+                              else runs[-1][1] - required)
+            if not required and not forbidden:
+                survivors = [solvers._survivors(T, run[0]) for run in runs]
+                tally["changed"] += survivors[:-1] != survivors[1:]
+            tally["capped"] += answer is None and bool(runs)
+        assert tally["read"] >= 120 and tally["changed"] >= 40 and tally["capped"] >= 10, tally
 
 
 def _labels(T, vs):
@@ -756,9 +828,9 @@ class TestSquareLayerPinned:
         # the squares-only bound, the start before pieces counted
         budgets = []
 
-        def recording(T, constraints=None, groups=None):
+        def recording(T, constraints=None, groups=None, **kwargs):
             budgets.append(constraints.budget)
-            return branch_solve(T, constraints, groups=groups)
+            return branch_solve(T, constraints, groups=groups, **kwargs)
 
         monkeypatch.setattr(solvers, "branch_solve", recording)
         T = generate(spec)
