@@ -1151,11 +1151,17 @@ def pipeline_solve(T: BipartiteTournament, k: int,
     anything is induced: the size checks of the sample space and of the
     undeletable-set family read the survivor count alone, and the reduced
     tournament is induced only once both pass, so a solve whose seeding
-    overflows induces nothing.  The endgame reduces each final-family leaf with
-    ``to_dfvc`` as the depth-first walk of :func:`run_cascade` reaches it,
-    and stops the walk at the first answer that verifies; the trace then
-    counts the children each stage emitted before the answer, and
-    ``stats.nodes`` is the number of leaves the endgame tried.  Every
+    overflows induces nothing.  The endgame tries each final-family leaf as
+    the depth-first walk of :func:`run_cascade` reaches it, and stops the
+    walk at the first answer that verifies; the trace then counts the
+    children each stage emitted before the answer, and ``stats.nodes`` is
+    the number of leaves the endgame tried.  Before it reduces a leaf with
+    ``to_dfvc``, it reads the leaf's packing bound off the screen's finished
+    A-pair list: squares and triangle pieces of T[survivors] that miss the
+    leaf's P (:func:`solvers._pieces`).  An answer contains P and hits all
+    of them, so a leaf that carries its split and whose packing needs more
+    than the k - |P| deletions it has left cannot answer; it is skipped
+    unreduced and still counts as tried.  Every
     candidate is re-verified on T, so a yes is always a real feedback vertex
     set of size at most k whatever the profile.  When the cascade yields
     nothing usable, the search's own answer is the fallback answer, with the
@@ -1198,6 +1204,9 @@ def pipeline_solve(T: BipartiteTournament, k: int,
         red = reduce_instance(T, k)
         leaves = _walk(red.tournament, k, profile, family, sizes, notes, records)
     for tried, child in enumerate(leaves, 1):
+        left = k - child.p.bit_count()
+        if child.parts and _pieces(groups, T.mask_of(red.to_host[v] for v in child.P), left) > left:
+            continue  # the packing of T[alive] - P needs more than the deletions left
         try:
             reduction = to_dfvc(child, profile)
         except (PreconditionViolated, FamilyCapExceeded) as exc:

@@ -745,6 +745,18 @@ def _p_weight(inst):
     return sum(inst.T.gid(v) for v in inst.P)
 
 
+def _ruled_out(T, k, red, leaf):
+    """Does pipeline_solve's endgame rule out the final-family ``leaf`` of
+    the reduction ``red`` of T at budget k: it carries its split, and the
+    packing of T[survivors] minus its P, read off T's own pair table with P
+    named through ``red.to_host``, needs more than the k - |P| deletions
+    left?"""
+    left = k - len(leaf.P)
+    used = T.mask_of(red.to_host[v] for v in leaf.P)
+    groups = solvers._pair_groups(T, solvers._survivors(T, k))
+    return bool(leaf.parts) and solvers._pieces(groups, used, left) > left
+
+
 class TestDepthFirstWalk:
     """The cascade is one depth-first walk; run to its end, it gives what a
     breadth-first run gives, and the pipeline stops it at the answer."""
@@ -792,17 +804,21 @@ class TestDepthFirstWalk:
         assert stages == sorted(stages, key=STAGES.index)
         assert set(stages) == {"weak", "lowblockdegree", "decoupled"}
 
-        # endgame diagnostics come after every stage's
+        # endgame diagnostics come after every stage's, one per leaf the
+        # endgame reduces: each leaf tried but those its packing bound rules
+        # out first (an instance where the bound rules out some, not all)
         def unpackable(inst, profile):
             raise PreconditionViolated("decoupled")
 
         monkeypatch.setattr(pipeline, "to_dfvc", unpackable)
-        res = pipeline_solve(T, 2, TOY)
-        family, _, diagnostics, _ = _breadth_first(
-            solvers.reduce_instance(T, 2).tournament, 2, TOY)
-        assert res.used_fallback and family
+        T = generate(GenSpec(5, 5, GenKind.UNIFORM_RANDOM, seed=25))
+        res = pipeline_solve(T, 3, TOY)
+        red = solvers.reduce_instance(T, 3)
+        family, _, diagnostics, _ = _breadth_first(red.tournament, 3, TOY)
+        reduced = [leaf for leaf in family if not _ruled_out(T, 3, red, leaf)]
+        assert res.used_fallback and diagnostics and 0 < len(reduced) < len(family)
         assert list(res.diagnostics) == \
-            diagnostics + ["endgame: precondition failed: decoupled"] * len(family)
+            diagnostics + ["endgame: precondition failed: decoupled"] * len(reduced)
 
     def test_seeding_overflow(self):
         T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2))
@@ -811,10 +827,14 @@ class TestDepthFirstWalk:
             ([], [("seed", 0)], ["sample space: family of size >= 256 exceeds cap 50"], [])
 
     def test_walk_stops_at_the_answer(self, monkeypatch):
-        # the answering dfvc_solve is the last thing the solve runs, and
-        # only the seeds the walk reached built a view
+        # the answering dfvc_solve is the last thing the solve runs, only
+        # the seeds the walk reached built a view, and the leaves solved are
+        # the leaves tried, in family order, less those the packing bound
+        # rules out, which still count as tried
         T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2))
-        seeds = seed_instances(solvers.reduce_instance(T, 2).tournament, 2, TOY)
+        red = solvers.reduce_instance(T, 2)
+        seeds = seed_instances(red.tournament, 2, TOY)
+        family, _, _ = run_cascade(red.tournament, 2, TOY)
         events, builds = [], []
         for name in STAGES[1:]:
             original = getattr(pipeline, f"stage_{name}")
@@ -830,17 +850,26 @@ class TestDepthFirstWalk:
             events.append(("dfvc_solve", res.found))
             return res
 
+        def reducing(inst, profile, _original=pipeline.to_dfvc):
+            events.append(("to_dfvc", inst))
+            return _original(inst, profile)
+
         def building(T, m_mask, keys, alive, _original=pipeline.live_structure):
             builds.append(m_mask)
             return _original(T, m_mask, keys, alive)
 
         monkeypatch.setattr(pipeline, "dfvc_solve", solving)
+        monkeypatch.setattr(pipeline, "to_dfvc", reducing)
         monkeypatch.setattr(pipeline, "live_structure", building)
         res = pipeline_solve(T, 2, TOY)
         monkeypatch.undo()
         assert res.found and not res.used_fallback
         assert events[-1] == ("dfvc_solve", True)
-        assert res.stats.nodes == sum(isinstance(e, tuple) for e in events)
+        solved = [e[1] for e in events if isinstance(e, tuple) and e[0] == "to_dfvc"]
+        tried = family[:res.stats.nodes]
+        assert solved == [leaf for leaf in tried if not _ruled_out(T, 2, red, leaf)]
+        assert len(solved) == sum(e[0] == "dfvc_solve" for e in events if isinstance(e, tuple))
+        assert 0 < len(solved) < res.stats.nodes
         assert len(builds) == dict(res.trace)["seed"] < len(seeds) == 121
 
     def test_walk_leaves_no_reference_cycle(self):
@@ -1439,6 +1468,81 @@ class TestEndgame:
             pytest.skip("endgame not reached at this scale")
 
 
+def _unscreened_endgame(T, k):
+    """pipeline_solve's fields on T at budget k under the toy profile (all
+    but the wall time) from an endgame with no packing bound, which reduces
+    every leaf the walk reaches with ``to_dfvc``, solves it, lifts the
+    answer and verifies it on T; and ``(leaf, answered)`` for each leaf it
+    walked, in order."""
+    alive = solvers._survivors(T, k)
+    if not alive:
+        return (SolveStatus.SOLUTION, frozenset(), 0, (("reduce", 0),), (), False), []
+    if solvers.squares_packing_lower_bound(T, alive=alive) > k:
+        return (SolveStatus.NO_SOLUTION, None, 0, (("screen", k + 1),), (), False), []
+    search = branch_solve(T, Constraints(budget=k))
+    nodes = search.stats.nodes
+    if not search.found:
+        return (SolveStatus.NO_SOLUTION, None, nodes, (("search", nodes),), (), False), []
+    sizes, notes, walked = [0], [], []
+    family = pipeline._sized_family(alive.bit_count(), TOY, notes)
+    if family is not None:
+        red = solvers.reduce_instance(T, k)
+        leaves = pipeline._walk(red.tournament, k, TOY, family, sizes, notes, None)
+        for tried, leaf in enumerate(leaves, 1):
+            reduction = to_dfvc(leaf, TOY)
+            answer = dfvc_solve(reduction.instance)
+            lifted = None if not answer.found else frozenset(
+                red.to_host[v] for v in leaf.P | {reduction.to_host[g] for g in answer.solution})
+            answered = lifted is not None and len(lifted) <= k and verify_fvs(T, lifted)
+            walked.append((leaf, answered))
+            if answered:
+                trace, diagnostics = pipeline._replay(sizes, notes, None, None)
+                return (SolveStatus.SOLUTION, lifted, tried, tuple(trace), tuple(diagnostics),
+                        False), walked
+    trace, diagnostics = pipeline._replay(sizes, notes, None, None)
+    return (search.status, search.solution, nodes, tuple(trace), tuple(diagnostics),
+            True), walked
+
+
+class TestEndgameScreen:
+    """The endgame skips a leaf whose packing bound exceeds the deletions it
+    has left; an answer must hit that packing, so skipping changes nothing."""
+
+    def test_ruled_out_leaves_fail_the_unscreened_endgame(self, monkeypatch):
+        reduced = []
+
+        def reducing(inst, profile, _original=pipeline.to_dfvc):
+            reduced.append(inst)
+            return _original(inst, profile)
+
+        monkeypatch.setattr(pipeline, "to_dfvc", reducing)
+        kinds = (GenKind.UNIFORM_RANDOM, GenKind.PLANTED_FVS, GenKind.TWIN_HEAVY)
+        ruled_out = answered = 0
+        for seed in range(108):
+            T = generate(GenSpec(4 + seed % 3, 4 + (seed // 3) % 3, kinds[seed % 3],
+                                 seed=seed + 3000, k_plant=2 + seed % 2, twin_a=2,
+                                 twin_b=1 + seed % 2))
+            opt = len(exact_min_fvs(T))
+            for k in range(max(0, opt - 1), opt + 2):
+                want, walked = _unscreened_endgame(T, k)
+                reduced.clear()
+                res = pipeline_solve(T, k, TOY)
+                assert (res.status, res.solution, res.stats.nodes, res.trace,
+                        res.diagnostics, res.used_fallback) == want, (seed, k)
+                kept = iter(reduced)
+                nxt = next(kept, None)
+                for leaf, ok in walked:
+                    assert leaf.parts  # every walked leaf carries its split
+                    if nxt is not None and nxt == leaf and nxt.parts == leaf.parts:
+                        nxt = next(kept, None)
+                        answered += ok
+                    else:
+                        assert not ok, (seed, k)
+                        ruled_out += 1
+                assert nxt is None  # the leaves reduced are walked leaves, in order
+        assert ruled_out >= 300 and answered >= 150, (ruled_out, answered)
+
+
 def _cell_pair_table(T, alive):
     """``(groups, heads, rows)`` of the A-pairs of T[alive], read from the
     matrix cells: per live a, the pairs (a', D1, D0) with a < a' and both D
@@ -1587,9 +1691,11 @@ class TestPipelineSolve:
         assert main(["--workers", "2", "--profile", "toy", "pipeline", str(path)]) == 2
 
     def test_endgame_reduces_only_the_children_it_tries(self, monkeypatch):
-        # the cascade's final family has 93 children; the endgame packages
-        # them one at a time, in family order, as the walk reaches them, and
-        # stops at the first whose answer verifies
+        # the cascade's final family has 93 children; the endgame tries them
+        # one at a time, in family order, as the walk reaches them, and
+        # stops at the first whose answer verifies.  It packages each leaf
+        # tried but those its packing bound rules out, which still count in
+        # stats.nodes
         T = generate(GenSpec(4, 4, GenKind.UNIFORM_RANDOM, seed=2))
         red = solvers.reduce_instance(T, 2)
         family, _, _ = run_cascade(red.tournament, 2, TOY)
@@ -1604,12 +1710,13 @@ class TestPipelineSolve:
         res = pipeline_solve(T, 2, TOY)
         monkeypatch.undo()
         assert res.found and not res.used_fallback
-        assert len(family) == 93 and res.stats.nodes == len(tried) == 3
+        assert len(family) == 93 and res.stats.nodes == 3
 
         def key(inst):
             return (inst.M, inst.P, inst.F)
 
-        assert [key(c) for c in tried] == [key(c) for c in family[:3]]
+        kept = [c for c in family[:3] if not _ruled_out(T, 2, red, c)]
+        assert [key(c) for c in tried] == [key(c) for c in kept] and len(tried) == 1
         last = original(tried[-1], TOY)
         answer = dfvc_solve(last.instance)
         lifted = tried[-1].P | {last.to_host[gv] for gv in answer.solution}
@@ -1724,14 +1831,17 @@ class TestPipelineSolve:
         (GenSpec(8, 8, GenKind.PLANTED_FVS, seed=3, k_plant=3), 1, None, "search"),
         (GenSpec(8, 8, GenKind.PLANTED_FVS, seed=3, k_plant=3), 2, None, "fallback"),
         (GenSpec(5, 5, GenKind.PLANTED_FVS, seed=5, k_plant=2), 1, TOY, "screen"),
+        (GenSpec(5, 5, GenKind.UNIFORM_RANDOM, seed=0), 2, TOY, "cascade"),
     ])
     def test_one_search_and_one_pair_scan_per_solve(self, spec, k, profile, route, monkeypatch):
         # an unscreened solve runs branch_solve once, whichever route
         # answers, and T's A-pairs are scanned once: the search reads the
-        # screen's finished list; a screened solve scans a prefix of the
-        # groups once and searches nothing
+        # screen's finished list, and so does the endgame's packing bound,
+        # which rules out some leaf tried on every toy cascade or fallback
+        # here; a screened solve scans a prefix of the groups once and
+        # searches nothing
         T = generate(spec)
-        searches, scans = [], []
+        searches, scans, reduced = [], [], []
 
         def searching(tournament, constraints, **kwargs):
             searches.append((tournament is T, constraints))
@@ -1742,7 +1852,12 @@ class TestPipelineSolve:
                 scans.append((alive, table))
             return _original(tournament, alive, table)
 
+        def reducing(inst, profile, _original=pipeline.to_dfvc):
+            reduced.append(inst)
+            return _original(inst, profile)
+
         monkeypatch.setattr(pipeline, "branch_solve", searching)
+        monkeypatch.setattr(pipeline, "to_dfvc", reducing)
         for mod in (structure, pipeline):
             monkeypatch.setattr(mod, "_a_pair_scan", scanning)
         res = pipeline_solve(T, k, profile)
@@ -1750,6 +1865,11 @@ class TestPipelineSolve:
         name = "fallback" if res.used_fallback else "cascade" if res.found \
             else res.trace[0][0]
         assert name == route
+        # a cascade answer counts the leaves tried; a fallback walked them all
+        tried = res.stats.nodes if route == "cascade" else dict(res.trace).get("decoupled", 0)
+        ruled_out = tried - len(reduced)
+        assert ruled_out > 0 if profile is TOY and route in ("cascade", "fallback") \
+            else ruled_out == 0
         assert searches == ([] if route == "screen" else [(True, Constraints(budget=k))])
         [(alive, table)] = scans
         full = structure._a_pairs(T, alive)
