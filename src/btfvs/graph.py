@@ -167,6 +167,14 @@ class BipartiteTournament:
             mask |= 1 << self.gid(v)
         return mask
 
+    def checked_mask(self, vs: Iterable[Vertex]) -> int:
+        """:meth:`mask_of`, raising ValueError for a vertex not of T."""
+        mask = 0
+        for v in vs:
+            self.check_vertex(v)
+            mask |= 1 << self.gid(v)
+        return mask
+
     def vertices_of_mask(self, mask: int) -> list[Vertex]:
         """The vertices of a gid mask, ascending by gid; each is built
         inline, as :meth:`vertex_of_gid` would build it."""

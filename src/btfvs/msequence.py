@@ -144,10 +144,8 @@ def _consistency(T: BipartiteTournament, M: frozenset, within: Iterable[Vertex] 
     """Masks of M and ``within`` (ValueError unless M lies inside it), the
     M-consistency witness (lowest-gid cycle closer) for T[within] or None,
     and the peeled layers of T[M] (None when T[M] is cyclic)."""
-    for v in M:
-        T.check_vertex(v)
-    m_mask = T.mask_of(M)
-    alive = T.full_mask if within is None else T.mask_of(within)
+    m_mask = T.checked_mask(M)
+    alive = T.full_mask if within is None else T.checked_mask(within)
     if m_mask & ~alive:
         raise ValueError("M is not contained in the vertex set `within`")
     peeled = _peel_layers_mask(T, m_mask)

@@ -471,13 +471,10 @@ def is_m_homogeneous(T: BipartiteTournament, M: Iterable[Vertex],
     """
     if window < 1:
         raise ValueError("window must be positive")
-    H = frozenset(H)
-    for v in H:
-        T.check_vertex(v)
-    layers = _peel_layers_mask(T, T.full_mask & ~T.mask_of(H))
+    m_mask = T.checked_mask(M)
+    layers = _peel_layers_mask(T, T.full_mask & ~T.checked_mask(H))
     if layers is None:
         raise NotAcyclic("tournament has a directed cycle")
-    m_mask = T.mask_of(v for v in M if T.is_vertex(v))
     a_mask = (1 << T.m) - 1
     for side_mask in (a_mask, T.full_mask & ~a_mask):
         run = 0
@@ -500,7 +497,7 @@ def derive_forced_p(T: BipartiteTournament, M: Iterable[Vertex]) -> frozenset:
     """Vertices outside M whose addition to M closes a cycle; any solution
     avoiding M must delete all of them.  When T[M] is cyclic itself, every
     vertex outside M closes that cycle."""
-    m_mask = T.mask_of(M)
+    m_mask = T.checked_mask(M)
     if _peel_layers_mask(T, m_mask) is None:
         return frozenset(T.vertices_of_mask(T.full_mask & ~m_mask))
     return frozenset(T.vertices_of_mask(cycle_closers(T, m_mask, T.full_mask)))

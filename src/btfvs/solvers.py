@@ -12,7 +12,7 @@ Four routes with very different trust stories:
   pieces, worth two (:func:`_pieces`, which proves the two).
 * ``exact_min_fvs``   -- ascending budgets over ``branch_solve`` from the
   packing bounds of squares and pieces up, by the one minimiser
-  :func:`_minimise`, whose restarts each hand the next what they decided
+  :func:`_minimise`, whose restarts share one record of what each decided
   at every removed set, so a set that comes back is decided without a
   packing scan.
 
@@ -101,10 +101,7 @@ def verify_fvs(T: BipartiteTournament, S: Iterable[Vertex]) -> bool:
     that is, when the rows form a chain; and a bipartite tournament is
     acyclic exactly when it has no square.
     """
-    S = set(S)
-    for v in S:
-        T.check_vertex(v)
-    return _rows_nested(T, T.full_mask & ~T.mask_of(S))
+    return _rows_nested(T, T.full_mask & ~T.checked_mask(S))
 
 
 def satisfies(T: BipartiteTournament, S: Iterable[Vertex], constraints: Constraints) -> bool:
@@ -413,7 +410,7 @@ def _survivors(T: BipartiteTournament, k: int) -> int:
 
 def branch_solve(T: BipartiteTournament, constraints: Constraints | None = None, *,
                  groups: _PairGroups | None = None,
-                 carry: tuple[dict, dict | None] | None = None) -> SolveResult:
+                 carry: dict | None = None) -> SolveResult:
     """Budgeted branching solver, sound and complete within its budget.
 
     Uncovered constraint edges are resolved first by two-way branching on
@@ -421,11 +418,12 @@ def branch_solve(T: BipartiteTournament, constraints: Constraints | None = None,
     order) is branched on, trying each deletable vertex in lexicographic
     order.  Required vertices are deleted up front and count against the
     budget.  A branch dies when a constraint edge has no deletable endpoint,
-    or when the greedy square-packing bound exceeds the remaining budget; a
-    square of forbidden vertices only, which no deletion breaks, answers no
-    at the root.  Single-threaded and deterministic: the first solution in
-    branch order is returned.  A required, forbidden or cover-edge vertex
-    that is not a vertex of T raises ValueError.
+    or when the greedy packing bound of squares and triangle pieces exceeds
+    the remaining budget; a square of forbidden vertices only, which no
+    deletion breaks, answers no at the root.  Single-threaded and
+    deterministic: the first solution in branch order is returned.  A
+    required, forbidden or cover-edge vertex that is not a vertex of T
+    raises ValueError.
 
     Unconstrained calls search T[alive], the survivors of
     :func:`reduce_instance`'s rules (:func:`_survivors`, reused when T
@@ -448,20 +446,18 @@ def branch_solve(T: BipartiteTournament, constraints: Constraints | None = None,
 
     ``carry`` serves :func:`_minimise`'s budget restarts, each of which
     comes back to every removed set of the one before with one more
-    deletion left.  It is a pair ``(seen, made)`` of dicts keyed by the
-    removed gid mask, both for this ``groups``: ``seen`` holds what the
-    restart before decided at each set it reached, and unless ``made`` is
-    None this call writes its own decisions there for the next.  Without
-    it nothing is read or written.  The records are exact because the
-    count depends on the list and ``removed`` alone, not on the budget,
-    and a scan capped at c returns ``min(count, c + 1)``.  A node that
-    branched records the square it branched on, which depends only on
-    ``alive & ~removed``; any later restart branches on it with no scan,
-    as the count is still nonzero and within budget.  A pruned node that
-    writes scans with cap left + 1 and records the result: in the next
-    restart, with one more left, a record above left prunes, and any other
-    is the exact count, which is nonzero, so the node branches.  A count
-    is read by the next restart only; squares carry on.
+    deletion left.  It is a dict keyed by the removed gid mask, for this
+    ``groups``, which each call reads and overwrites in place; without it
+    nothing is read or written.  The records are exact because the count
+    depends on the list and ``removed`` alone, not on the budget, and a
+    scan capped at c returns ``min(count, c + 1)``.  A node that branches
+    records the square it branches on, which depends only on
+    ``alive & ~removed``, so a later call branches on it with no scan, as
+    the count is still nonzero and within budget.  A pruned node scans with
+    cap left + 1 and records the count.  The next call, with one more left,
+    prunes on a record above its left and deletes the record, which would
+    not be exact one level further up; any other record is the exact
+    count, which is nonzero, so the node branches and records its square.
 
     Each node also carries a forbidden gid mask ``forb``, the constraint's
     to start with.  When the child that deletes g finds nothing, no solution
@@ -492,58 +488,58 @@ def branch_solve(T: BipartiteTournament, constraints: Constraints | None = None,
             return SolveResult(SolveStatus.NO_SOLUTION, None, SolveStats(0, _ms(t0)))
     nodes = 0
 
-    seen, made = carry if carry is not None else ({}, None)
-    ahead = made is not None  # one count above the budget, for the next restart
+    memo = {} if carry is None else carry
+    ahead = carry is not None  # one count above the budget, for the next call
 
     # local names: one lookup less per node
-    pieces, square_gids, seen_get = _pieces, _square_gids, seen.get
-
-    def branch(removed: int, gids, left: int, cover_idx: int, forb: int) -> int | None:
-        """Try deleting each vertex of ``gids`` not in ``forb``, in order."""
-        for g in gids:
-            b = 1 << g
-            if b & forb:
-                continue
-            result = rec(removed | b, left - 1, cover_idx, forb)
-            if result is not None:
-                return result
-            forb |= b
-        return None
+    pieces, square_gids, memo_get = _pieces, _square_gids, memo.get
 
     def rec(removed: int, left: int, cover_idx: int, forb: int) -> int | None:
+        """Settle the node, then try deleting each vertex of its square or
+        cover edge not in ``forb``, in order."""
         nonlocal nodes
         nodes += 1
         # resolve constraint edges before touching squares
         while cover_idx < len(cover):
             ends, gids = cover[cover_idx]
-            if removed & ends:
-                cover_idx += 1
-                continue
-            if left <= 0:
-                return None
-            return branch(removed, gids, left, cover_idx + 1, forb)
-        gids = seen_get(removed)
-        if gids is None:
-            count = pieces(groups, removed, left + ahead)
-            if not count:
-                return removed
-            if count > left:
+            cover_idx += 1
+            if not removed & ends:
+                if left <= 0:
+                    return None
+                break
+        else:
+            gids = memo_get(removed)
+            if gids is None:
+                count = pieces(groups, removed, left + ahead)
+                if not count:
+                    return removed
+                if count > left:
+                    if ahead:
+                        memo[removed] = count
+                    return None
+                gids = square_gids(T, alive & ~removed)
                 if ahead:
-                    made[removed] = count
-                return None
-            gids = square_gids(T, alive & ~removed)
-        elif type(gids) is int:  # the last restart's count, one less budget
-            if gids > left:
-                return None
-            gids = square_gids(T, alive & ~removed)
-        if ahead:
-            made[removed] = gids
-        return branch(removed, gids, left, cover_idx, forb)
+                    memo[removed] = gids
+            elif type(gids) is int:  # the count of the call before, one less budget
+                if gids > left:
+                    del memo[removed]
+                    return None
+                memo[removed] = gids = square_gids(T, alive & ~removed)
+        left -= 1
+        for g in gids:
+            b = 1 << g
+            if b & forb:
+                continue
+            result = rec(removed | b, left, cover_idx, forb)
+            if result is not None:
+                return result
+            forb |= b
+        return None
 
     answer = rec(removed0, remaining, 0, forb_mask)
-    # the two closures refer to each other; unbind them so the cycle they
-    # form is freed now, not at the next cycle collection
-    del branch, rec
+    # the closure refers to itself; unbind it so the cycle it forms is
+    # freed now, not at the next cycle collection
+    del rec
     stats = SolveStats(nodes, _ms(t0))
     if answer is None:
         return SolveResult(SolveStatus.NO_SOLUTION, None, stats)
@@ -581,12 +577,12 @@ def _minimise(T: BipartiteTournament, required, forbidden,
     changes.
 
     Iterative deepening expands each restart's nodes again in the next, so
-    each restart also gets, as ``branch_solve``'s ``carry``, what the one
-    before decided at every removed set: the square it branched on, or the
-    count, scanned one above its budget, that pruned it.  A set that comes
-    back is then decided without a packing scan.  The records start afresh
-    when the survivor mask, and so the list, changes; the top budget, after
-    which no restart follows, writes none."""
+    every restart gets the same dict as ``branch_solve``'s ``carry`` and
+    reads and overwrites it in place: at every removed set the one before
+    reached, the square it branched on, or the count, scanned one above its
+    budget, that pruned it.  A set that comes back is then decided without a
+    packing scan.  The dict starts afresh when the survivor mask, and so the
+    list, changes."""
     groups = _pair_groups(T, T.full_mask, T.mask_of(forbidden))
     if groups is None:
         return None, 0
@@ -596,16 +592,14 @@ def _minimise(T: BipartiteTournament, required, forbidden,
         top = min(top, cap)
     used, nodes = T.mask_of(required), 0
     start = max(_pieces(groups, used, T.num_vertices), _pieces(groups, used, T.num_vertices, 0))
-    seen: dict = {}
+    memo: dict = {}
     for k in range(start, top + 1):
         if free and (survivors := _survivors(T, k)) != alive:
-            alive, groups, seen = survivors, _pair_groups(T, survivors), {}
-        made = {} if k < top else None
+            alive, groups, memo = survivors, _pair_groups(T, survivors), {}
         res = branch_solve(T, Constraints(forbidden=forbidden, required_in=required,
                                           budget=len(required) + k), groups=groups,
-                           carry=(seen, made))
+                           carry=memo)
         nodes += res.stats.nodes
         if res.found:
             return res.solution - required, nodes
-        seen = made
     return None, nodes

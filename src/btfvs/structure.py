@@ -244,7 +244,7 @@ def _on_cycles(T: BipartiteTournament, alive: int) -> int:
 
 def is_acyclic(T: BipartiteTournament, within: Iterable[Vertex] | None = None) -> bool:
     """Cycle-freeness by iterative peeling (independent of the square scan)."""
-    alive = T.full_mask if within is None else T.mask_of(within)
+    alive = T.full_mask if within is None else T.checked_mask(within)
     return _peel_layers_mask(T, alive) is not None
 
 

@@ -132,8 +132,8 @@ def test_branch_solve_lookup_sites_are_the_solver():
     # the tracer counts part searches and fallback time by wrapping
     # branch_solve where it is looked up; part searches reach it through
     # solvers' own binding (solvers._minimise, one call per budget restart,
-    # which passes the restart before's records as ``carry``, so restarts
-    # and their nodes are counted there too), and dfvc keeps its import
+    # each passed the same record dict as ``carry``, so restarts and their
+    # nodes are counted there too), and dfvc keeps its import
     # only as a site the tracer's list names; a local wrapper or copy in
     # pipeline would hide the fallback search from it
     import btfvs.dfvc

@@ -281,6 +281,16 @@ class TestLargeInstanceIo:
         assert sorted(label for layer in layers for label in layer) == \
             sorted(T.label(v) for v in T.vertices())
 
+    @pytest.mark.parametrize("command", ["solve", "pipeline"])
+    def test_search_500_deletions_deep_answers(self, command, tmp_path, capsys):
+        # the search's first descent deletes 499 vertices of the 500-per-side
+        # uniform file, one stack frame each
+        assert main(["--seed", "1", "gen", "--kind", "uniform", "--m", "500", "--n", "500",
+                     "--out", str(tmp_path)]) == 0
+        path = capsys.readouterr().out.strip()
+        assert main([command, "--budget", "1000", path]) == 0
+        assert len(json.loads(capsys.readouterr().out)) == 499
+
 
 class TestCli:
     @pytest.mark.parametrize("command, payload", [

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 
 import pytest
@@ -599,6 +600,28 @@ class TestBranchSolve:
         assert res.found
         assert a(0) in res.solution or b(1) in res.solution
 
+    def test_descent_of_500_deletions_answers(self):
+        # the first descent deletes 499 vertices, one stack frame each
+        T = generate(GenSpec(500, 500, GenKind.UNIFORM_RANDOM, 1))
+        res = branch_solve(T, Constraints(budget=1000))
+        assert res.found and verify_fvs(T, res.solution)
+
+    def test_search_leaves_no_reference_cycle(self):
+        # the search's closure refers to itself; unbound at the end of each
+        # call, it leaves nothing for the cycle collector
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            T = generate(GenSpec(9, 9, GenKind.UNIFORM_RANDOM, 2))
+            assert not branch_solve(T, Constraints(budget=3)).found
+            assert gc.collect() == 0
+            assert exact_min_fvs(T)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
 
 def _unpruned_branch(T, cons):
     """branch_solve's search with neither the packing bound nor the
@@ -689,21 +712,27 @@ class TestExact:
         assert rebuilt >= 20 and reused >= 20
 
     def test_carried_restarts_match_fresh_searches(self, monkeypatch):
-        # each restart of _minimise reads what the one before decided at each
-        # removed set; its budgets, per-restart nodes and answers equal those
-        # of a fresh branch_solve at each budget, on uniform, planted and
-        # twin-heavy instances, free, with a required and a forbidden vertex,
-        # and under a cap, and on instances whose survivor mask grows between
-        # budgets: the corpus of the rescan test, and a class of seven false
-        # twins made by copying one row of a uniform tournament
-        runs, unwritten, tally = [], [], {"read": 0, "changed": 0, "capped": 0}
+        # every restart of _minimise reads and overwrites one dict of what
+        # the restarts before decided at each removed set; its budgets,
+        # per-restart nodes and answers equal those of a fresh branch_solve
+        # at each budget, on uniform, planted and twin-heavy instances,
+        # free, with a required and a forbidden vertex, and under a cap, and
+        # on instances whose survivor mask grows between budgets: the corpus
+        # of the rescan test, and a class of seven false twins made by
+        # copying one row of a uniform tournament.  A restart that fails
+        # leaves at most one record per node it visited.
+        runs, overfull = [], []
+        tally = {"read": 0, "failed": 0, "changed": 0, "capped": 0}
 
         def recording(T, constraints=None, **kwargs):
+            memo = kwargs["carry"]
+            tally["read"] += bool(memo)
             res = branch_solve(T, constraints, **kwargs)
             runs.append((constraints.budget, res.solution, res.stats.nodes))
-            seen, made = kwargs["carry"]
-            tally["read"] += bool(seen)
-            unwritten.append(made is None)
+            if not res.found:
+                tally["failed"] += 1
+                if len(memo) > res.stats.nodes:
+                    overfull.append((constraints.budget, len(memo), res.stats.nodes))
             return res
 
         def three_ways(T, seed):
@@ -725,7 +754,7 @@ class TestExact:
             cases += three_ways(generate(GenSpec(10 + seed % 3, 10 + seed % 2,
                                                  GenKind.UNIFORM_RANDOM, seed=seed)), seed)
         for T, required, forbidden, cap in cases:
-            runs[:], unwritten[:] = [], []
+            runs[:] = []
             answer, nodes = solvers._minimise(T, required, forbidden, cap)
             top = T.num_vertices - len(required) - len(forbidden)
             top = top if cap is None else min(top, cap)
@@ -737,8 +766,7 @@ class TestExact:
                 if res.found:
                     break
             assert runs == fresh
-            # the top budget, after which no restart follows, records nothing
-            assert unwritten == [run[0] == len(required) + top for run in runs]
+            assert not overfull, overfull
             assert nodes == sum(run[2] for run in runs)
             assert answer == (None if not runs or runs[-1][1] is None
                               else runs[-1][1] - required)
@@ -746,7 +774,8 @@ class TestExact:
                 survivors = [solvers._survivors(T, run[0]) for run in runs]
                 tally["changed"] += survivors[:-1] != survivors[1:]
             tally["capped"] += answer is None and bool(runs)
-        assert tally["read"] >= 120 and tally["changed"] >= 40 and tally["capped"] >= 10, tally
+        assert tally["read"] >= 120 and tally["failed"] >= 200 and tally["changed"] >= 40 \
+            and tally["capped"] >= 10, tally
 
 
 def _labels(T, vs):

@@ -7,6 +7,8 @@ import pytest
 from btfvs.errors import NotAcyclic
 from btfvs.generators import GenKind, GenSpec, SplitMix64, generate
 from btfvs.graph import BipartiteTournament
+from btfvs.msequence import m_sequence
+from btfvs.pipeline import derive_forced_p, is_m_homogeneous
 from btfvs.reference import brute_squares, dfs_has_cycle
 from btfvs.structure import (all_squares, canonical_sequence, find_square,
                              is_acyclic, is_topological, some_topological_sort)
@@ -164,3 +166,20 @@ class TestTopological:
     def test_cyclic_raises(self, square_2x2):
         with pytest.raises(NotAcyclic):
             some_topological_sort(square_2x2)
+
+
+_GHOST = a(99)  # a vertex no 3x3 tournament has
+
+
+@pytest.mark.parametrize("call", [
+    lambda T: is_acyclic(T, set(T.vertices()) | {_GHOST}),
+    lambda T: m_sequence(T, {a(0)}, set(T.vertices()) | {_GHOST}),
+    lambda T: derive_forced_p(T, {_GHOST}),
+    lambda T: is_m_homogeneous(T, {_GHOST}, set(), 2),
+    lambda T: is_m_homogeneous(T, {a(0)}, {_GHOST}, 2),
+], ids=["is_acyclic", "m_sequence", "derive_forced_p", "is_m_homogeneous-M",
+        "is_m_homogeneous-H"])
+def test_vertex_of_another_tournament_raises(call):
+    T = generate(GenSpec(3, 3, GenKind.ACYCLIC, seed=1))
+    with pytest.raises(ValueError, match="not a vertex"):
+        call(T)
